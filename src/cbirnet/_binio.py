@@ -44,4 +44,7 @@ def read_container_header(f, magic, kind):
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable {kind} header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(
+            f"{kind} header is a JSON {type(header).__name__}, not an object")
     return version, header

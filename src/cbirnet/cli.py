@@ -321,10 +321,8 @@ def cmd_evaluate(args):
         cfg, expected_class_names=metadata["class_names"])
     out = Path(cfg.output_dir)
 
-    true_labels, predicted_labels = [], []
-    for s in split.test:
-        true_labels.append(s.label)
-        predicted_labels.append(net.forward_classify(s.image)[1])
+    true_labels = [s.label for s in split.test]
+    predicted_labels = net.classify([s.image for s in split.test])[1]
     cm = confusion_matrix(true_labels, predicted_labels,
                           len(class_names), class_names=class_names)
     report = classification_report(cm)

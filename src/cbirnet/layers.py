@@ -1,10 +1,23 @@
 """Forward and backward kernels for every layer type the network uses.
 
-All arithmetic is 64-bit. Each layer owns its parameters and gradient
-accumulators; backward passes accumulate into the grads (they never
-overwrite), so callers must zero_grads() between SGD steps. Forward passes
-with train=False touch no layer state and are safe to run concurrently on
-a frozen network.
+Every kernel is batch-first: forward takes x of shape (N, *sample_shape)
+and returns (N, *output_shape), while output_shape() speaks of one sample.
+All arithmetic is 64-bit.
+
+Eval passes (train=False) run a whole batch through each kernel at once
+and touch no layer state, so they are safe to run concurrently on a frozen
+network. Batching never changes a bit of any sample's result. The exact
+elementwise work (padding, window views, bias, ReLU, dropout scale, window
+maxima, log-softmax along axis 1) is batched freely. The matrix products
+go through a stacked np.matmul, which issues one BLAS call per sample on
+the same operands as the unbatched product. One GEMM over the whole batch
+(w2d @ [cols_1 ... cols_N], or X @ W.T for the FCs) would cut dispatch
+further, but the BLAS then blocks and orders its sums differently, and the
+float64 results drift from the one-sample pass at N of 7 or more.
+
+Train passes (train=True) take a batch of exactly one sample and cache
+what backward needs for it; backward passes accumulate into the grads
+(they never overwrite), so callers must zero_grads() between SGD steps.
 """
 
 from __future__ import annotations
@@ -21,6 +34,30 @@ def _conv_extent(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _sample_shape(x):
+    """Shape of one sample of a batch-first array."""
+    if x.ndim < 2:
+        raise ConfigurationError(
+            f"expected a batch-first array (N, ...), got shape {x.shape}")
+    return x.shape[1:]
+
+
+def _check_train_batch(x):
+    """Train-mode caches hold one sample, so a train batch holds one too."""
+    if x.shape[0] != 1:
+        raise InternalError(
+            f"train-mode forward takes a batch of one sample, "
+            f"got {x.shape[0]}")
+
+
+def _spatial(input_shape):
+    if len(input_shape) != 3:
+        raise ConfigurationError(
+            f"expected a (channels, height, width) sample, "
+            f"got shape {tuple(input_shape)}")
+    return input_shape
+
+
 class Layer:
     """Base class: parameterless layers inherit the no-op grad handling."""
 
@@ -33,6 +70,7 @@ class Layer:
             grad.fill(0.0)
 
     def output_shape(self, input_shape):
+        """Shape of one sample's output given one sample's input shape."""
         raise NotImplementedError
 
     def forward(self, x, train=False):
@@ -43,7 +81,7 @@ class Layer:
 
 
 class Conv2d(Layer):
-    """2-D cross-correlation over a (channels, height, width) input.
+    """2-D cross-correlation over (channels, height, width) samples.
 
     Output spatial size follows the floor formula
     out = (in + 2*padding - kernel) // stride + 1. The kernel is applied
@@ -77,7 +115,7 @@ class Conv2d(Layer):
                 (self.biases, self.bias_grads)]
 
     def output_shape(self, input_shape):
-        c, h, w = input_shape
+        c, h, w = _spatial(input_shape)
         if c != self.in_channels:
             raise ConfigurationError(
                 f"input has {c} channels, kernel expects {self.in_channels}")
@@ -91,59 +129,74 @@ class Conv2d(Layer):
             raise ConfigurationError("convolution output would be empty")
         return (self.out_channels, oh, ow)
 
+    def im2col_size(self, input_shape):
+        """Elements of one sample's patch matrix."""
+        _, oh, ow = self.output_shape(input_shape)
+        return self.in_channels * self.kernel_h * self.kernel_w * oh * ow
+
     def _im2col(self, x):
-        """Patch matrix of shape (in_channels*kh*kw, out_h*out_w)."""
+        """Patch matrices of shape (N, in_channels*kh*kw, out_h*out_w)."""
         p, s = self.padding, self.stride
+        n, c, h, w = x.shape
         if p > 0:
-            x = np.pad(x, ((0, 0), (p, p), (p, p)))
+            padded = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=DTYPE)
+            padded[:, :, p:p + h, p:p + w] = x
+            x = padded
         win = sliding_window_view(x, (self.kernel_h, self.kernel_w),
-                                  axis=(1, 2))[:, ::s, ::s]
-        c, oh, ow = win.shape[:3]
-        cols = win.transpose(0, 3, 4, 1, 2).reshape(
-            c * self.kernel_h * self.kernel_w, oh * ow)
-        return np.ascontiguousarray(cols), (oh, ow)
+                                  axis=(2, 3))[:, :, ::s, ::s]
+        oh, ow = win.shape[2:4]
+        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(
+            n, c * self.kernel_h * self.kernel_w, oh * ow)
+        return np.ascontiguousarray(cols)
 
     def forward(self, x, train=False):
-        _, oh, ow = self.output_shape(x.shape)
-        cols, _ = self._im2col(x)
-        w2d = self.weights.reshape(self.out_channels, -1)
-        out = (w2d @ cols + self.biases[:, None]).reshape(
-            self.out_channels, oh, ow)
+        _, oh, ow = self.output_shape(_sample_shape(x))
         if train:
-            self._cols = cols
-            self._in_shape = x.shape
-        return out
+            _check_train_batch(x)
+        cols = self._im2col(x)
+        w2d = self.weights.reshape(self.out_channels, -1)
+        # One GEMM per sample, as in the one-sample pass (module docstring).
+        out = np.matmul(w2d, cols)
+        out += self.biases[:, None]
+        if train:
+            self._cols = cols[0]
+            self._in_shape = x.shape[1:]
+        return out.reshape(len(x), self.out_channels, oh, ow)
 
     def backward(self, grad_out):
         if self._cols is None:
             raise InternalError("backward called before a train-mode forward")
         c, h, w = self._in_shape
         kh, kw, s, p = self.kernel_h, self.kernel_w, self.stride, self.padding
-        oc, oh, ow = grad_out.shape
-        if (oc, oh, ow) != self.output_shape(self._in_shape):
+        expect = (1, *self.output_shape(self._in_shape))
+        if grad_out.shape != expect:
             raise InternalError(
                 f"upstream gradient shape {grad_out.shape} does not match "
-                f"forward output {self.output_shape(self._in_shape)}")
+                f"forward output {expect}")
+        _, oc, oh, ow = expect
         g2d = grad_out.reshape(oc, oh * ow)
         self.bias_grads += g2d.sum(axis=1)
         self.weight_grads += (g2d @ self._cols.T).reshape(self.weights.shape)
         dcols = self.weights.reshape(oc, -1).T @ g2d
         dwin = dcols.reshape(c, kh, kw, oh, ow)
-        dxp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=DTYPE)
+        dxp = np.zeros((1, c, h + 2 * p, w + 2 * p), dtype=DTYPE)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dwin[:, i, j]
+                dxp[0, :, i:i + s * oh:s, j:j + s * ow:s] += dwin[:, i, j]
         if p > 0:
-            return dxp[:, p:-p, p:-p].copy()
+            return dxp[:, :, p:-p, p:-p].copy()
         return dxp
 
 
 class MaxPool2d(Layer):
     """Window-maximum downsampling; windows may overlap when stride < window.
 
-    The forward pass records the flat input index of each window's winner
-    (ties break toward the row-major first position); backward routes each
-    upstream element to that index, accumulating where windows overlap.
+    The train-mode forward records the flat input index of each window's
+    winner (ties break toward the row-major first position); backward
+    routes each upstream element to that index, accumulating where windows
+    overlap. The eval forward needs no winners: it takes the running
+    maximum of the window's k*k strided slices, which picks the same value
+    bit for bit.
     """
 
     def __init__(self, window, stride):
@@ -155,7 +208,7 @@ class MaxPool2d(Layer):
         self._in_shape = None
 
     def output_shape(self, input_shape):
-        c, h, w = input_shape
+        c, h, w = _spatial(input_shape)
         if self.window > h or self.window > w:
             raise ConfigurationError(
                 f"pool window {self.window} exceeds input {h}x{w}")
@@ -164,28 +217,40 @@ class MaxPool2d(Layer):
         return (c, oh, ow)
 
     def forward(self, x, train=False):
-        c, h, w = x.shape
-        _, oh, ow = self.output_shape(x.shape)
+        c, oh, ow = self.output_shape(_sample_shape(x))
         k, s = self.window, self.stride
-        win = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
+        if not train:
+            rows, cols = s * (oh - 1) + 1, s * (ow - 1) + 1
+            out = x[:, :, :rows:s, :cols:s].copy()
+            for i in range(k):
+                for j in range(k):
+                    if i or j:
+                        # np.maximum returns its second operand on ties
+                        # (0.0 vs -0.0), so the row-major first value
+                        # stays, as with argmax.
+                        np.maximum(x[:, :, i:i + rows:s, j:j + cols:s], out,
+                                   out=out)
+            return out
+        _check_train_batch(x)
+        _, h, w = x.shape[1:]
+        win = sliding_window_view(x[0], (k, k), axis=(1, 2))[:, ::s, ::s]
         flat = win.reshape(c, oh, ow, k * k)
         arg = flat.argmax(axis=3)
-        out = np.take_along_axis(flat, arg[..., None], axis=3)[..., 0]
-        if train:
-            rows = (np.arange(oh) * s)[None, :, None] + arg // k
-            cols = (np.arange(ow) * s)[None, None, :] + arg % k
-            chan = np.arange(c)[:, None, None]
-            self._argmax = (chan * h + rows) * w + cols
-            self._in_shape = x.shape
-        return out
+        rows = (np.arange(oh) * s)[None, :, None] + arg // k
+        cols = (np.arange(ow) * s)[None, None, :] + arg % k
+        chan = np.arange(c)[:, None, None]
+        self._argmax = (chan * h + rows) * w + cols
+        self._in_shape = x.shape
+        return np.take_along_axis(flat, arg[..., None], axis=3)[None, ..., 0]
 
     def backward(self, grad_out):
         if self._argmax is None:
             raise InternalError("backward called before a train-mode forward")
-        if grad_out.shape != self._argmax.shape:
+        expect = (1, *self._argmax.shape)
+        if grad_out.shape != expect:
             raise InternalError(
                 f"upstream gradient shape {grad_out.shape} does not match "
-                f"pooled output {self._argmax.shape}")
+                f"pooled output {expect}")
         dx = np.zeros(int(np.prod(self._in_shape)), dtype=DTYPE)
         np.add.at(dx, self._argmax.ravel(), grad_out.ravel())
         return dx.reshape(self._in_shape)
@@ -202,6 +267,7 @@ class ReLU(Layer):
 
     def forward(self, x, train=False):
         if train:
+            _check_train_batch(x)
             self._mask = x > 0
         return np.maximum(x, 0.0)
 
@@ -212,7 +278,7 @@ class ReLU(Layer):
 
 
 class FullyConnected(Layer):
-    """Affine map y = W x + b on a flattened input vector."""
+    """Affine map y = W x + b on each sample's flattened input vector."""
 
     def __init__(self, in_features, out_features):
         if in_features < 1 or out_features < 1:
@@ -239,19 +305,28 @@ class FullyConnected(Layer):
         return (self.out_features,)
 
     def forward(self, x, train=False):
-        self.output_shape(x.shape)
-        flat = x.reshape(-1)
+        self.output_shape(_sample_shape(x))
+        flat = x.reshape(len(x), -1)
         if train:
-            self._x = flat
+            _check_train_batch(x)
+            self._x = flat[0]
             self._in_shape = x.shape
-        return self.weights @ flat + self.biases
+        # One gemv per sample, as in the one-sample pass (module docstring).
+        out = np.matmul(self.weights, flat[:, :, None])[:, :, 0]
+        out += self.biases
+        return out
 
     def backward(self, grad_out):
         if self._x is None:
             raise InternalError("backward called before a train-mode forward")
-        self.weight_grads += np.outer(grad_out, self._x)
-        self.bias_grads += grad_out
-        return (self.weights.T @ grad_out).reshape(self._in_shape)
+        if grad_out.shape != (1, self.out_features):
+            raise InternalError(
+                f"upstream gradient shape {grad_out.shape} does not match "
+                f"forward output {(1, self.out_features)}")
+        g = grad_out[0]
+        self.weight_grads += np.outer(g, self._x)
+        self.bias_grads += g
+        return (self.weights.T @ g).reshape(self._in_shape)
 
 
 class Dropout(Layer):
@@ -277,6 +352,7 @@ class Dropout(Layer):
     def forward(self, x, train=False):
         if not train:
             return x * self.keep_prob
+        _check_train_batch(x)
         if self.keep_prob == 1.0:
             # No-op; skip the draw so the rng stream is untouched.
             self._mask = np.ones(x.shape, dtype=bool)
@@ -291,7 +367,7 @@ class Dropout(Layer):
 
 
 class LogSoftmax(Layer):
-    """Log of the softmax over a vector, computed with max subtraction."""
+    """Log of the softmax over each sample's vector, with max subtraction."""
 
     def __init__(self, num_classes):
         if num_classes < 2:
@@ -307,10 +383,12 @@ class LogSoftmax(Layer):
         return (self.num_classes,)
 
     def forward(self, x, train=False):
-        self.output_shape(x.shape)
-        flat = x.reshape(-1)
-        shifted = flat - flat.max()
-        out = shifted - np.log(np.exp(shifted).sum())
+        self.output_shape(_sample_shape(x))
+        if train:
+            _check_train_batch(x)
+        flat = x.reshape(len(x), -1)
+        shifted = flat - flat.max(axis=1, keepdims=True)
+        out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         if train:
             self._probs = np.exp(out)
         return out
@@ -318,4 +396,4 @@ class LogSoftmax(Layer):
     def backward(self, grad_out):
         if self._probs is None:
             raise InternalError("backward called before a train-mode forward")
-        return grad_out - self._probs * grad_out.sum()
+        return grad_out - self._probs * grad_out.sum(axis=1, keepdims=True)

@@ -5,6 +5,17 @@ realized as a Network holding live layers. The classifier architecture built
 by build_architecture() is five convolution blocks followed by three hidden
 fully connected layers and a log-softmax head; the hidden FC activations
 (taken after their ReLUs) double as retrieval features named fc1, fc2, fc3.
+
+Every pass goes through one layer loop over batch-first kernels (see
+layers). Network.classify is the eval pass over many images: it stacks
+them a chunk at a time and runs each kernel once per chunk, and every
+image's results are bit-identical to a pass of that image alone.
+forward_classify is its one-image case; the train-mode forward and
+backward are its batch-of-one case with per-sample caches. The chunk is
+as many images as fit CHUNK_BYTES of im2col patches in the widest
+convolution: 9 at 64 px and scale 0.1, 1 at the full 224 px. Larger
+chunks buy little once dispatch is amortized and cost resident memory
+(32 images at 64 px raised peak RSS by ~6 MB).
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from .layers import (
 CHECKPOINT_MAGIC = b"CBNCKPT\n"
 CHECKPOINT_VERSION = 1
 WEIGHT_STD = 0.01
+CHUNK_BYTES = 2 * 1024 * 1024  # im2col budget of one classify chunk
 
 
 @dataclass(frozen=True)
@@ -213,6 +225,16 @@ class Network:
         self.layers = layers
         self._bias_inits = bias_inits
         self.feature_taps = feature_taps  # list of (name, layer_index)
+        # Per-sample output shape of each layer, input shape first.
+        self._shapes = [tuple(spec.input_shape)]
+        patch_elems = 1
+        for layer in layers:
+            if isinstance(layer, Conv2d):
+                patch_elems = max(patch_elems,
+                                  layer.im2col_size(self._shapes[-1]))
+            self._shapes.append(tuple(layer.output_shape(self._shapes[-1])))
+        itemsize = np.dtype(DTYPE).itemsize
+        self.chunk_size = max(1, CHUNK_BYTES // (patch_elems * itemsize))
 
     @classmethod
     def from_spec(cls, spec):
@@ -250,8 +272,7 @@ class Network:
         return [name for name, _ in self.feature_taps]
 
     def feature_dims(self):
-        trace = self.spec.shape_trace()
-        return {name: int(np.prod(trace[idx + 1]))
+        return {name: int(np.prod(self._shapes[idx + 1]))
                 for name, idx in self.feature_taps}
 
     def initialize(self, seed, weight_std=WEIGHT_STD):
@@ -294,44 +315,71 @@ class Network:
         for layer in self.layers:
             layer.zero_grads()
 
-    def forward(self, x, train=False):
-        if x.shape != self.spec.input_shape:
+    def _check_input(self, shape, what="input"):
+        if tuple(shape) != self.spec.input_shape:
             raise ConfigurationError(
-                f"input shape {x.shape} does not match network input "
+                f"{what} shape {tuple(shape)} does not match network input "
                 f"{self.spec.input_shape}")
-        out = np.asarray(x, dtype=DTYPE)
-        for layer in self.layers:
+
+    def _run(self, batch, train=False, taps=None):
+        """The layer loop of every pass: (N, *input_shape) to (N, classes).
+
+        taps maps a layer index to an (N, dim) array that receives that
+        layer's output.
+        """
+        out = batch
+        for i, layer in enumerate(self.layers):
             out = layer.forward(out, train=train)
+            if taps and i in taps:
+                taps[i][...] = out.reshape(len(out), -1)
         return out
 
+    def forward(self, x, train=False):
+        """Log-probabilities of one sample; train=True caches for backward."""
+        self._check_input(x.shape)
+        return self._run(np.asarray(x, dtype=DTYPE)[None], train=train)[0]
+
     def backward(self, grad_out):
-        g = grad_out
+        """Gradient of one sample's loss with respect to its input."""
+        g = np.asarray(grad_out)[None]
         for layer in reversed(self.layers):
             g = layer.backward(g)
-        return g
+        return g[0]
+
+    def classify(self, images):
+        """Eval-mode pass over a batch: (log_probs, predicted, features).
+
+        images is a sequence of input_shape arrays, or one array with a
+        leading batch axis. log_probs is (N, classes), predicted (N,) and
+        features maps each tap name to an (N, dim) array. The images run
+        through the layers chunk_size at a time, and each image's results
+        are bit-identical to a pass of that image alone. No layer state is
+        written, so a frozen network may serve many callers at once.
+        """
+        for i, x in enumerate(images):
+            self._check_input(np.shape(x), what=f"image {i}")
+        n = len(images)
+        log_probs = np.empty((n, *self._shapes[-1]), dtype=DTYPE)
+        taps = {idx: np.empty((n, int(np.prod(self._shapes[idx + 1]))),
+                              dtype=DTYPE)
+                for _, idx in self.feature_taps}
+        for start in range(0, n, self.chunk_size):
+            stop = min(start + self.chunk_size, n)
+            chunk = np.asarray(images[start:stop], dtype=DTYPE)
+            log_probs[start:stop] = self._run(
+                chunk, taps={idx: t[start:stop] for idx, t in taps.items()})
+        features = {name: taps[idx] for name, idx in self.feature_taps}
+        return log_probs, log_probs.argmax(axis=1), features
 
     def forward_classify(self, x):
-        """Eval-mode pass returning (log_probs, predicted, features).
+        """classify() of one image: (log_probs, predicted, features).
 
-        features maps each tap name to a copy of its activation vector.
-        No layer state is written, so a frozen network may serve many
-        callers at once.
+        log_probs is (classes,), predicted an int and features maps each
+        tap name to its activation vector.
         """
-        if x.shape != self.spec.input_shape:
-            raise ConfigurationError(
-                f"input shape {x.shape} does not match network input "
-                f"{self.spec.input_shape}")
-        taps = dict(self.feature_taps)
-        wanted = {idx: name for name, idx in taps.items()}
-        features = {}
-        out = np.asarray(x, dtype=DTYPE)
-        for i, layer in enumerate(self.layers):
-            out = layer.forward(out, train=False)
-            name = wanted.get(i)
-            if name is not None:
-                features[name] = out.reshape(-1).copy()
-        log_probs = out
-        return log_probs, int(np.argmax(log_probs)), features
+        log_probs, predicted, features = self.classify([x])
+        return (log_probs[0], int(predicted[0]),
+                {name: f[0] for name, f in features.items()})
 
     def fingerprint(self):
         """sha256 over the canonical spec plus every parameter's bytes."""

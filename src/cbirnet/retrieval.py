@@ -57,17 +57,26 @@ class FeatureIndex:
     def __init__(self, records, network_fingerprint, feature_layers):
         records = list(records)
         feature_layers = tuple(feature_layers)
+        expected = set(feature_layers)
         for r in records:
-            if set(r.features) != set(feature_layers):
+            if r.features.keys() != expected:
                 raise InputError(
                     f"record {r.source_id} has layers "
                     f"{sorted(r.features)}, index expects "
                     f"{sorted(feature_layers)}")
-            for name in feature_layers:
-                if not np.isfinite(r.features[name]).all():
-                    raise InputError(
-                        f"record {r.source_id} has non-finite features "
-                        f"in {name}")
+        # One contiguous matrix per layer makes the scan a single
+        # vectorized pass, and validation one check per layer.
+        self._matrices = {
+            name: (np.stack([r.features[name] for r in records])
+                   if records else np.zeros((0, 0), dtype=DTYPE))
+            for name in feature_layers}
+        if not all(np.isfinite(m).all() for m in self._matrices.values()):
+            bad = np.stack([~np.isfinite(self._matrices[name]).all(axis=1)
+                            for name in feature_layers], axis=1)
+            row, col = np.argwhere(bad)[0]
+            raise InputError(
+                f"record {records[row].source_id} has non-finite features "
+                f"in {feature_layers[col]}")
         self.records = records
         self.network_fingerprint = network_fingerprint
         self.feature_layers = feature_layers
@@ -77,12 +86,6 @@ class FeatureIndex:
         self.class_partitions = {
             label: np.asarray(idx)
             for label, idx in self.class_partitions.items()}
-        # One contiguous matrix per layer makes the scan a single
-        # vectorized pass.
-        self._matrices = {
-            name: (np.stack([r.features[name] for r in records])
-                   if records else np.zeros((0, 0), dtype=DTYPE))
-            for name in feature_layers}
         self._source_ids = np.asarray([r.source_id for r in records])
 
     def __len__(self):
@@ -93,21 +96,22 @@ class FeatureIndex:
 
 
 def build_index(net, samples):
-    """Run every sample through the frozen network and collect features.
+    """Run all samples through the frozen network in one classify pass.
 
     Records are partitioned by the *predicted* label (the retrieval-time
     filter can only see predictions); true labels ride along solely for
     evaluation.
     """
-    records = []
-    for s in samples:
-        _, predicted, features = net.forward_classify(s.image)
-        records.append(FeatureRecord(
+    samples = list(samples)
+    _, predicted, features = net.classify([s.image for s in samples])
+    records = [
+        FeatureRecord(
             source_id=s.source_id,
             true_label=s.label,
-            predicted_label=predicted,
-            features=features,
-        ))
+            predicted_label=label,
+            features={name: f[i] for name, f in features.items()},
+        )
+        for i, (s, label) in enumerate(zip(samples, predicted.tolist()))]
     return FeatureIndex(records, net.fingerprint(),
                         net.feature_layer_names)
 
@@ -208,17 +212,25 @@ def load_index(path, expected_fingerprint=None):
             raise VersionMismatchError(
                 f"index format version {version} is not supported "
                 f"(this build reads version {INDEX_VERSION})")
-        fingerprint = header["fingerprint"]
+        try:
+            fingerprint = header["fingerprint"]
+            layers = header["feature_layers"]
+            dims = header["feature_dims"]
+            metas = header["records"]
+        except KeyError as exc:
+            raise FormatError(f"index header has no {exc} field") from exc
+        missing = [name for name in layers if name not in dims]
+        if missing:
+            raise FormatError(
+                f"index header gives no feature_dims for layers {missing}")
         if (expected_fingerprint is not None
                 and fingerprint != expected_fingerprint):
             raise StaleIndexError(
                 "index was built by a different network "
                 f"(stored fingerprint {fingerprint[:12]}..., "
                 f"expected {expected_fingerprint[:12]}...)")
-        layers = header["feature_layers"]
-        dims = header["feature_dims"]
         records = []
-        for meta in header["records"]:
+        for meta in metas:
             features = {}
             for name in layers:
                 n = int(dims[name])

@@ -142,8 +142,8 @@ def train(net, train_split, config):
         epoch_seconds.append(time.perf_counter() - started)
         log.info("epoch %d: mean loss %.6f (%.2fs)",
                  epoch, epoch_losses[-1], epoch_seconds[-1])
-    wrong = sum(1 for s in samples
-                if net.forward_classify(s.image)[1] != s.label)
+    predicted = net.classify([s.image for s in samples])[1]
+    wrong = int(np.count_nonzero(predicted != [s.label for s in samples]))
     return TrainReport(
         epoch_losses=tuple(epoch_losses),
         final_train_error=wrong / n,
@@ -198,8 +198,7 @@ def k_fold_cross_validate(samples, network_spec, config, k=10, init_seed=0):
         fold_config = replace(config, rng_seed=config.rng_seed + f + 1)
         train(net, train_samples, fold_config)
         true = [samples[i].label for i in held_out]
-        predicted = [net.forward_classify(samples[i].image)[1]
-                     for i in held_out]
+        predicted = net.classify([samples[i].image for i in held_out])[1]
         cm = confusion_matrix(true, predicted, num_classes)
         reports.append(classification_report(cm))
         log.info("fold %d/%d: accuracy %.4f", f + 1, k, reports[-1].accuracy)

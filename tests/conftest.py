@@ -1,6 +1,19 @@
 """Shared oracles: slow reference implementations the fast code must match."""
 
+import json
+import struct
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from cbirnet.layers import (
+    Conv2d,
+    Dropout,
+    FullyConnected,
+    LogSoftmax,
+    MaxPool2d,
+    ReLU,
+)
 
 DTYPE = np.float64
 
@@ -70,3 +83,70 @@ def relative_error(analytic, numeric):
     """max |a - n| / max(1, |a|, |n|), elementwise, reduced to a scalar."""
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def _conv_eval_reference(conv, x):
+    """One sample: np.pad, window view, then a single w2d @ cols."""
+    p, s = conv.padding, conv.stride
+    kh, kw = conv.kernel_h, conv.kernel_w
+    if p > 0:
+        x = np.pad(x, ((0, 0), (p, p), (p, p)))
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+    c, oh, ow = win.shape[:3]
+    cols = np.ascontiguousarray(
+        win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow))
+    w2d = conv.weights.reshape(conv.out_channels, -1)
+    return (w2d @ cols + conv.biases[:, None]).reshape(
+        conv.out_channels, oh, ow)
+
+
+def _pool_eval_reference(pool, x):
+    """One sample: argmax over each flattened window, then gather."""
+    c, oh, ow = pool.output_shape(x.shape)
+    k, s = pool.window, pool.stride
+    win = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
+    flat = win.reshape(c, oh, ow, k * k)
+    arg = flat.argmax(axis=3)
+    return np.take_along_axis(flat, arg[..., None], axis=3)[..., 0]
+
+
+def _log_softmax_reference(x):
+    flat = x.reshape(-1)
+    shifted = flat - flat.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def eval_forward_reference(net, x):
+    """One image through per-image eval kernels, the oracle for classify.
+
+    These are the unbatched kernels the batch-first layers replaced, kept
+    so that batched results can be held to them byte for byte. Returns
+    (log_probs, predicted, {tap name: activation vector}).
+    """
+    kernels = {
+        Conv2d: _conv_eval_reference,
+        MaxPool2d: _pool_eval_reference,
+        ReLU: lambda layer, v: np.maximum(v, 0.0),
+        FullyConnected: lambda layer, v: (
+            layer.weights @ v.reshape(-1) + layer.biases),
+        Dropout: lambda layer, v: v * layer.keep_prob,
+        LogSoftmax: lambda layer, v: _log_softmax_reference(v),
+    }
+    taps = {idx: name for name, idx in net.feature_taps}
+    features = {}
+    out = np.asarray(x, dtype=DTYPE)
+    for i, layer in enumerate(net.layers):
+        out = kernels[type(layer)](layer, out)
+        if i in taps:
+            features[taps[i]] = out.reshape(-1).copy()
+    return out, int(np.argmax(out)), features
+
+
+def rewrite_container_header(path, edit):
+    """Replace the JSON header of a checkpoint or index file with edit(header)."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[12:16])
+    header = edit(json.loads(raw[16:16 + hlen]))
+    encoded = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<I", len(encoded)) + encoded
+                     + raw[16 + hlen:])

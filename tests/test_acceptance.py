@@ -128,18 +128,18 @@ def _layer_gradient_sites(rng):
     conv = Conv2d(2, 3, 3, 3, stride=2, padding=1)
     conv.weights[:] = 0.3 * rng.standard_normal(conv.weights.shape)
     conv.biases[:] = rng.standard_normal(conv.biases.shape)
-    check(conv, rng.standard_normal((2, 9, 9)))
+    check(conv, rng.standard_normal((1, 2, 9, 9)))
 
-    check(MaxPool2d(3, 2), rng.standard_normal((2, 7, 7)))
+    check(MaxPool2d(3, 2), rng.standard_normal((1, 2, 7, 7)))
 
-    x = rng.standard_normal(37)
+    x = rng.standard_normal((1, 37))
     x[np.abs(x) < 0.05] += 0.2 * np.sign(x[np.abs(x) < 0.05] + 1e-9)
     check(ReLU(), x)
 
     fc = FullyConnected(12, 7)
     fc.weights[:] = 0.4 * rng.standard_normal(fc.weights.shape)
     fc.biases[:] = rng.standard_normal(fc.biases.shape)
-    check(fc, rng.standard_normal(12))
+    check(fc, rng.standard_normal((1, 12)))
 
     class _FixedUniform:
         def __init__(self, u):
@@ -149,10 +149,10 @@ def _layer_gradient_sites(rng):
             assert shape == self.u.shape
             return self.u
 
-    drop = Dropout(0.6, rng=_FixedUniform(rng.random(30)))
-    check(drop, rng.standard_normal(30))
+    drop = Dropout(0.6, rng=_FixedUniform(rng.random((1, 30))))
+    check(drop, rng.standard_normal((1, 30)))
 
-    check(LogSoftmax(9), rng.standard_normal(9))
+    check(LogSoftmax(9), rng.standard_normal((1, 9)))
     return sites, worst
 
 
@@ -572,10 +572,10 @@ def test_dropout_semantics():
         worst_dev = 0.0
         mean_ok = True
         draws = 100_000
-        ones = np.ones(50)
+        ones = np.ones((1, 50))
         for p in (0.5, 0.7):
             layer = Dropout(p, rng=np.random.default_rng(90))
-            acc = np.zeros(50)
+            acc = np.zeros((1, 50))
             for _ in range(draws):
                 acc += layer.forward(ones, train=True)
             per_element = acc / draws

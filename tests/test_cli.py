@@ -2,9 +2,11 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 
+import conftest
 from cbirnet.cli import EXIT_CONFIG, EXIT_INPUT, RunConfig, main
 from cbirnet.network import load_checkpoint
 from cbirnet.retrieval import load_index
@@ -240,6 +242,25 @@ class TestQuery:
         code, _, _ = run(capsys, "query", "--out", str(run_dir),
                          "--image", "/no/such/file.pgm")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("name, edit", [
+        ("features.idx",
+         lambda h: {k: v for k, v in h.items() if k != "fingerprint"}),
+        ("features.idx", lambda h: dict(h, feature_dims={})),
+        ("model.ckpt", lambda h: [h]),
+    ], ids=["index-no-fingerprint", "index-layer-without-dims",
+            "checkpoint-list-header"])
+    def test_malformed_header_is_input_error(self, pipeline, tmp_path,
+                                             capsys, name, edit):
+        _, run_dir = pipeline
+        image = self.probe(pipeline)
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        conftest.rewrite_container_header(copy / name, edit)
+        code, _, stderr = run(capsys, "query", "--out", str(copy),
+                              "--image", str(image))
+        assert code == EXIT_INPUT
+        assert stderr.startswith("input error: ")
 
 
 @pytest.fixture(scope="module")

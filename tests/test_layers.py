@@ -55,7 +55,7 @@ class TestConv2d:
         conv.biases[:] = RNG.standard_normal(conv.biases.shape)
         x = RNG.standard_normal((3, 9, 11))
         npt.assert_allclose(
-            conv.forward(x),
+            conv.forward(x[None])[0],
             conv2d_reference(x, conv.weights, conv.biases, 2, 1),
             rtol=1e-12, atol=1e-12)
 
@@ -65,7 +65,7 @@ class TestConv2d:
         conv.biases[:] = RNG.standard_normal(conv.biases.shape)
         x = RNG.standard_normal((2, 6, 7))
         npt.assert_allclose(
-            conv.forward(x),
+            conv.forward(x[None])[0],
             conv2d_reference(x, conv.weights, conv.biases, 1, 0),
             rtol=1e-12, atol=1e-12)
 
@@ -75,7 +75,7 @@ class TestConv2d:
         conv.weights[0, 0, 0, 0] = 2.0
         conv.biases[0] = 3.0
         x = np.arange(6, dtype=float).reshape(1, 2, 3)
-        npt.assert_array_equal(conv.forward(x), 2.0 * x + 3.0)
+        npt.assert_array_equal(conv.forward(x[None])[0], 2.0 * x + 3.0)
 
     def test_output_shape_floor_division(self):
         conv = Conv2d(1, 64, 11, 11, stride=4, padding=2)
@@ -86,13 +86,13 @@ class TestConv2d:
         conv.weights[:] = 0.5 * RNG.standard_normal(conv.weights.shape)
         conv.biases[:] = 0.5 * RNG.standard_normal(conv.biases.shape)
         x = RNG.standard_normal((2, 7, 8))
-        assert check_gradients(conv, x) < FD_TOL
+        assert check_gradients(conv, x[None]) < FD_TOL
 
     def test_gradients_accumulate(self):
         conv = Conv2d(1, 1, 2, 2)
         conv.weights[:] = RNG.standard_normal(conv.weights.shape)
-        x = RNG.standard_normal((1, 4, 4))
-        g = RNG.standard_normal((1, 3, 3))
+        x = RNG.standard_normal((1, 4, 4))[None]
+        g = RNG.standard_normal((1, 3, 3))[None]
         conv.forward(x, train=True)
         conv.backward(g)
         once = conv.weight_grads.copy()
@@ -105,7 +105,7 @@ class TestConv2d:
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            Conv2d(3, 4, 3, 3).forward(np.zeros((2, 8, 8)))
+            Conv2d(3, 4, 3, 3).forward(np.zeros((1, 2, 8, 8)))
 
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -119,26 +119,27 @@ class TestConv2d:
 
     def test_backward_without_forward_rejected(self):
         with pytest.raises(InternalError):
-            Conv2d(1, 1, 2, 2).backward(np.zeros((1, 1, 1)))
+            Conv2d(1, 1, 2, 2).backward(np.zeros((1, 1, 1, 1)))
 
     def test_eval_forward_stores_nothing(self):
         conv = Conv2d(1, 1, 2, 2)
-        conv.forward(np.zeros((1, 4, 4)), train=False)
+        conv.forward(np.zeros((1, 1, 4, 4)), train=False)
         with pytest.raises(InternalError):
-            conv.backward(np.zeros((1, 3, 3)))
+            conv.backward(np.zeros((1, 1, 3, 3)))
 
 
 class TestMaxPool2d:
     def test_forward_matches_bruteforce(self):
         pool = MaxPool2d(3, 2)
         x = RNG.standard_normal((4, 9, 9))
-        npt.assert_array_equal(pool.forward(x), maxpool2d_reference(x, 3, 2))
+        npt.assert_array_equal(pool.forward(x[None])[0],
+                               maxpool2d_reference(x, 3, 2))
 
     def test_overlapping_windows(self):
         # 3x3 window, stride 2 on a 5-wide input: windows share a column.
         pool = MaxPool2d(3, 2)
         x = np.arange(25, dtype=float).reshape(1, 5, 5)
-        npt.assert_array_equal(pool.forward(x),
+        npt.assert_array_equal(pool.forward(x[None])[0],
                                [[[12.0, 14.0], [22.0, 24.0]]])
 
     def test_backward_routes_to_argmax(self):
@@ -147,8 +148,8 @@ class TestMaxPool2d:
                        [3.0, 4.0, 1.0, 6.0],
                        [7.0, 0.0, 3.0, 3.0],
                        [2.0, 8.0, 9.0, 1.0]]])
-        pool.forward(x, train=True)
-        dx = pool.backward(np.array([[[10.0, 20.0], [30.0, 40.0]]]))
+        pool.forward(x[None], train=True)
+        dx = pool.backward(np.array([[[[10.0, 20.0], [30.0, 40.0]]]]))[0]
         expect = np.zeros_like(x)
         expect[0, 0, 1] = 10.0   # max 5 of [[1,5],[3,4]]
         expect[0, 1, 3] = 20.0   # max 6 of [[2,0],[1,6]]
@@ -160,23 +161,34 @@ class TestMaxPool2d:
         # Constant input: every window's max is its first element, and the
         # shared element of overlapping windows must collect both grads.
         pool = MaxPool2d(3, 2)
-        x = np.zeros((1, 5, 5))
+        x = np.zeros((1, 1, 5, 5))
         pool.forward(x, train=True)
-        dx = pool.backward(np.ones((1, 2, 2)))
+        dx = pool.backward(np.ones((1, 1, 2, 2)))[0]
         assert dx.sum() == 4.0
         assert dx[0, 0, 0] == 1.0
 
+    def test_eval_keeps_first_of_tied_signed_zeros(self):
+        # -0.0 == 0.0; like the train-mode argmax, the eval window maximum
+        # keeps the row-major first of them.
+        pool = MaxPool2d(2, 2)
+        x = np.array([[[[-0.0, 0.0], [0.0, 0.0]]],
+                      [[[0.0, -0.0], [-0.0, -0.0]]]])
+        out = pool.forward(x)
+        assert np.signbit(out[0, 0, 0, 0])
+        assert not np.signbit(out[1, 0, 0, 0])
+        assert np.signbit(pool.forward(x[:1], train=True)[0, 0, 0, 0])
+
     def test_tie_breaks_to_first_position(self):
         pool = MaxPool2d(2, 2)
-        x = np.full((1, 2, 2), 7.0)
+        x = np.full((1, 1, 2, 2), 7.0)
         pool.forward(x, train=True)
-        dx = pool.backward(np.ones((1, 1, 1)))
+        dx = pool.backward(np.ones((1, 1, 1, 1)))[0]
         npt.assert_array_equal(dx, [[[1.0, 0.0], [0.0, 0.0]]])
 
     def test_gradients(self):
         pool = MaxPool2d(3, 2)
         # Well-separated values so the step never flips an argmax.
-        x = RNG.permutation(np.arange(81, dtype=float)).reshape(1, 9, 9)
+        x = RNG.permutation(np.arange(81, dtype=float)).reshape(1, 1, 9, 9)
         assert check_gradients(pool, x) < FD_TOL
 
     def test_window_exceeding_input_rejected(self):
@@ -194,13 +206,13 @@ class TestReLU:
         relu = ReLU()
         x = RNG.standard_normal((3, 4, 5)) + 0.05
         x[np.abs(x) < 0.01] = 0.5  # keep clear of the kink
-        assert check_gradients(relu, x) < FD_TOL
+        assert check_gradients(relu, x[None]) < FD_TOL
 
     def test_backward_masks_negatives(self):
         relu = ReLU()
-        relu.forward(np.array([-2.0, 3.0]), train=True)
-        npt.assert_array_equal(relu.backward(np.array([5.0, 5.0])),
-                               [0.0, 5.0])
+        relu.forward(np.array([[-2.0, 3.0]]), train=True)
+        npt.assert_array_equal(relu.backward(np.array([[5.0, 5.0]])),
+                               [[0.0, 5.0]])
 
 
 class TestFullyConnected:
@@ -208,14 +220,14 @@ class TestFullyConnected:
         fc = FullyConnected(2, 2)
         fc.weights[:] = [[1.0, 2.0], [3.0, 4.0]]
         fc.biases[:] = [10.0, 20.0]
-        npt.assert_array_equal(fc.forward(np.array([1.0, 1.0])),
-                               [13.0, 27.0])
+        npt.assert_array_equal(fc.forward(np.array([[1.0, 1.0]])),
+                               [[13.0, 27.0]])
 
     def test_flattens_spatial_input(self):
         fc = FullyConnected(12, 3)
         fc.weights[:] = RNG.standard_normal(fc.weights.shape)
         x = RNG.standard_normal((3, 2, 2))
-        npt.assert_allclose(fc.forward(x),
+        npt.assert_allclose(fc.forward(x[None])[0],
                             fc.weights @ x.reshape(-1) + fc.biases)
 
     def test_gradients(self):
@@ -223,16 +235,16 @@ class TestFullyConnected:
         fc.weights[:] = RNG.standard_normal(fc.weights.shape)
         fc.biases[:] = RNG.standard_normal(fc.biases.shape)
         x = RNG.standard_normal((2, 2, 2))
-        assert check_gradients(fc, x) < FD_TOL
+        assert check_gradients(fc, x[None]) < FD_TOL
 
     def test_input_gradient_restores_shape(self):
         fc = FullyConnected(12, 3)
-        fc.forward(RNG.standard_normal((3, 2, 2)), train=True)
-        assert fc.backward(np.ones(3)).shape == (3, 2, 2)
+        fc.forward(RNG.standard_normal((1, 3, 2, 2)), train=True)
+        assert fc.backward(np.ones((1, 3))).shape == (1, 3, 2, 2)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            FullyConnected(10, 4).forward(np.zeros(9))
+            FullyConnected(10, 4).forward(np.zeros((1, 9)))
 
 
 class TestDropout:
@@ -243,7 +255,7 @@ class TestDropout:
 
     def test_train_survivors_unscaled(self):
         drop = Dropout(0.5, rng=np.random.default_rng(7))
-        x = np.full(1000, 3.0)
+        x = np.full((1, 1000), 3.0)
         out = drop.forward(x, train=True)
         kept = out[out != 0.0]
         npt.assert_array_equal(kept, np.full(kept.size, 3.0))
@@ -252,28 +264,28 @@ class TestDropout:
     def test_train_keep_rate_converges(self):
         drop = Dropout(0.5, rng=np.random.default_rng(11))
         n, total = 100_000, 0
-        x = np.ones(n)
+        x = np.ones((1, n))
         out = drop.forward(x, train=True)
         total = int(out.sum())
         assert abs(total / n - 0.5) < 0.01
 
     def test_keep_prob_one_is_identity_both_modes(self):
         drop = Dropout(1.0, rng=np.random.default_rng(3))
-        x = RNG.standard_normal(50)
+        x = RNG.standard_normal((1, 50))
         npt.assert_array_equal(drop.forward(x, train=True), x)
         npt.assert_array_equal(drop.forward(x, train=False), x)
 
     def test_keep_prob_one_skips_rng_draw(self):
         rng = np.random.default_rng(5)
         drop = Dropout(1.0, rng=rng)
-        drop.forward(np.ones(10), train=True)
+        drop.forward(np.ones((1, 10)), train=True)
         assert rng.random() == np.random.default_rng(5).random()
 
     def test_backward_uses_same_mask(self):
         drop = Dropout(0.5, rng=np.random.default_rng(13))
-        x = np.ones(200)
+        x = np.ones((1, 200))
         out = drop.forward(x, train=True)
-        dx = drop.backward(np.full(200, 2.0))
+        dx = drop.backward(np.full((1, 200), 2.0))
         npt.assert_array_equal(dx, out * 2.0)
 
     def test_invalid_keep_prob_rejected(self):
@@ -289,31 +301,31 @@ class TestDropout:
 class TestLogSoftmax:
     def test_forward_sums_to_one(self):
         ls = LogSoftmax(5)
-        out = ls.forward(RNG.standard_normal(5))
+        out = ls.forward(RNG.standard_normal((1, 5)))
         npt.assert_allclose(np.exp(out).sum(), 1.0, rtol=1e-12)
 
     def test_forward_known_values(self):
         ls = LogSoftmax(2)
-        out = ls.forward(np.array([0.0, 0.0]))
-        npt.assert_allclose(out, np.log([0.5, 0.5]), rtol=1e-12)
+        out = ls.forward(np.array([[0.0, 0.0]]))
+        npt.assert_allclose(out, np.log([[0.5, 0.5]]), rtol=1e-12)
 
     def test_stable_under_large_logits(self):
         ls = LogSoftmax(3)
-        out = ls.forward(np.array([1000.0, 1000.0, 1000.0]))
+        out = ls.forward(np.array([[1000.0, 1000.0, 1000.0]]))
         assert np.isfinite(out).all()
         npt.assert_allclose(np.exp(out).sum(), 1.0, rtol=1e-12)
 
     def test_shift_invariance(self):
         ls = LogSoftmax(4)
-        x = RNG.standard_normal(4)
+        x = RNG.standard_normal((1, 4))
         npt.assert_allclose(ls.forward(x), ls.forward(x + 123.0),
                             rtol=0, atol=1e-10)
 
     def test_gradients(self):
         ls = LogSoftmax(6)
-        x = RNG.standard_normal(6)
+        x = RNG.standard_normal((1, 6))
         assert check_gradients(ls, x) < FD_TOL
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            LogSoftmax(4).forward(np.zeros(5))
+            LogSoftmax(4).forward(np.zeros((1, 5)))

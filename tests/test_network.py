@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import conftest
 from cbirnet.errors import (
     ConfigurationError,
     FormatError,
@@ -213,6 +214,102 @@ class TestForwardClassify:
         assert not np.array_equal(out_train, out_eval)
 
 
+def probe_images(n, seed=0):
+    """Random desk images; every third has a black band, so ReLUs give
+    exact zeros and pooling windows hold ties."""
+    images = np.random.default_rng(seed).random((n, 1, 64, 64))
+    images[::3, :, :32] = 0.0
+    return images
+
+
+class TestClassify:
+    def oracle_network(self):
+        net = Network.from_spec(build_architecture(**DESK))
+        net.initialize(11, weight_std=0.15)
+        return net
+
+    def test_bit_identical_to_per_image_oracle(self):
+        net = self.oracle_network()
+        c = net.chunk_size
+        assert c > 1
+        for n in (0, 1, c - 1, c, c + 1, 2 * c + 3):
+            images = list(probe_images(n, seed=n))
+            log_probs, predicted, features = net.classify(images)
+            assert log_probs.shape == (n, 4)
+            assert predicted.shape == (n,)
+            assert {name: f.shape for name, f in features.items()} == {
+                name: (n, 410) for name in ("fc1", "fc2", "fc3")}
+            for i, x in enumerate(images):
+                want_lp, want_pred, want_feats = \
+                    conftest.eval_forward_reference(net, x)
+                assert log_probs[i].tobytes() == want_lp.tobytes()
+                assert predicted[i] == want_pred
+                for name, vec in want_feats.items():
+                    assert features[name][i].tobytes() == vec.tobytes()
+
+    def test_oracle_probe_is_not_degenerate(self):
+        # Bit equality means little if every tap were zero or constant.
+        net = self.oracle_network()
+        _, _, features = net.classify(list(probe_images(8)))
+        for f in features.values():
+            assert (f == 0.0).any() and (f > 0.0).any()
+            assert len(np.unique(f)) > 100
+
+    def test_array_batch_matches_list(self):
+        net = self.oracle_network()
+        images = probe_images(2 * net.chunk_size + 3)
+        a = net.classify(images)
+        b = net.classify(list(images))
+        assert a[0].tobytes() == b[0].tobytes()
+        npt.assert_array_equal(a[1], b[1])
+        for name in a[2]:
+            assert a[2][name].tobytes() == b[2][name].tobytes()
+
+    def test_forward_classify_is_one_image_case(self):
+        net = self.oracle_network()
+        images = probe_images(3)
+        log_probs, predicted, features = net.classify(images)
+        for i, x in enumerate(images):
+            lp, pred, feats = net.forward_classify(x)
+            assert lp.tobytes() == log_probs[i].tobytes()
+            assert pred == predicted[i]
+            for name, vec in feats.items():
+                assert vec.tobytes() == features[name][i].tobytes()
+
+    def test_eval_forward_matches_classify(self):
+        net = self.oracle_network()
+        x = probe_images(1)[0]
+        assert net.forward(x).tobytes() == net.classify([x])[0][0].tobytes()
+
+    def test_wrong_shaped_image_anywhere_rejected(self):
+        net = self.oracle_network()
+        c = net.chunk_size
+        for position in (0, c - 1, c, 2 * c + 2):
+            images = list(probe_images(2 * c + 3))
+            images[position] = np.zeros((1, 32, 32))
+            with pytest.raises(ConfigurationError):
+                net.classify(images)
+
+    def test_train_forward_rejects_batches(self):
+        # Every layer type refuses a train-mode batch of more than one.
+        net = self.oracle_network()
+        out = probe_images(2)
+        kinds = set()
+        for layer in net.layers:
+            with pytest.raises(InternalError):
+                layer.forward(out, train=True)
+            kinds.add(type(layer).__name__)
+            out = layer.forward(out)
+        assert kinds == {"Conv2d", "MaxPool2d", "ReLU", "FullyConnected",
+                         "Dropout", "LogSoftmax"}
+
+    def test_chunk_budget_scales_with_input(self):
+        # conv1 patches: 121 x 225 doubles at 64 px, 121 x 3025 at 224 px.
+        assert self.oracle_network().chunk_size == 9
+        full_size = Network.from_spec(build_architecture(scale=0.1))
+        assert full_size.chunk_size == 1
+
+
 class TestFingerprint:
     def test_sensitive_to_any_weight(self):
         net = desk_network(seed=7)
@@ -277,6 +374,13 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, net)
         path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_non_object_header_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, desk_network())
+        conftest.rewrite_container_header(path, lambda h: [h])
         with pytest.raises(FormatError):
             load_checkpoint(path)
 

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import conftest
 from cbirnet.data import generate_synthetic_corpus
 from cbirnet.errors import (
     FormatError,
@@ -142,6 +143,34 @@ class TestBuildIndex:
         rec = FeatureRecord("a", 0, 0, {"fc1": np.array([np.nan])})
         with pytest.raises(InputError):
             FeatureIndex([rec], "fp", ("fc1",))
+
+    def test_first_nonfinite_record_and_layer_named(self):
+        def rec(sid, fc1, fc2):
+            return FeatureRecord(sid, 0, 0, {"fc1": np.array([fc1, 1.0]),
+                                             "fc2": np.array([fc2, 1.0])})
+        records = [rec("a", 0.0, 0.0), rec("b", 1.0, np.inf),
+                   rec("c", np.nan, 1.0)]
+        with pytest.raises(InputError,
+                           match="record b has non-finite features in fc2"):
+            FeatureIndex(records, "fp", ("fc1", "fc2"))
+
+    def test_wrong_layer_set_names_record(self):
+        good = FeatureRecord("a", 0, 0, {"fc1": np.ones(2),
+                                         "fc2": np.ones(2)})
+        extra = FeatureRecord("b", 0, 0, {"fc1": np.ones(2),
+                                          "fc2": np.ones(2),
+                                          "fc3": np.ones(2)})
+        missing = FeatureRecord("c", 0, 0, {"fc1": np.ones(2)})
+        for bad in (extra, missing):
+            with pytest.raises(InputError, match=f"record {bad.source_id} "):
+                FeatureIndex([good, bad], "fp", ("fc1", "fc2"))
+
+    def test_records_match_one_image_passes(self, net_and_index):
+        net, samples, index = net_and_index
+        for s, r in zip(samples, index.records):
+            _, _, feats = net.forward_classify(s.image)
+            for name in index.feature_layers:
+                assert r.features[name].tobytes() == feats[name].tobytes()
 
 
 class TestQuery:
@@ -326,5 +355,18 @@ class TestIndexFile:
         path = tmp_path / "features.idx"
         save_index(index, path)
         path.write_bytes(path.read_bytes() + b"\xff")
+        with pytest.raises(FormatError):
+            load_index(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: {k: v for k, v in h.items() if k != "fingerprint"},
+        lambda h: dict(h, feature_dims={"fc1": h["feature_dims"]["fc1"]}),
+        lambda h: [h],
+    ], ids=["no-fingerprint", "layer-without-dims", "list-header"])
+    def test_malformed_header_rejected(self, net_and_index, tmp_path, edit):
+        _, _, index = net_and_index
+        path = tmp_path / "features.idx"
+        save_index(index, path)
+        conftest.rewrite_container_header(path, edit)
         with pytest.raises(FormatError):
             load_index(path)
