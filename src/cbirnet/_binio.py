@@ -4,15 +4,53 @@ Both persisted artifacts (checkpoint, feature index) share one envelope:
 an 8-byte magic, a little-endian u32 format version, a u32 header length,
 and a UTF-8 JSON header with sorted keys, followed by format-specific
 binary payload. Readers fail loudly: wrong magic, unreadable header, or
-short reads each raise their own error type.
+short reads each raise their own error type. Writers go through
+atomic_write, so a crash mid-write leaves any earlier file in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import secrets
 import struct
 
 from .errors import FormatError, TruncatedFileError
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Binary file beside path that os.replace moves onto it on success.
+
+    If the block raises, the partial file is removed and path is left
+    untouched. There is no fsync: this guards against a crashed process,
+    not against power loss.
+    """
+    tmp = f"{path}.{secrets.token_hex(6)}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def header_value(obj, key, kind, what):
+    """obj[key] if obj is a dict holding a kind there, else FormatError.
+
+    JSON decodes to exact types, so true and false never pass for int.
+    """
+    if not isinstance(obj, dict) or key not in obj:
+        raise FormatError(f"{what} has no {key!r} field")
+    value = obj[key]
+    if type(value) is not kind:
+        raise FormatError(
+            f"{what} field {key!r} is a {type(value).__name__}, "
+            f"not a {kind.__name__}")
+    return value
 
 
 def read_exact(f, n, what):

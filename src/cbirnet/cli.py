@@ -18,11 +18,13 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from ._binio import header_value
 from .data import (
     generate_synthetic_corpus,
     ingest_directory,
@@ -51,7 +53,7 @@ from .metrics import (
     retrieval_pr,
 )
 from .network import Network, build_architecture, load_checkpoint, save_checkpoint
-from .retrieval import build_index, load_index, query, save_index
+from .retrieval import build_index, load_index, query, save_index, scan
 from .training import TrainConfig, train
 
 log = logging.getLogger(__name__)
@@ -166,6 +168,8 @@ def _load_pipeline_inputs(cfg, need_index=False):
     if not ckpt_path.is_file():
         raise InputError(f"no checkpoint at {ckpt_path}; run train first")
     net, metadata = load_checkpoint(ckpt_path)
+    for key, kind in (("class_names", list), ("image_size", int)):
+        header_value(metadata, key, kind, f"checkpoint {ckpt_path} metadata")
     index = None
     if need_index:
         idx_path = out / INDEX_NAME
@@ -322,7 +326,8 @@ def cmd_evaluate(args):
     out = Path(cfg.output_dir)
 
     true_labels = [s.label for s in split.test]
-    predicted_labels = net.classify([s.image for s in split.test])[1]
+    _, predicted_labels, test_features = net.classify(
+        [s.image for s in split.test])
     cm = confusion_matrix(true_labels, predicted_labels,
                           len(class_names), class_names=class_names)
     report = classification_report(cm)
@@ -330,10 +335,7 @@ def cmd_evaluate(args):
     (out / "classification_report.tsv").write_text(
         format_report(report, class_names))
 
-    db_label_counts = {}
-    for r in index.records:
-        db_label_counts[r.true_label] = db_label_counts.get(
-            r.true_label, 0) + 1
+    db_label_counts = Counter(index.true_labels.tolist())
 
     map_rows = []
     plot_curves = []
@@ -342,8 +344,9 @@ def cmd_evaluate(args):
             mode = "on" if use_filter else "off"
             triples = []
             curves = []
-            for s in split.test:
-                result = query(index, net, s.image, layer, cfg.k, use_filter)
+            for s, predicted, q in zip(split.test, predicted_labels,
+                                       test_features[layer]):
+                result = scan(index, q, predicted, layer, cfg.k, use_filter)
                 ranked = [item.true_label for item in result.items]
                 total = db_label_counts.get(s.label, 0)
                 triples.append((ranked, s.label, total))

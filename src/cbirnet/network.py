@@ -24,11 +24,16 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._binio import read_container_header, read_exact, write_container_header
+from ._binio import (
+    atomic_write,
+    read_container_header,
+    read_exact,
+    write_container_header,
+)
 from .errors import (
     ConfigurationError,
     FormatError,
@@ -112,11 +117,19 @@ def _spec_to_dict(spec):
 
 
 def _spec_from_dict(d):
-    kind = d.get("type")
-    cls = _SPEC_TYPES.get(kind)
+    kind = d.get("type") if isinstance(d, dict) else d
+    cls = _SPEC_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigurationError(f"unknown layer type {kind!r}")
     kwargs = {k: v for k, v in d.items() if k != "type"}
+    for f in fields(cls):
+        # f.type is the annotation string. JSON decodes to exact types,
+        # so true and false never pass for an int.
+        allowed = (int, float) if f.type == "float" else (int,)
+        if f.name in kwargs and type(kwargs[f.name]) not in allowed:
+            raise ConfigurationError(
+                f"layer {kind!r} field {f.name!r} must be {f.type}, "
+                f"got {kwargs[f.name]!r}")
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -266,10 +279,6 @@ class Network:
             shape = layer.output_shape(shape)
             layers.append(layer)
         return cls(spec, layers, bias_inits, taps)
-
-    @property
-    def feature_layer_names(self):
-        return [name for name, _ in self.feature_taps]
 
     def feature_dims(self):
         return {name: int(np.prod(self._shapes[idx + 1]))
@@ -422,7 +431,7 @@ def save_checkpoint(path, network, metadata=None):
         "spec": network.spec.to_dict(),
         "metadata": metadata or {},
     }
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         write_container_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                header)
         for value, _ in network.parameters():
@@ -438,8 +447,11 @@ def load_checkpoint(path):
             raise VersionMismatchError(
                 f"checkpoint format version {version} is not supported "
                 f"(this build reads version {CHECKPOINT_VERSION})")
-        spec = NetworkSpec.from_dict(header.get("spec", {}))
-        network = Network.from_spec(spec)
+        try:
+            network = Network.from_spec(
+                NetworkSpec.from_dict(header.get("spec", {})))
+        except ConfigurationError as exc:
+            raise FormatError(f"checkpoint spec is invalid: {exc}") from exc
         for value, _ in network.parameters():
             value[:] = _read_tensor(f, value.shape)
         trailing = f.read(1)

@@ -1,38 +1,41 @@
-"""Feature database construction, nearest-neighbor queries, index files.
+"""Feature database construction, nearest-neighbor scans, index files.
 
-The index stores, for every database image, its three hidden-FC activation
-vectors plus the network's predicted label, and partitions record ids by
-that prediction. Queries are exact brute-force scans: ranking happens on
-squared distances (the square root is order-preserving and applied only to
-the returned top k), ties break by ascending source_id. A built index is
-immutable, so concurrent queries need no locking.
+The index is columnar, like a flat FAISS index: one (N, dim) float64
+matrix per hidden-FC tap is the only copy of the features, next to the
+source id and label columns and the rows of each predicted class. scan
+is the exact brute-force kernel over one layer: ranking happens on
+squared distances (the square root is order-preserving and applied only
+to the returned top k), ties break by ascending source_id. query is one
+eval forward followed by scan. A built index is immutable, so concurrent
+scans need no locking.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._binio import read_container_header, read_exact, write_container_header
+from ._binio import (
+    atomic_write,
+    header_value,
+    read_container_header,
+    read_exact,
+    write_container_header,
+)
 from .errors import (
     FormatError,
     InputError,
     StaleIndexError,
+    TruncatedFileError,
     VersionMismatchError,
 )
 from .layers import DTYPE
 
 INDEX_MAGIC = b"CBNINDX\n"
 INDEX_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    source_id: str
-    true_label: int
-    predicted_label: int
-    features: dict  # layer name -> 1-D float64 vector
+WRITE_BLOCK_BYTES = 1 << 20  # payload save_index encodes at a time
 
 
 @dataclass(frozen=True)
@@ -52,51 +55,47 @@ class RetrievalResult:
 
 
 class FeatureIndex:
-    """Immutable collection of FeatureRecords partitioned by predicted label."""
+    """Immutable columns of N records, partitioned by predicted label.
 
-    def __init__(self, records, network_fingerprint, feature_layers):
-        records = list(records)
-        feature_layers = tuple(feature_layers)
-        expected = set(feature_layers)
-        for r in records:
-            if r.features.keys() != expected:
-                raise InputError(
-                    f"record {r.source_id} has layers "
-                    f"{sorted(r.features)}, index expects "
-                    f"{sorted(feature_layers)}")
-        # One contiguous matrix per layer makes the scan a single
-        # vectorized pass, and validation one check per layer.
-        self._matrices = {
-            name: (np.stack([r.features[name] for r in records])
-                   if records else np.zeros((0, 0), dtype=DTYPE))
-            for name in feature_layers}
-        if not all(np.isfinite(m).all() for m in self._matrices.values()):
-            bad = np.stack([~np.isfinite(self._matrices[name]).all(axis=1)
-                            for name in feature_layers], axis=1)
+    features maps each layer name, in index order, to an (N, dim)
+    matrix. Arrays that already hold float64 are kept, not copied.
+    """
+
+    def __init__(self, source_ids, true_labels, predicted_labels, features,
+                 network_fingerprint):
+        self.source_ids = np.asarray(source_ids, dtype=str)
+        self.true_labels = np.asarray(true_labels, dtype=np.int64)
+        self.predicted_labels = np.asarray(predicted_labels, dtype=np.int64)
+        self.features = {name: np.asarray(m, dtype=DTYPE)
+                         for name, m in features.items()}
+        self.feature_layers = tuple(self.features)
+        self.network_fingerprint = network_fingerprint
+        columns = (self.source_ids, self.true_labels, self.predicted_labels)
+        if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
+            raise InputError(
+                f"source_ids, true_labels and predicted_labels need one "
+                f"entry per record, got shapes {[c.shape for c in columns]}")
+        for name, m in self.features.items():
+            if m.ndim != 2 or len(m) != len(self):
+                raise InputError(f"layer {name} features have shape "
+                                 f"{m.shape}, not ({len(self)}, dim)")
+        if not all(np.isfinite(m).all() for m in self.features.values()):
+            bad = np.stack([~np.isfinite(m).all(axis=1)
+                            for m in self.features.values()], axis=1)
             row, col = np.argwhere(bad)[0]
             raise InputError(
-                f"record {records[row].source_id} has non-finite features "
-                f"in {feature_layers[col]}")
-        self.records = records
-        self.network_fingerprint = network_fingerprint
-        self.feature_layers = feature_layers
-        self.class_partitions = {}
-        for i, r in enumerate(records):
-            self.class_partitions.setdefault(r.predicted_label, []).append(i)
+                f"record {self.source_ids[row]} has non-finite features "
+                f"in {self.feature_layers[col]}")
         self.class_partitions = {
-            label: np.asarray(idx)
-            for label, idx in self.class_partitions.items()}
-        self._source_ids = np.asarray([r.source_id for r in records])
+            label: np.flatnonzero(self.predicted_labels == label)
+            for label in dict.fromkeys(self.predicted_labels.tolist())}
 
     def __len__(self):
-        return len(self.records)
-
-    def feature_dim(self, layer):
-        return self._matrices[layer].shape[1]
+        return len(self.source_ids)
 
 
 def build_index(net, samples):
-    """Run all samples through the frozen network in one classify pass.
+    """Index all samples, keeping the tap arrays of one classify pass.
 
     Records are partitioned by the *predicted* label (the retrieval-time
     filter can only see predictions); true labels ride along solely for
@@ -104,100 +103,93 @@ def build_index(net, samples):
     """
     samples = list(samples)
     _, predicted, features = net.classify([s.image for s in samples])
-    records = [
-        FeatureRecord(
-            source_id=s.source_id,
-            true_label=s.label,
-            predicted_label=label,
-            features={name: f[i] for name, f in features.items()},
-        )
-        for i, (s, label) in enumerate(zip(samples, predicted.tolist()))]
-    return FeatureIndex(records, net.fingerprint(),
-                        net.feature_layer_names)
+    return FeatureIndex([s.source_id for s in samples],
+                        [s.label for s in samples], predicted, features,
+                        net.fingerprint())
 
 
-def euclidean_distance(a, b):
-    """Root of the summed squared differences over the feature dimension."""
-    a = np.asarray(a, dtype=DTYPE)
-    b = np.asarray(b, dtype=DTYPE)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InputError(
-            f"feature vectors must be 1-D and equal length, "
-            f"got {a.shape} and {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
+def scan(index, q, predicted, layer, k, use_class_filter):
+    """Top-k records nearest to the feature vector q at one layer.
 
-
-def query(index, net, query_image, layer, k, use_class_filter):
-    """Top-k nearest records to a query image's features at one layer.
-
-    The query's class prediction comes from the same eval forward pass
-    that extracts its features. With the filter on, only the predicted
-    class's partition is scanned; an absent partition yields an empty
-    result marked "empty-class" rather than an error.
+    predicted is the query's class prediction. With the filter on, only
+    that class's partition is scanned; an absent partition yields an
+    empty result marked "empty-class" rather than an error.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    if index.network_fingerprint != net.fingerprint():
-        raise StaleIndexError(
-            "index was built by a different network than the one supplied "
-            f"(index fingerprint {index.network_fingerprint[:12]}..., "
-            f"network {net.fingerprint()[:12]}...)")
-    if layer not in index.feature_layers:
+    if layer not in index.features:
         raise InputError(
             f"layer {layer!r} not in index layers {index.feature_layers}")
-    _, predicted, features = net.forward_classify(query_image)
-    q = features[layer]
+    matrix, sids, labels = (index.features[layer], index.source_ids,
+                            index.true_labels)
+    if np.shape(q) != matrix.shape[1:]:
+        raise InputError(f"query vector has shape {np.shape(q)}, layer "
+                         f"{layer} holds {matrix.shape[1]}-dim features")
+    predicted = int(predicted)
     if use_class_filter:
-        candidates = index.class_partitions.get(
-            predicted, np.asarray([], dtype=np.intp))
-    else:
-        candidates = np.arange(len(index))
-    if candidates.size == 0:
-        return RetrievalResult(
-            items=(), query_predicted_label=predicted, layer=layer,
-            class_filter_enabled=use_class_filter,
-            status="empty-class" if use_class_filter else "ok")
-    matrix = index._matrices[layer][candidates]
+        rows = index.class_partitions.get(predicted)
+        if rows is None:
+            return RetrievalResult(
+                items=(), query_predicted_label=predicted, layer=layer,
+                class_filter_enabled=True, status="empty-class")
+        matrix, sids, labels = matrix[rows], sids[rows], labels[rows]
     sq = np.sum((matrix - q) ** 2, axis=1)
-    sids = index._source_ids[candidates]
     # lexsort's last key is primary: distance first, then source_id.
     order = np.lexsort((sids, sq))[:k]
     items = tuple(
-        RetrievedItem(
-            source_id=str(sids[i]),
-            distance=float(np.sqrt(sq[i])),
-            true_label=index.records[candidates[i]].true_label)
+        RetrievedItem(source_id=str(sids[i]), distance=float(np.sqrt(sq[i])),
+                      true_label=int(labels[i]))
         for i in order)
     return RetrievalResult(
         items=items, query_predicted_label=predicted, layer=layer,
         class_filter_enabled=use_class_filter, status="ok")
 
 
+def query(index, net, query_image, layer, k, use_class_filter):
+    """Top-k nearest records to a query image's features at one layer.
+
+    After checking that net built the index, one eval forward pass gives
+    the query's class prediction and features, and scan ranks them.
+    """
+    if index.network_fingerprint != net.fingerprint():
+        raise StaleIndexError(
+            "index was built by a different network than the one supplied "
+            f"(index fingerprint {index.network_fingerprint[:12]}..., "
+            f"network {net.fingerprint()[:12]}...)")
+    _, predicted, features = net.forward_classify(query_image)
+    return scan(index, features.get(layer), predicted, layer, k,
+                use_class_filter)
+
+
 def save_index(index, path):
-    """Write the index as a versioned binary file.
+    """Write the index as a versioned binary file, atomically.
 
     Layout mirrors the checkpoint container: magic, u32 version, u32
     header length, JSON header (fingerprint, layer names and dims, and
     per-record metadata in order), then for each record its feature
     vectors back to back in the header's layer order, little-endian
-    float64.
+    float64. Rows are encoded a block at a time, never all at once.
     """
+    matrices = list(index.features.values())
     header = {
         "fingerprint": index.network_fingerprint,
         "feature_layers": list(index.feature_layers),
-        "feature_dims": {name: index.feature_dim(name)
-                         for name in index.feature_layers},
+        "feature_dims": {name: m.shape[1]
+                         for name, m in index.features.items()},
         "records": [
-            {"source_id": r.source_id,
-             "true_label": r.true_label,
-             "predicted_label": r.predicted_label}
-            for r in index.records],
+            {"source_id": sid, "true_label": true, "predicted_label": pred}
+            for sid, true, pred in zip(index.source_ids.tolist(),
+                                       index.true_labels.tolist(),
+                                       index.predicted_labels.tolist())],
     }
-    with open(path, "wb") as f:
+    row_bytes = 8 * sum(m.shape[1] for m in matrices)
+    rows = max(1, WRITE_BLOCK_BYTES // max(1, row_bytes))
+    with atomic_write(path) as f:
         write_container_header(f, INDEX_MAGIC, INDEX_VERSION, header)
-        for r in index.records:
-            for name in index.feature_layers:
-                f.write(r.features[name].astype("<f8", copy=False).tobytes())
+        for start in range(0, len(index) if matrices else 0, rows):
+            block = np.concatenate([m[start:start + rows] for m in matrices],
+                                   axis=1)
+            f.write(block.astype("<f8", copy=False).tobytes())
 
 
 def load_index(path, expected_fingerprint=None):
@@ -205,6 +197,9 @@ def load_index(path, expected_fingerprint=None):
 
     A mismatch between expected_fingerprint and the stored one raises
     StaleIndexError: the index no longer describes the network's features.
+    The header is type-checked, and the payload size checked against the
+    file, before anything is allocated. The payload is read in one call,
+    and each layer's matrix is a column view of that one buffer.
     """
     with open(path, "rb") as f:
         version, header = read_container_header(f, INDEX_MAGIC, "index")
@@ -212,37 +207,38 @@ def load_index(path, expected_fingerprint=None):
             raise VersionMismatchError(
                 f"index format version {version} is not supported "
                 f"(this build reads version {INDEX_VERSION})")
-        try:
-            fingerprint = header["fingerprint"]
-            layers = header["feature_layers"]
-            dims = header["feature_dims"]
-            metas = header["records"]
-        except KeyError as exc:
-            raise FormatError(f"index header has no {exc} field") from exc
-        missing = [name for name in layers if name not in dims]
-        if missing:
+        fingerprint, layers, dims, metas = (
+            header_value(header, key, kind, "index header")
+            for key, kind in (("fingerprint", str), ("feature_layers", list),
+                              ("feature_dims", dict), ("records", list)))
+        if (not all(isinstance(name, str) for name in layers)
+                or len(set(layers)) != len(layers)):
             raise FormatError(
-                f"index header gives no feature_dims for layers {missing}")
+                f"index feature_layers must be distinct names, got {layers}")
+        widths = [header_value(dims, name, int, "index feature_dims")
+                  for name in layers]
+        if any(w < 0 for w in widths):
+            raise FormatError(f"index feature_dims are negative: {dims}")
+        sids, true, pred = (
+            [header_value(m, key, kind, f"index record {i}")
+             for i, m in enumerate(metas)]
+            for key, kind in (("source_id", str), ("true_label", int),
+                              ("predicted_label", int)))
         if (expected_fingerprint is not None
                 and fingerprint != expected_fingerprint):
             raise StaleIndexError(
                 "index was built by a different network "
                 f"(stored fingerprint {fingerprint[:12]}..., "
                 f"expected {expected_fingerprint[:12]}...)")
-        records = []
-        for meta in metas:
-            features = {}
-            for name in layers:
-                n = int(dims[name])
-                raw = read_exact(f, 8 * n, f"features {name}")
-                features[name] = np.frombuffer(raw, dtype="<f8").astype(DTYPE)
-            records.append(FeatureRecord(
-                source_id=meta["source_id"],
-                true_label=int(meta["true_label"]),
-                predicted_label=int(meta["predicted_label"]),
-                features=features,
-            ))
-        if f.read(1):
-            raise FormatError(
-                "index has trailing bytes after the last record")
-    return FeatureIndex(records, fingerprint, layers)
+        n, width = len(metas), sum(widths)
+        size, left = 8 * n * width, os.fstat(f.fileno()).st_size - f.tell()
+        if left != size:
+            # Short: truncated. Long: trailing bytes after the last record.
+            raise (TruncatedFileError if left < size else FormatError)(
+                f"index payload of {n} records x {width} features is "
+                f"{size} bytes, but the file holds {left} after the header")
+        raw = read_exact(f, size, "feature payload")
+    table = np.frombuffer(raw, dtype="<f8").reshape(n, width)
+    columns = np.split(table, np.cumsum(widths)[:-1], axis=1)
+    return FeatureIndex(sids, true, pred, dict(zip(layers, columns)),
+                        fingerprint)

@@ -150,3 +150,11 @@ def rewrite_container_header(path, edit):
     encoded = json.dumps(header).encode("utf-8")
     path.write_bytes(raw[:12] + struct.pack("<I", len(encoded)) + encoded
                      + raw[16 + hlen:])
+
+
+def with_conv_field(header, field, value):
+    """Checkpoint header whose first conv layer has field set to value."""
+    layers = [dict(layer) for layer in header["spec"]["layers"]]
+    first = next(i for i, layer in enumerate(layers) if layer["type"] == "conv")
+    layers[first][field] = value
+    return dict(header, spec=dict(header["spec"], layers=layers))

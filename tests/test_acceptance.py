@@ -318,15 +318,16 @@ def test_desk_scale_learning(desk_split, trained):
 
 
 def _brute_force(index, net, image, layer, k, use_filter):
-    """Full-scan oracle over index.records, no vectorized shortcuts."""
+    """Full-scan oracle over the index rows, no vectorized shortcuts."""
     _, predicted, features = net.forward_classify(image)
     q = features[layer]
     scored = []
-    for r in index.records:
-        if use_filter and r.predicted_label != predicted:
+    for i in range(len(index)):
+        if use_filter and int(index.predicted_labels[i]) != predicted:
             continue
-        sq = float(np.sum((r.features[layer] - q) ** 2))
-        scored.append((sq, r.source_id, r.true_label))
+        sq = float(np.sum((index.features[layer][i] - q) ** 2))
+        scored.append((sq, str(index.source_ids[i]),
+                       int(index.true_labels[i])))
     scored.sort(key=lambda t: (t[0], t[1]))
     return [(sid, float(np.sqrt(sq)), lbl)
             for sq, sid, lbl in scored[:k]]
@@ -381,8 +382,8 @@ def test_class_filter_effect(desk_split, trained):
         net, _, _ = trained
         index = build_index(net, desk_split.train)
         db_counts = {}
-        for r in index.records:
-            db_counts[r.true_label] = db_counts.get(r.true_label, 0) + 1
+        for label in index.true_labels.tolist():
+            db_counts[label] = db_counts.get(label, 0) + 1
 
         maps = {}
         for layer in ("fc1", "fc2", "fc3"):
@@ -530,11 +531,13 @@ def test_determinism_and_persistence(tmp_path):
         index_rt_ok = len(reloaded) == 36
         fresh = build_index(net_a, generate_synthetic_corpus(
             3, 12, 64, rng_seed=31)[0])
-        for ra, rb in zip(fresh.records, reloaded.records):
-            index_rt_ok = index_rt_ok and ra.source_id == rb.source_id
+        for i in range(len(fresh)):
+            index_rt_ok = (index_rt_ok
+                           and fresh.source_ids[i] == reloaded.source_ids[i])
             for layer in ("fc1", "fc2", "fc3"):
                 index_rt_ok = index_rt_ok and bool(
-                    (ra.features[layer] == rb.features[layer]).all())
+                    (fresh.features[layer][i]
+                     == reloaded.features[layer][i]).all())
 
         other = Network.from_spec(net_a.spec)
         other.initialize(999, weight_std=DESK_INIT_STD)

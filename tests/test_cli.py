@@ -7,9 +7,11 @@ import shutil
 import pytest
 
 import conftest
+from cbirnet import cli
 from cbirnet.cli import EXIT_CONFIG, EXIT_INPUT, RunConfig, main
-from cbirnet.network import load_checkpoint
-from cbirnet.retrieval import load_index
+from cbirnet.metrics import mean_average_precision
+from cbirnet.network import Network, load_checkpoint
+from cbirnet.retrieval import load_index, query
 
 DESK = ["--image-size", "64", "--scale", "0.05", "--epochs", "3",
         "--lr", "0.01", "--k", "10"]
@@ -195,7 +197,7 @@ class TestQuery:
     def probe(self, pipeline):
         data, run_dir = pipeline
         index = load_index(run_dir / "features.idx")
-        return data / index.records[0].source_id
+        return data / index.source_ids[0]
 
     def test_indexed_image_rank_one_distance_zero(self, pipeline, capsys):
         data, run_dir = pipeline
@@ -247,9 +249,25 @@ class TestQuery:
         ("features.idx",
          lambda h: {k: v for k, v in h.items() if k != "fingerprint"}),
         ("features.idx", lambda h: dict(h, feature_dims={})),
+        ("features.idx", lambda h: dict(h, records=[
+            {k: v for k, v in h["records"][0].items() if k != "source_id"},
+            *h["records"][1:]])),
+        ("features.idx", lambda h: dict(h, feature_dims=dict(
+            h["feature_dims"], fc1=2 ** 40))),
         ("model.ckpt", lambda h: [h]),
+        ("model.ckpt", lambda h: conftest.with_conv_field(h, "stride", None)),
+        ("model.ckpt",
+         lambda h: conftest.with_conv_field(h, "out_channels", "x")),
+        ("model.ckpt", lambda h: conftest.with_conv_field(h, "stride", 0)),
+        ("model.ckpt", lambda h: dict(h, metadata={
+            k: v for k, v in h["metadata"].items() if k != "class_names"})),
+        ("model.ckpt", lambda h: dict(h, metadata={
+            k: v for k, v in h["metadata"].items() if k != "image_size"})),
     ], ids=["index-no-fingerprint", "index-layer-without-dims",
-            "checkpoint-list-header"])
+            "index-record-without-source-id", "index-huge-dim",
+            "checkpoint-list-header", "checkpoint-null-stride",
+            "checkpoint-string-out-channels", "checkpoint-zero-stride",
+            "checkpoint-without-class-names", "checkpoint-without-image-size"])
     def test_malformed_header_is_input_error(self, pipeline, tmp_path,
                                              capsys, name, edit):
         _, run_dir = pipeline
@@ -271,6 +289,50 @@ def evaluated(pipeline):
 
 
 class TestEvaluate:
+    def test_one_fingerprint_and_no_query_forwards(self, pipeline, tmp_path,
+                                                   capsys, monkeypatch):
+        _, run_dir = pipeline
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        calls = {"fingerprint": 0, "forward_classify": 0, "query": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fingerprint", "forward_classify"):
+            monkeypatch.setattr(Network, name,
+                                counted(name, getattr(Network, name)))
+        monkeypatch.setattr(cli, "query", counted("query", cli.query))
+        code, _, _ = run(capsys, "evaluate", "--out", str(copy), "--k", "10")
+        assert code == 0
+        assert calls == {"fingerprint": 1, "forward_classify": 0, "query": 0}
+
+    def test_map_table_matches_per_image_queries(self, evaluated):
+        cfg = cli.load_run_config(evaluated / "config.json")
+        net, _ = load_checkpoint(evaluated / "model.ckpt")
+        index = load_index(evaluated / "features.idx")
+        split, _ = cli._ingest_split(cfg)
+        totals = {}
+        for label in index.true_labels.tolist():
+            totals[label] = totals.get(label, 0) + 1
+        want = ["layer\tfilter\tmap\tvalid_queries"]
+        for layer in ("fc1", "fc2", "fc3"):
+            for use_filter in (False, True):
+                triples = []
+                for s in split.test:
+                    result = query(index, net, s.image, layer, 10,
+                                   use_filter)
+                    triples.append(([i.true_label for i in result.items],
+                                    s.label, totals.get(s.label, 0)))
+                valid = sum(1 for _, _, total in triples if total > 0)
+                want.append(f"{layer}\t{'on' if use_filter else 'off'}\t"
+                            f"{mean_average_precision(triples):.6f}\t{valid}")
+        assert (evaluated / "map_table.tsv").read_text() == \
+            "\n".join(want) + "\n"
+
     def test_map_table_six_rows(self, evaluated):
         lines = (evaluated / "map_table.tsv").read_text().splitlines()
         assert lines[0] == "layer\tfilter\tmap\tvalid_queries"

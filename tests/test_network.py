@@ -14,6 +14,7 @@ from cbirnet.errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
+from cbirnet import network
 from cbirnet.layers import Conv2d, Dropout, FullyConnected
 from cbirnet.network import (
     CHECKPOINT_MAGIC,
@@ -383,6 +384,68 @@ class TestCheckpoint:
         conftest.rewrite_container_header(path, lambda h: [h])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: conftest.with_conv_field(h, "stride", None),
+        lambda h: conftest.with_conv_field(h, "stride", "2"),
+        lambda h: conftest.with_conv_field(h, "stride", 2.0),
+        lambda h: conftest.with_conv_field(h, "stride", True),
+        lambda h: conftest.with_conv_field(h, "stride", 0),
+        lambda h: conftest.with_conv_field(h, "out_channels", "x"),
+        lambda h: conftest.with_conv_field(h, "out_channels", [7]),
+        lambda h: conftest.with_conv_field(h, "bias_init", None),
+        lambda h: conftest.with_conv_field(h, "no_such_field", 1),
+        lambda h: conftest.with_conv_field(h, "type", ["conv"]),
+        lambda h: dict(h, spec=dict(h["spec"], layers=[[1]])),
+        lambda h: dict(h, spec=dict(h["spec"], input_shape=None)),
+        lambda h: dict(h, spec=[]),
+    ], ids=["null-stride", "string-stride", "float-stride", "boolean-stride",
+            "zero-stride", "string-out-channels", "list-out-channels",
+            "null-bias", "unknown-field", "list-type", "list-layer",
+            "null-input-shape", "list-spec"])
+    def test_malformed_spec_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, desk_network())
+        conftest.rewrite_container_header(path, edit)
+        with pytest.raises(FormatError, match="checkpoint spec is invalid"):
+            load_checkpoint(path)
+
+    def test_integer_valued_float_fields_accepted(self, tmp_path):
+        net = desk_network(seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, net)
+        conftest.rewrite_container_header(
+            path, lambda h: conftest.with_conv_field(h, "bias_init", 0))
+        loaded, _ = load_checkpoint(path)
+        for (va, _), (vb, _) in zip(net.parameters(), loaded.parameters()):
+            npt.assert_array_equal(va, vb)
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, desk_network(seed=1))
+        before = path.read_bytes()
+        written = []
+
+        def crash_on_third(f, arr):
+            if len(written) == 2:
+                raise OSError("disk gone")
+            written.append(arr)
+            write_tensor(f, arr)
+
+        write_tensor = network._write_tensor
+        monkeypatch.setattr(network, "_write_tensor", crash_on_third)
+        with pytest.raises(OSError, match="disk gone"):
+            save_checkpoint(path, desk_network(seed=2))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_save_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, desk_network(seed=1))
+        save_checkpoint(path, desk_network(seed=2))
+        fresh = tmp_path / "fresh.ckpt"
+        save_checkpoint(fresh, desk_network(seed=2))
+        assert path.read_bytes() == fresh.read_bytes()
 
     def test_magic_is_eight_bytes(self):
         assert len(CHECKPOINT_MAGIC) == 8

@@ -25,14 +25,15 @@ from cbirnet.network import (
     NetworkSpec,
     ReLUSpec,
 )
+from cbirnet import retrieval
+from cbirnet._binio import write_container_header
 from cbirnet.retrieval import (
     FeatureIndex,
-    FeatureRecord,
     build_index,
-    euclidean_distance,
     load_index,
     query,
     save_index,
+    scan,
 )
 
 RNG = np.random.default_rng(2718)
@@ -70,44 +71,70 @@ def brute_force_query(index, net, image, layer, k, use_filter):
     _, predicted, feats = net.forward_classify(image)
     q = feats[layer]
     scored = []
-    for r in index.records:
-        if use_filter and r.predicted_label != predicted:
+    for i in range(len(index)):
+        if use_filter and index.predicted_labels[i] != predicted:
             continue
-        sq = float(((r.features[layer] - q) ** 2).sum())
-        scored.append((sq, r.source_id))
+        sq = float(((index.features[layer][i] - q) ** 2).sum())
+        scored.append((sq, str(index.source_ids[i])))
     scored.sort()
     return [sid for _, sid in scored[:k]]
 
 
+def row_of(index, source_id):
+    return list(index.source_ids).index(source_id)
+
+
+def one_layer_index(rows):
+    """Hand-built index: row i is record "r{i}", every label 0."""
+    n = len(rows)
+    return FeatureIndex([f"r{i}" for i in range(n)], [0] * n, [0] * n,
+                        {"fc1": np.asarray(rows, dtype=np.float64)}, "fp")
+
+
+def scan_distances(index, q):
+    """{source_id: distance} of an unfiltered scan over every record."""
+    res = scan(index, np.asarray(q, dtype=np.float64), 0, "fc1",
+               len(index), use_class_filter=False)
+    return {item.source_id: item.distance for item in res.items}
+
+
 class TestEuclideanDistance:
+    """The distances scan reports, against the properties of the metric."""
+
     def test_identical_vectors(self):
         v = RNG.random(64)
-        assert euclidean_distance(v, v) == 0.0
+        assert scan_distances(one_layer_index([v]), v) == {"r0": 0.0}
 
     def test_three_four_five(self):
-        assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
+        index = one_layer_index([[3.0, 4.0]])
+        assert scan_distances(index, [0.0, 0.0]) == {"r0": 5.0}
 
     def test_matches_naive_summation_oracle(self):
         a = RNG.standard_normal(4096)
-        b = RNG.standard_normal(4096)
-        naive = math.sqrt(math.fsum(
-            (float(x) - float(y)) ** 2 for x, y in zip(a, b)))
-        assert euclidean_distance(a, b) == pytest.approx(naive, rel=1e-9)
+        rows = RNG.standard_normal((3, 4096))
+        got = scan_distances(one_layer_index(rows), a)
+        for i, b in enumerate(rows):
+            naive = math.sqrt(math.fsum(
+                (float(x) - float(y)) ** 2 for x, y in zip(a, b)))
+            assert got[f"r{i}"] == pytest.approx(naive, rel=1e-9)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            euclidean_distance([1.0, 2.0], [1.0])
+        index = one_layer_index([[1.0, 2.0]])
+        for q in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0):
+            with pytest.raises(InputError):
+                scan(index, np.asarray(q), 0, "fc1", 1, False)
 
     def test_metric_axioms_on_random_triples(self):
         for _ in range(50):
-            a, b, c = RNG.standard_normal((3, 32))
-            dab = euclidean_distance(a, b)
-            dba = euclidean_distance(b, a)
-            assert dab >= 0.0
-            assert dab == dba
-            assert euclidean_distance(a, a) == 0.0
-            assert dab <= (euclidean_distance(a, c)
-                           + euclidean_distance(c, b) + 1e-9)
+            abc = RNG.standard_normal((3, 32))
+            index = one_layer_index(abc)
+            d = {(p, sid): dist
+                 for p, v in zip(("r0", "r1", "r2"), abc)
+                 for sid, dist in scan_distances(index, v).items()}
+            assert d["r0", "r1"] >= 0.0
+            assert d["r0", "r1"] == d["r1", "r0"]
+            assert d["r0", "r0"] == 0.0
+            assert d["r0", "r1"] <= d["r0", "r2"] + d["r2", "r1"] + 1e-9
 
 
 class TestBuildIndex:
@@ -123,9 +150,11 @@ class TestBuildIndex:
 
     def test_predicted_labels_reverified(self, net_and_index):
         net, samples, index = net_and_index
-        for s, r in zip(samples[:10], index.records[:10]):
-            assert r.predicted_label == net.forward_classify(s.image)[1]
-            assert r.true_label == s.label
+        for i, s in enumerate(samples[:10]):
+            assert index.predicted_labels[i] == net.forward_classify(
+                s.image)[1]
+            assert index.true_labels[i] == s.label
+            assert index.source_ids[i] == s.source_id
 
     def test_partitions_cover_exactly_once(self, net_and_index):
         _, _, index = net_and_index
@@ -137,40 +166,60 @@ class TestBuildIndex:
         _, _, index = net_and_index
         for label, idx in index.class_partitions.items():
             for i in idx:
-                assert index.records[i].predicted_label == label
+                assert index.predicted_labels[i] == label
+
+    def test_keeps_classify_taps_without_copy(self, net_and_index):
+        net, samples, _ = net_and_index
+        taps = {}
+        classify = net.classify
+
+        def spy(images):
+            out = classify(images)
+            taps.update(out[2])
+            return out
+
+        net.classify = spy
+        try:
+            index = build_index(net, samples)
+        finally:
+            del net.classify
+        assert index.feature_layers == tuple(taps)
+        for name in index.feature_layers:
+            assert index.features[name] is taps[name]
 
     def test_nonfinite_features_rejected(self):
-        rec = FeatureRecord("a", 0, 0, {"fc1": np.array([np.nan])})
         with pytest.raises(InputError):
-            FeatureIndex([rec], "fp", ("fc1",))
+            FeatureIndex(["a"], [0], [0], {"fc1": np.array([[np.nan]])},
+                         "fp")
 
     def test_first_nonfinite_record_and_layer_named(self):
-        def rec(sid, fc1, fc2):
-            return FeatureRecord(sid, 0, 0, {"fc1": np.array([fc1, 1.0]),
-                                             "fc2": np.array([fc2, 1.0])})
-        records = [rec("a", 0.0, 0.0), rec("b", 1.0, np.inf),
-                   rec("c", np.nan, 1.0)]
+        fc1 = np.array([[0.0, 1.0], [1.0, 1.0], [np.nan, 1.0]])
+        fc2 = np.array([[0.0, 1.0], [np.inf, 1.0], [1.0, 1.0]])
         with pytest.raises(InputError,
                            match="record b has non-finite features in fc2"):
-            FeatureIndex(records, "fp", ("fc1", "fc2"))
+            FeatureIndex(["a", "b", "c"], [0] * 3, [0] * 3,
+                         {"fc1": fc1, "fc2": fc2}, "fp")
 
-    def test_wrong_layer_set_names_record(self):
-        good = FeatureRecord("a", 0, 0, {"fc1": np.ones(2),
-                                         "fc2": np.ones(2)})
-        extra = FeatureRecord("b", 0, 0, {"fc1": np.ones(2),
-                                          "fc2": np.ones(2),
-                                          "fc3": np.ones(2)})
-        missing = FeatureRecord("c", 0, 0, {"fc1": np.ones(2)})
-        for bad in (extra, missing):
-            with pytest.raises(InputError, match=f"record {bad.source_id} "):
-                FeatureIndex([good, bad], "fp", ("fc1", "fc2"))
+    def test_wrong_matrix_shape_names_layer(self):
+        # Too few rows, too many, rank 1 and rank 3.
+        for fc2 in (np.ones((1, 2)), np.ones((3, 2)), np.ones(2),
+                    np.ones((2, 2, 1))):
+            with pytest.raises(InputError, match="layer fc2 "):
+                FeatureIndex(["a", "b"], [0, 0], [0, 0],
+                             {"fc1": np.ones((2, 2)), "fc2": fc2}, "fp")
+
+    def test_wrong_label_column_length_rejected(self):
+        with pytest.raises(InputError, match="true_labels"):
+            FeatureIndex(["a", "b"], [0], [0, 0], {"fc1": np.ones((2, 2))},
+                         "fp")
 
     def test_records_match_one_image_passes(self, net_and_index):
         net, samples, index = net_and_index
-        for s, r in zip(samples, index.records):
+        for i, s in enumerate(samples):
             _, _, feats = net.forward_classify(s.image)
             for name in index.feature_layers:
-                assert r.features[name].tobytes() == feats[name].tobytes()
+                assert (index.features[name][i].tobytes()
+                        == feats[name].tobytes())
 
 
 class TestQuery:
@@ -203,9 +252,8 @@ class TestQuery:
         res = query(index, net, samples[3].image, "fc1", 50, True)
         assert res.class_filter_enabled
         for item in res.items:
-            rec = next(r for r in index.records
-                       if r.source_id == item.source_id)
-            assert rec.predicted_label == res.query_predicted_label
+            row = row_of(index, item.source_id)
+            assert index.predicted_labels[row] == res.query_predicted_label
 
     def test_filter_on_subset_of_filter_off(self, net_and_index):
         net, samples, index = net_and_index
@@ -213,9 +261,8 @@ class TestQuery:
         off = query(index, net, samples[5].image, "fc3", n, False)
         on = query(index, net, samples[5].image, "fc3", n, True)
         off_of_class = [i.source_id for i in off.items
-                        if next(r for r in index.records
-                                if r.source_id == i.source_id)
-                        .predicted_label == on.query_predicted_label]
+                        if index.predicted_labels[row_of(index, i.source_id)]
+                        == on.query_predicted_label]
         assert [i.source_id for i in on.items] == off_of_class
 
     def test_top_k_is_prefix_of_full_ranking(self, net_and_index):
@@ -229,7 +276,7 @@ class TestQuery:
         net, samples, index = net_and_index
         res = query(index, net, samples[2].image, "fc2", len(index), False)
         assert sorted(i.source_id for i in res.items) == sorted(
-            r.source_id for r in index.records)
+            index.source_ids.tolist())
 
     def test_k_larger_than_candidates_returns_all(self, net_and_index):
         net, samples, index = net_and_index
@@ -238,9 +285,11 @@ class TestQuery:
 
     def test_insertion_order_invariance(self, net_and_index):
         net, samples, index = net_and_index
-        reversed_index = FeatureIndex(list(reversed(index.records)),
-                                      index.network_fingerprint,
-                                      index.feature_layers)
+        reversed_index = FeatureIndex(
+            index.source_ids[::-1], index.true_labels[::-1],
+            index.predicted_labels[::-1],
+            {name: m[::-1] for name, m in index.features.items()},
+            index.network_fingerprint)
         for s in samples[::11]:
             a = query(index, net, s.image, "fc1", 7, False)
             b = query(reversed_index, net, s.image, "fc1", 7, False)
@@ -251,9 +300,12 @@ class TestQuery:
         net, samples, index = net_and_index
         probe = samples[0]
         predicted = net.forward_classify(probe.image)[1]
+        keep = index.predicted_labels != predicted
         pruned = FeatureIndex(
-            [r for r in index.records if r.predicted_label != predicted],
-            index.network_fingerprint, index.feature_layers)
+            index.source_ids[keep], index.true_labels[keep],
+            index.predicted_labels[keep],
+            {name: m[keep] for name, m in index.features.items()},
+            index.network_fingerprint)
         res = query(pruned, net, probe.image, "fc1", 5, use_class_filter=True)
         assert res.status == "empty-class"
         assert res.items == ()
@@ -271,18 +323,34 @@ class TestQuery:
             query(index, net, samples[0].image, "fc1", 0, False)
         with pytest.raises(InputError):
             query(index, net, samples[0].image, "fc9", 1, False)
+        q = net.forward_classify(samples[0].image)[2]["fc1"]
+        with pytest.raises(InputError):
+            scan(index, q, 0, "fc1", 0, False)
+        with pytest.raises(InputError):
+            scan(index, q, 0, "fc9", 1, False)
+
+    def test_query_is_forward_then_scan(self, net_and_index):
+        net, samples, index = net_and_index
+        for s in samples[::6]:
+            _, predicted, feats = net.forward_classify(s.image)
+            for layer in index.feature_layers:
+                for use_filter in (False, True):
+                    assert query(index, net, s.image, layer, 4,
+                                 use_filter) == scan(index, feats[layer],
+                                                     predicted, layer, 4,
+                                                     use_filter)
 
     def test_scaling_invariance_of_ranking(self, net_and_index):
         # Doubling every vector scales all distances by exactly 2 (a power
         # of two), so the permutation is bitwise identical.
         _, _, index = net_and_index
-        q = index.records[0].features["fc1"]
-        vectors = [r.features["fc1"] for r in index.records]
+        vectors = [index.features["fc1"][i] for i in range(len(index))]
+        q = vectors[0]
         base = sorted(range(len(vectors)), key=lambda i: (
-            float(((vectors[i] - q) ** 2).sum()), index.records[i].source_id))
+            float(((vectors[i] - q) ** 2).sum()), index.source_ids[i]))
         scaled = sorted(range(len(vectors)), key=lambda i: (
             float(((2.0 * vectors[i] - 2.0 * q) ** 2).sum()),
-            index.records[i].source_id))
+            index.source_ids[i]))
         assert base == scaled
 
 
@@ -310,12 +378,82 @@ class TestIndexFile:
         path = tmp_path / "features.idx"
         save_index(index, path)
         loaded = load_index(path)
-        for a, b in zip(index.records, loaded.records):
-            assert a.source_id == b.source_id
-            assert a.true_label == b.true_label
-            assert a.predicted_label == b.predicted_label
+        assert len(loaded) == len(index)
+        assert loaded.feature_layers == index.feature_layers
+        for i in range(len(index)):
+            assert loaded.source_ids[i] == index.source_ids[i]
+            assert loaded.true_labels[i] == index.true_labels[i]
+            assert loaded.predicted_labels[i] == index.predicted_labels[i]
             for name in index.feature_layers:
-                npt.assert_array_equal(a.features[name], b.features[name])
+                npt.assert_array_equal(loaded.features[name][i],
+                                       index.features[name][i])
+
+    def test_resave_of_loaded_index_reproduces_bytes(self, net_and_index,
+                                                     tmp_path):
+        _, _, index = net_and_index
+        p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
+        save_index(index, p1)
+        save_index(load_index(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_block_size_does_not_change_bytes(self, net_and_index, tmp_path,
+                                              monkeypatch):
+        _, _, index = net_and_index
+        p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
+        save_index(index, p1)
+        row_bytes = 8 * sum(m.shape[1] for m in index.features.values())
+        monkeypatch.setattr(retrieval, "WRITE_BLOCK_BYTES", 7 * row_bytes)
+        save_index(index, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_scan_on_loaded_matches_built(self, net_and_index, tmp_path):
+        net, samples, index = net_and_index
+        path = tmp_path / "features.idx"
+        save_index(index, path)
+        loaded = load_index(path)
+        for s in samples[::5]:
+            _, predicted, feats = net.forward_classify(s.image)
+            for layer in index.feature_layers:
+                for use_filter in (False, True):
+                    for k in (1, 6, len(index)):
+                        assert scan(loaded, feats[layer], predicted, layer,
+                                    k, use_filter) == scan(
+                            index, feats[layer], predicted, layer, k,
+                            use_filter)
+
+    def test_payload_is_one_read_and_layers_are_views(
+            self, net_and_index, tmp_path, monkeypatch):
+        _, _, index = net_and_index
+        path = tmp_path / "features.idx"
+        save_index(index, path)
+        reads = []
+        read_exact = retrieval.read_exact
+        monkeypatch.setattr(retrieval, "read_exact", lambda f, n, what: (
+            reads.append(what), read_exact(f, n, what))[1])
+        loaded = load_index(path)
+        assert reads == ["feature payload"]
+        matrices = list(loaded.features.values())
+        buffer = matrices[0].base
+        assert buffer.size == len(loaded) * sum(m.shape[1] for m in matrices)
+        for m in matrices:
+            assert m.base is buffer
+
+    def test_failed_save_keeps_old_file(self, net_and_index, tmp_path,
+                                        monkeypatch):
+        _, _, index = net_and_index
+        path = tmp_path / "features.idx"
+        path.write_bytes(b"previous index")
+
+        def header_then_crash(f, *args):
+            write_container_header(f, *args)
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(retrieval, "write_container_header",
+                            header_then_crash)
+        with pytest.raises(OSError, match="disk gone"):
+            save_index(index, path)
+        assert path.read_bytes() == b"previous index"
+        assert [p.name for p in tmp_path.iterdir()] == ["features.idx"]
 
     def test_expected_fingerprint_enforced(self, net_and_index, tmp_path):
         _, _, index = net_and_index
@@ -358,15 +496,48 @@ class TestIndexFile:
         with pytest.raises(FormatError):
             load_index(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda h: {k: v for k, v in h.items() if k != "fingerprint"},
-        lambda h: dict(h, feature_dims={"fc1": h["feature_dims"]["fc1"]}),
-        lambda h: [h],
-    ], ids=["no-fingerprint", "layer-without-dims", "list-header"])
-    def test_malformed_header_rejected(self, net_and_index, tmp_path, edit):
+    @pytest.mark.parametrize("edit, error", [
+        (lambda h: {k: v for k, v in h.items() if k != "fingerprint"},
+         FormatError),
+        (lambda h: dict(h, feature_dims={"fc1": h["feature_dims"]["fc1"]}),
+         FormatError),
+        (lambda h: [h], FormatError),
+        (lambda h: dict(h, records=[
+            {k: v for k, v in h["records"][0].items() if k != "source_id"},
+            *h["records"][1:]]), FormatError),
+        (lambda h: dict(h, records=5), FormatError),
+        (lambda h: dict(h, feature_layers=7), FormatError),
+        (lambda h: dict(h, feature_dims=list(h["feature_dims"])),
+         FormatError),
+        (lambda h: with_dim(h, -3), FormatError),
+        (lambda h: with_dim(h, "abc"), FormatError),
+        (lambda h: with_dim(h, True), FormatError),
+        (lambda h: with_dim(h, h["feature_dims"]["fc2"] - 1), FormatError),
+        (lambda h: with_dim(h, 2 ** 40), TruncatedFileError),
+        (lambda h: dict(h, fingerprint=5), FormatError),
+        (lambda h: dict(h, feature_layers=["fc1", "fc1", "fc3"]),
+         FormatError),
+        (lambda h: dict(h, feature_layers=[["fc1"], "fc2", "fc3"]),
+         FormatError),
+        (lambda h: dict(h, records=["a", *h["records"][1:]]), FormatError),
+        (lambda h: dict(h, records=[dict(h["records"][0], true_label="0"),
+                                    *h["records"][1:]]), FormatError),
+    ], ids=["no-fingerprint", "layer-without-dims", "list-header",
+            "record-without-source-id", "records-not-list",
+            "layers-not-list", "dims-not-object", "negative-dim",
+            "string-dim", "boolean-dim", "dim-too-small", "huge-dim",
+            "fingerprint-not-string", "duplicate-layer", "layer-not-string",
+            "record-not-object", "string-label"])
+    def test_malformed_header_rejected(self, net_and_index, tmp_path, edit,
+                                       error):
         _, _, index = net_and_index
         path = tmp_path / "features.idx"
         save_index(index, path)
         conftest.rewrite_container_header(path, edit)
-        with pytest.raises(FormatError):
+        with pytest.raises(error):
             load_index(path)
+
+
+def with_dim(header, value):
+    """header with the fc2 width replaced by value."""
+    return dict(header, feature_dims=dict(header["feature_dims"], fc2=value))
