@@ -61,6 +61,19 @@ def read_exact(f, n, what):
     return buf
 
 
+def read_payload(f, size, what):
+    """The size bytes after the header, checked against the file first.
+
+    A file that holds fewer raises TruncatedFileError, more FormatError.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left != size:
+        raise (TruncatedFileError if left < size else FormatError)(
+            f"{what} should be {size} bytes, but the file holds {left} "
+            f"after the header")
+    return read_exact(f, size, what)
+
+
 def write_container_header(f, magic, version, header_obj):
     header_bytes = json.dumps(header_obj, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")

@@ -168,14 +168,26 @@ def _load_pipeline_inputs(cfg, need_index=False):
     if not ckpt_path.is_file():
         raise InputError(f"no checkpoint at {ckpt_path}; run train first")
     net, metadata = load_checkpoint(ckpt_path)
-    for key, kind in (("class_names", list), ("image_size", int)):
-        header_value(metadata, key, kind, f"checkpoint {ckpt_path} metadata")
+    what = f"checkpoint {ckpt_path} metadata"
+    class_names = header_value(metadata, "class_names", list, what)
+    image_size = header_value(metadata, "image_size", int, what)
+    shapes = net.spec.shape_trace()
+    if (shapes[0][1:] != (image_size, image_size)
+            or shapes[-1] != (len(class_names),)):
+        raise FormatError(
+            f"{what} (image_size {image_size}, {len(class_names)} class "
+            f"names) does not fit network shapes {shapes[0]} -> {shapes[-1]}")
     index = None
     if need_index:
         idx_path = out / INDEX_NAME
         if not idx_path.is_file():
             raise InputError(f"no index at {idx_path}; run index first")
         index = load_index(idx_path, expected_fingerprint=net.fingerprint())
+        # load_index already refuses negative labels.
+        labels = np.concatenate([index.true_labels, index.predicted_labels])
+        if (labels >= len(class_names)).any():
+            raise FormatError(f"index {idx_path} holds labels beyond the "
+                              f"{len(class_names)} checkpoint classes")
     return net, metadata, index
 
 

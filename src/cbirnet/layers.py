@@ -30,10 +30,6 @@ from .errors import ConfigurationError, InternalError
 DTYPE = np.float64
 
 
-def _conv_extent(size: int, kernel: int, stride: int, padding: int) -> int:
-    return (size + 2 * padding - kernel) // stride + 1
-
-
 def _sample_shape(x):
     """Shape of one sample of a batch-first array."""
     if x.ndim < 2:
@@ -50,12 +46,24 @@ def _check_train_batch(x):
             f"got {x.shape[0]}")
 
 
-def _spatial(input_shape):
+def _window_shape(input_shape, kernel_h, kernel_w, stride, padding=0):
+    """(channels, out_h, out_w) of a window sliding over a (c, h, w) sample.
+
+    The one floor rule of convolution and pooling; a pool is a window
+    with padding 0. A window that fits the padded input yields out >= 1.
+    """
     if len(input_shape) != 3:
         raise ConfigurationError(
             f"expected a (channels, height, width) sample, "
             f"got shape {tuple(input_shape)}")
-    return input_shape
+    c, h, w = input_shape
+    if (min(kernel_h, kernel_w, stride) < 1 or padding < 0
+            or max(kernel_h - h, kernel_w - w) > 2 * padding):
+        raise ConfigurationError(
+            f"window {kernel_h}x{kernel_w} (stride {stride}, padding "
+            f"{padding}) cannot slide over a {h}x{w} input")
+    return (c, *((n + 2 * padding - k) // stride + 1
+                 for n, k in ((h, kernel_h), (w, kernel_w))))
 
 
 class Layer:
@@ -83,9 +91,9 @@ class Layer:
 class Conv2d(Layer):
     """2-D cross-correlation over (channels, height, width) samples.
 
-    Output spatial size follows the floor formula
-    out = (in + 2*padding - kernel) // stride + 1. The kernel is applied
-    unflipped (cross-correlation, the usual CNN convention).
+    Output spatial size follows the floor rule of _window_shape. The
+    kernel is applied unflipped (cross-correlation, the usual CNN
+    convention).
     """
 
     def __init__(self, in_channels, out_channels, kernel_h, kernel_w,
@@ -105,8 +113,9 @@ class Conv2d(Layer):
         self.weights = np.zeros(
             (out_channels, in_channels, kernel_h, kernel_w), dtype=DTYPE)
         self.biases = np.zeros(out_channels, dtype=DTYPE)
-        self.weight_grads = np.zeros_like(self.weights)
-        self.bias_grads = np.zeros_like(self.biases)
+        # Not zeros_like: np.zeros commits no page until training writes.
+        self.weight_grads = np.zeros(self.weights.shape, dtype=DTYPE)
+        self.bias_grads = np.zeros(self.biases.shape, dtype=DTYPE)
         self._cols = None
         self._in_shape = None
 
@@ -115,24 +124,12 @@ class Conv2d(Layer):
                 (self.biases, self.bias_grads)]
 
     def output_shape(self, input_shape):
-        c, h, w = _spatial(input_shape)
+        c, oh, ow = _window_shape(input_shape, self.kernel_h, self.kernel_w,
+                                  self.stride, self.padding)
         if c != self.in_channels:
             raise ConfigurationError(
                 f"input has {c} channels, kernel expects {self.in_channels}")
-        if self.kernel_h > h + 2 * self.padding or self.kernel_w > w + 2 * self.padding:
-            raise ConfigurationError(
-                f"kernel {self.kernel_h}x{self.kernel_w} exceeds padded "
-                f"input {h + 2 * self.padding}x{w + 2 * self.padding}")
-        oh = _conv_extent(h, self.kernel_h, self.stride, self.padding)
-        ow = _conv_extent(w, self.kernel_w, self.stride, self.padding)
-        if oh < 1 or ow < 1:
-            raise ConfigurationError("convolution output would be empty")
         return (self.out_channels, oh, ow)
-
-    def im2col_size(self, input_shape):
-        """Elements of one sample's patch matrix."""
-        _, oh, ow = self.output_shape(input_shape)
-        return self.in_channels * self.kernel_h * self.kernel_w * oh * ow
 
     def _im2col(self, x):
         """Patch matrices of shape (N, in_channels*kh*kw, out_h*out_w)."""
@@ -208,13 +205,8 @@ class MaxPool2d(Layer):
         self._in_shape = None
 
     def output_shape(self, input_shape):
-        c, h, w = _spatial(input_shape)
-        if self.window > h or self.window > w:
-            raise ConfigurationError(
-                f"pool window {self.window} exceeds input {h}x{w}")
-        oh = (h - self.window) // self.stride + 1
-        ow = (w - self.window) // self.stride + 1
-        return (c, oh, ow)
+        return _window_shape(input_shape, self.window, self.window,
+                             self.stride)
 
     def forward(self, x, train=False):
         c, oh, ow = self.output_shape(_sample_shape(x))
@@ -287,8 +279,9 @@ class FullyConnected(Layer):
         self.out_features = out_features
         self.weights = np.zeros((out_features, in_features), dtype=DTYPE)
         self.biases = np.zeros(out_features, dtype=DTYPE)
-        self.weight_grads = np.zeros_like(self.weights)
-        self.bias_grads = np.zeros_like(self.biases)
+        # Not zeros_like: np.zeros commits no page until training writes.
+        self.weight_grads = np.zeros(self.weights.shape, dtype=DTYPE)
+        self.bias_grads = np.zeros(self.biases.shape, dtype=DTYPE)
         self._x = None
         self._in_shape = None
 

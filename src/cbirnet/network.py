@@ -1,10 +1,13 @@
 """Network assembly, initialization, feature taps, and checkpoint files.
 
 A network is described by a NetworkSpec (pure data, JSON-serializable) and
-realized as a Network holding live layers. The classifier architecture built
-by build_architecture() is five convolution blocks followed by three hidden
-fully connected layers and a log-softmax head; the hidden FC activations
-(taken after their ReLUs) double as retrieval features named fc1, fc2, fc3.
+realized as a Network holding live layers. NetworkSpec.shape_trace works
+out every layer's shape from the spec alone; Network builds its layers
+from it, and load_checkpoint sizes its payload by it before allocating.
+The classifier architecture built by build_architecture() is five
+convolution blocks followed by three hidden fully connected layers and a
+log-softmax head; the hidden FC activations (taken after their ReLUs)
+double as retrieval features named fc1, fc2, fc3.
 
 Every pass goes through one layer loop over batch-first kernels (see
 layers). Network.classify is the eval pass over many images: it stacks
@@ -13,9 +16,10 @@ image's results are bit-identical to a pass of that image alone.
 forward_classify is its one-image case; the train-mode forward and
 backward are its batch-of-one case with per-sample caches. The chunk is
 as many images as fit CHUNK_BYTES of im2col patches in the widest
-convolution: 9 at 64 px and scale 0.1, 1 at the full 224 px. Larger
-chunks buy little once dispatch is amortized and cost resident memory
-(32 images at 64 px raised peak RSS by ~6 MB).
+convolution, sized from the spec's shape trace: 9 at 64 px and scale
+0.1, 1 at the full 224 px. Larger chunks buy little once dispatch is
+amortized and cost resident memory (32 images at 64 px raised peak RSS
+by ~6 MB).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from ._binio import (
     atomic_write,
     read_container_header,
-    read_exact,
+    read_payload,
     write_container_header,
 )
 from .errors import (
@@ -48,6 +52,7 @@ from .layers import (
     LogSoftmax,
     MaxPool2d,
     ReLU,
+    _window_shape,
 )
 
 CHECKPOINT_MAGIC = b"CBNCKPT\n"
@@ -117,7 +122,9 @@ def _spec_to_dict(spec):
 
 
 def _spec_from_dict(d):
-    kind = d.get("type") if isinstance(d, dict) else d
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"layer description {d!r} is not an object")
+    kind = d.get("type")
     cls = _SPEC_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigurationError(f"unknown layer type {kind!r}")
@@ -154,7 +161,7 @@ class NetworkSpec:
         try:
             input_shape = tuple(int(v) for v in d["input_shape"])
             layers = tuple(_spec_from_dict(s) for s in d["layers"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"malformed network description: {exc}") from exc
         if len(input_shape) != 3:
             raise ConfigurationError(
@@ -167,16 +174,46 @@ class NetworkSpec:
                           separators=(",", ":")).encode("utf-8")
 
     def shape_trace(self):
-        """Output shape after each layer, starting from input_shape.
+        """Per-sample output shape after each layer, input_shape first.
 
-        Raises ConfigurationError as soon as any layer cannot accept
-        the shape produced by its predecessor.
+        Worked out from the layer descriptions alone: no layer is built
+        and nothing is allocated. Raises ConfigurationError as soon as a
+        layer cannot accept the shape produced by its predecessor, or
+        any shape would be empty.
         """
-        net = Network.from_spec(self)
-        shapes = [self.input_shape]
-        for layer in net.layers:
-            shapes.append(layer.output_shape(shapes[-1]))
+        shapes = [tuple(self.input_shape)]
+        for ls in self.layers:
+            shape = shapes[-1]
+            if isinstance(ls, ConvSpec):
+                _, oh, ow = _window_shape(shape, ls.kernel_h, ls.kernel_w,
+                                          ls.stride, ls.padding)
+                shape = (ls.out_channels, oh, ow)
+            elif isinstance(ls, MaxPoolSpec):
+                shape = _window_shape(shape, ls.window, ls.window, ls.stride)
+            elif isinstance(ls, FCSpec):
+                shape = (ls.out_features,)
+            elif isinstance(ls, LogSoftmaxSpec):
+                if math.prod(shape) != ls.num_classes:
+                    raise ConfigurationError(
+                        f"expected a vector of {ls.num_classes} logits, "
+                        f"got {math.prod(shape)}")
+                shape = (ls.num_classes,)
+            shapes.append(shape)
+        if min(min(shape) for shape in shapes) < 1:
+            raise ConfigurationError(f"layer shapes {shapes} include an empty one")
         return shapes
+
+    def parameter_shapes(self):
+        """Shape of every parameter tensor, in Network.parameters() order."""
+        out = []
+        for ls, shape in zip(self.layers, self.shape_trace()):
+            if isinstance(ls, ConvSpec):
+                out += [(ls.out_channels, shape[0], ls.kernel_h, ls.kernel_w),
+                        (ls.out_channels,)]
+            elif isinstance(ls, FCSpec):
+                out += [(ls.out_features, math.prod(shape)),
+                        (ls.out_features,)]
+        return out
 
 
 def build_architecture(input_shape=(1, 224, 224), num_classes=24,
@@ -233,52 +270,44 @@ class Network:
     followed by log-softmax) is not a tap.
     """
 
-    def __init__(self, spec, layers, bias_inits, feature_taps):
+    def __init__(self, spec, layers, shapes, feature_taps):
         self.spec = spec
         self.layers = layers
-        self._bias_inits = bias_inits
+        self._shapes = shapes  # spec.shape_trace()
         self.feature_taps = feature_taps  # list of (name, layer_index)
-        # Per-sample output shape of each layer, input shape first.
-        self._shapes = [tuple(spec.input_shape)]
-        patch_elems = 1
-        for layer in layers:
-            if isinstance(layer, Conv2d):
-                patch_elems = max(patch_elems,
-                                  layer.im2col_size(self._shapes[-1]))
-            self._shapes.append(tuple(layer.output_shape(self._shapes[-1])))
+        patch_elems = max(
+            (shape[0] * ls.kernel_h * ls.kernel_w * math.prod(out[1:])
+             for ls, shape, out in zip(spec.layers, shapes, shapes[1:])
+             if isinstance(ls, ConvSpec)), default=1)
         itemsize = np.dtype(DTYPE).itemsize
         self.chunk_size = max(1, CHUNK_BYTES // (patch_elems * itemsize))
 
     @classmethod
     def from_spec(cls, spec):
+        shapes = spec.shape_trace()
         layers = []
-        bias_inits = []
         taps = []
-        shape = spec.input_shape
-        for i, ls in enumerate(spec.layers):
+        for i, (ls, shape) in enumerate(zip(spec.layers, shapes)):
             if isinstance(ls, ConvSpec):
                 layer = Conv2d(shape[0], ls.out_channels, ls.kernel_h,
                                ls.kernel_w, stride=ls.stride,
                                padding=ls.padding)
-                bias_inits.append(ls.bias_init)
             elif isinstance(ls, MaxPoolSpec):
                 layer = MaxPool2d(ls.window, ls.stride)
             elif isinstance(ls, ReLUSpec):
                 layer = ReLU()
                 if i > 0 and isinstance(spec.layers[i - 1], FCSpec):
-                    taps.append((f"fc{len(taps) + 1}", len(layers)))
+                    taps.append((f"fc{len(taps) + 1}", i))
             elif isinstance(ls, FCSpec):
-                layer = FullyConnected(int(np.prod(shape)), ls.out_features)
-                bias_inits.append(ls.bias_init)
+                layer = FullyConnected(math.prod(shape), ls.out_features)
             elif isinstance(ls, DropoutSpec):
                 layer = Dropout(ls.keep_prob)
             elif isinstance(ls, LogSoftmaxSpec):
                 layer = LogSoftmax(ls.num_classes)
             else:
                 raise ConfigurationError(f"unhandled layer spec {ls!r}")
-            shape = layer.output_shape(shape)
             layers.append(layer)
-        return cls(spec, layers, bias_inits, taps)
+        return cls(spec, layers, shapes, taps)
 
     def feature_dims(self):
         return {name: int(np.prod(self._shapes[idx + 1]))
@@ -297,15 +326,13 @@ class Network:
             raise ConfigurationError(
                 f"weight_std must be positive, got {weight_std}")
         rng = np.random.default_rng(seed)
-        k = 0
-        for layer in self.layers:
+        for ls, layer in zip(self.spec.layers, self.layers):
             if isinstance(layer, (Conv2d, FullyConnected)):
                 layer.weights[:] = rng.normal(
                     0.0, weight_std, size=layer.weights.shape)
-                layer.biases.fill(self._bias_inits[k])
+                layer.biases.fill(ls.bias_init)
                 layer.weight_grads.fill(0.0)
                 layer.bias_grads.fill(0.0)
-                k += 1
 
     def seed_dropout(self, seed):
         """Point every dropout layer at one fresh generator (shared stream)."""
@@ -399,25 +426,15 @@ class Network:
         return h.hexdigest()
 
 
+def _tensor_head(shape):
+    """u8 rank and u32 dims that precede each tensor's float64 payload."""
+    return struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+
+
 def _write_tensor(f, arr):
     arr = np.ascontiguousarray(arr, dtype=DTYPE)
-    f.write(struct.pack("<B", arr.ndim))
-    for d in arr.shape:
-        f.write(struct.pack("<I", d))
+    f.write(_tensor_head(arr.shape))
     f.write(arr.astype("<f8", copy=False).tobytes())
-
-
-def _read_tensor(f, expect_shape):
-    (ndim,) = struct.unpack("<B", read_exact(f, 1, "tensor rank"))
-    dims = struct.unpack(
-        f"<{ndim}I", read_exact(f, 4 * ndim, "tensor dims"))
-    if dims != tuple(expect_shape):
-        raise FormatError(
-            f"stored tensor shape {dims} does not match network "
-            f"parameter shape {tuple(expect_shape)}")
-    count = int(np.prod(dims)) if ndim else 1
-    raw = read_exact(f, 8 * count, "tensor payload")
-    return np.frombuffer(raw, dtype="<f8").reshape(dims).astype(DTYPE)
 
 
 def save_checkpoint(path, network, metadata=None):
@@ -439,7 +456,11 @@ def save_checkpoint(path, network, metadata=None):
 
 
 def load_checkpoint(path):
-    """Rebuild a Network (plus its metadata dict) from save_checkpoint output."""
+    """Rebuild a Network (plus its metadata dict) from save_checkpoint output.
+
+    The payload size, worked out from the spec, is checked against the
+    file before any parameter is allocated; the payload is read once.
+    """
     with open(path, "rb") as f:
         version, header = read_container_header(
             f, CHECKPOINT_MAGIC, "checkpoint")
@@ -448,13 +469,22 @@ def load_checkpoint(path):
                 f"checkpoint format version {version} is not supported "
                 f"(this build reads version {CHECKPOINT_VERSION})")
         try:
-            network = Network.from_spec(
-                NetworkSpec.from_dict(header.get("spec", {})))
+            spec = NetworkSpec.from_dict(header.get("spec", {}))
+            raw = read_payload(f, sum(
+                1 + 4 * len(shape) + 8 * math.prod(shape)
+                for shape in spec.parameter_shapes()), "tensor payload")
+            network = Network.from_spec(spec)
         except ConfigurationError as exc:
             raise FormatError(f"checkpoint spec is invalid: {exc}") from exc
-        for value, _ in network.parameters():
-            value[:] = _read_tensor(f, value.shape)
-        trailing = f.read(1)
-        if trailing:
-            raise FormatError("checkpoint has trailing bytes after the last tensor")
+    offset = 0
+    for value, _ in network.parameters():
+        head = _tensor_head(value.shape)
+        if raw[offset:offset + len(head)] != head:
+            raise FormatError(
+                f"stored tensor at payload byte {offset} does not have the "
+                f"network's parameter shape {value.shape}")
+        offset += len(head)
+        value[...] = np.frombuffer(raw, "<f8", value.size, offset).reshape(
+            value.shape)
+        offset += 8 * value.size
     return network, header.get("metadata", {})

@@ -12,7 +12,6 @@ scans need no locking.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +20,13 @@ from ._binio import (
     atomic_write,
     header_value,
     read_container_header,
-    read_exact,
+    read_payload,
     write_container_header,
 )
 from .errors import (
     FormatError,
     InputError,
     StaleIndexError,
-    TruncatedFileError,
     VersionMismatchError,
 )
 from .layers import DTYPE
@@ -224,6 +222,9 @@ def load_index(path, expected_fingerprint=None):
              for i, m in enumerate(metas)]
             for key, kind in (("source_id", str), ("true_label", int),
                               ("predicted_label", int)))
+        if not all(0 <= label < 2 ** 63 for label in (*true, *pred)):
+            raise FormatError("index labels must be class numbers in "
+                              "[0, 2**63)")
         if (expected_fingerprint is not None
                 and fingerprint != expected_fingerprint):
             raise StaleIndexError(
@@ -231,13 +232,7 @@ def load_index(path, expected_fingerprint=None):
                 f"(stored fingerprint {fingerprint[:12]}..., "
                 f"expected {expected_fingerprint[:12]}...)")
         n, width = len(metas), sum(widths)
-        size, left = 8 * n * width, os.fstat(f.fileno()).st_size - f.tell()
-        if left != size:
-            # Short: truncated. Long: trailing bytes after the last record.
-            raise (TruncatedFileError if left < size else FormatError)(
-                f"index payload of {n} records x {width} features is "
-                f"{size} bytes, but the file holds {left} after the header")
-        raw = read_exact(f, size, "feature payload")
+        raw = read_payload(f, 8 * n * width, "feature payload")
     table = np.frombuffer(raw, dtype="<f8").reshape(n, width)
     columns = np.split(table, np.cumsum(widths)[:-1], axis=1)
     return FeatureIndex(sids, true, pred, dict(zip(layers, columns)),

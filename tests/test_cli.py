@@ -263,11 +263,21 @@ class TestQuery:
             k: v for k, v in h["metadata"].items() if k != "class_names"})),
         ("model.ckpt", lambda h: dict(h, metadata={
             k: v for k, v in h["metadata"].items() if k != "image_size"})),
+        ("model.ckpt",
+         lambda h: conftest.with_conv_field(h, "out_channels", 2 ** 40)),
+        ("model.ckpt", lambda h: dict(h, metadata=dict(
+            h["metadata"], class_names=["a"]))),
+        ("model.ckpt", lambda h: dict(h, metadata=dict(
+            h["metadata"], image_size=32))),
+        ("features.idx", lambda h: dict(h, records=[
+            dict(h["records"][0], true_label=3), *h["records"][1:]])),
     ], ids=["index-no-fingerprint", "index-layer-without-dims",
             "index-record-without-source-id", "index-huge-dim",
             "checkpoint-list-header", "checkpoint-null-stride",
             "checkpoint-string-out-channels", "checkpoint-zero-stride",
-            "checkpoint-without-class-names", "checkpoint-without-image-size"])
+            "checkpoint-without-class-names", "checkpoint-without-image-size",
+            "checkpoint-huge-out-channels", "checkpoint-short-class-names",
+            "checkpoint-wrong-image-size", "index-label-beyond-classes"])
     def test_malformed_header_is_input_error(self, pipeline, tmp_path,
                                              capsys, name, edit):
         _, run_dir = pipeline

@@ -1,5 +1,6 @@
 """Architecture geometry, initialization, feature taps, and checkpoints."""
 
+import math
 import struct
 
 import numpy as np
@@ -63,6 +64,16 @@ def desk_network(seed=0):
     return net
 
 
+def refuse_layers(monkeypatch):
+    """Make building a Conv2d or FullyConnected in network fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a layer was built")
+
+    for name in ("Conv2d", "FullyConnected"):
+        monkeypatch.setattr(network, name, refuse)
+    return refuse
+
+
 class TestBuildArchitecture:
     def test_full_scale_shape_trace(self):
         spec = build_architecture()
@@ -113,6 +124,21 @@ class TestBuildArchitecture:
     def test_too_small_input_rejected(self):
         with pytest.raises(ConfigurationError):
             build_architecture(input_shape=(1, 16, 16)).shape_trace()
+
+    def test_shape_trace_builds_no_layer(self, monkeypatch):
+        refuse = refuse_layers(monkeypatch)
+        monkeypatch.setattr(Network, "from_spec", classmethod(refuse))
+        assert build_architecture().shape_trace() == FULL_TRACE
+        with pytest.raises(ConfigurationError):
+            build_architecture(input_shape=(1, 16, 16)).shape_trace()
+
+    @pytest.mark.parametrize("spec", [build_architecture(**DESK),
+                                      build_architecture()],
+                             ids=["desk", "full"])
+    def test_parameter_shapes_match_network(self, spec):
+        net = Network.from_spec(spec)
+        assert spec.parameter_shapes() == [v.shape
+                                           for v, _ in net.parameters()]
 
     def test_spec_dict_round_trip(self):
         spec = build_architecture(**DESK)
@@ -399,15 +425,35 @@ class TestCheckpoint:
         lambda h: dict(h, spec=dict(h["spec"], layers=[[1]])),
         lambda h: dict(h, spec=dict(h["spec"], input_shape=None)),
         lambda h: dict(h, spec=[]),
+        lambda h: dict(h, spec=dict(h["spec"], layers=["relu"])),
+        lambda h: dict(h, spec=dict(h["spec"], input_shape=[1, math.inf, 64])),
+        lambda h: conftest.with_conv_field(h, "out_channels", 0),
+        lambda h: conftest.with_conv_field(h, "kernel_h", 99),
     ], ids=["null-stride", "string-stride", "float-stride", "boolean-stride",
             "zero-stride", "string-out-channels", "list-out-channels",
             "null-bias", "unknown-field", "list-type", "list-layer",
-            "null-input-shape", "list-spec"])
+            "null-input-shape", "list-spec", "string-layer",
+            "infinite-input-shape", "zero-out-channels", "kernel-too-big"])
     def test_malformed_spec_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, desk_network())
         conftest.rewrite_container_header(path, edit)
         with pytest.raises(FormatError, match="checkpoint spec is invalid"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("out_channels, error", [
+        (2 ** 40, TruncatedFileError), (6, FormatError)])
+    def test_payload_size_checked_before_allocation(
+            self, tmp_path, monkeypatch, out_channels, error):
+        # The file holds a 7-channel conv1: a wider spec asks for more
+        # bytes than it has, a narrower one leaves bytes over.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, desk_network())
+        conftest.rewrite_container_header(
+            path, lambda h: conftest.with_conv_field(
+                h, "out_channels", out_channels))
+        refuse_layers(monkeypatch)
+        with pytest.raises(error, match="tensor payload"):
             load_checkpoint(path)
 
     def test_integer_valued_float_fields_accepted(self, tmp_path):

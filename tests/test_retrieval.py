@@ -25,7 +25,7 @@ from cbirnet.network import (
     NetworkSpec,
     ReLUSpec,
 )
-from cbirnet import retrieval
+from cbirnet import _binio, retrieval
 from cbirnet._binio import write_container_header
 from cbirnet.retrieval import (
     FeatureIndex,
@@ -427,11 +427,13 @@ class TestIndexFile:
         path = tmp_path / "features.idx"
         save_index(index, path)
         reads = []
-        read_exact = retrieval.read_exact
-        monkeypatch.setattr(retrieval, "read_exact", lambda f, n, what: (
+        read_exact = _binio.read_exact
+        monkeypatch.setattr(_binio, "read_exact", lambda f, n, what: (
             reads.append(what), read_exact(f, n, what))[1])
         loaded = load_index(path)
-        assert reads == ["feature payload"]
+        # The container header's three reads, then one for the payload.
+        assert reads == ["format version", "header length", "JSON header",
+                         "feature payload"]
         matrices = list(loaded.features.values())
         buffer = matrices[0].base
         assert buffer.size == len(loaded) * sum(m.shape[1] for m in matrices)
@@ -522,12 +524,18 @@ class TestIndexFile:
         (lambda h: dict(h, records=["a", *h["records"][1:]]), FormatError),
         (lambda h: dict(h, records=[dict(h["records"][0], true_label="0"),
                                     *h["records"][1:]]), FormatError),
+        (lambda h: dict(h, records=[dict(h["records"][0], true_label=2 ** 70),
+                                    *h["records"][1:]]), FormatError),
+        (lambda h: dict(h, records=[
+            dict(h["records"][0], predicted_label=-1), *h["records"][1:]]),
+         FormatError),
     ], ids=["no-fingerprint", "layer-without-dims", "list-header",
             "record-without-source-id", "records-not-list",
             "layers-not-list", "dims-not-object", "negative-dim",
             "string-dim", "boolean-dim", "dim-too-small", "huge-dim",
             "fingerprint-not-string", "duplicate-layer", "layer-not-string",
-            "record-not-object", "string-label"])
+            "record-not-object", "string-label", "label-beyond-int64",
+            "negative-label"])
     def test_malformed_header_rejected(self, net_and_index, tmp_path, edit,
                                        error):
         _, _, index = net_and_index
