@@ -61,8 +61,8 @@ def read_exact(f, n, what):
     return buf
 
 
-def read_payload(f, size, what):
-    """The size bytes after the header, checked against the file first.
+def check_payload_size(f, size, what):
+    """Check that exactly size bytes follow the header, reading nothing.
 
     A file that holds fewer raises TruncatedFileError, more FormatError.
     """
@@ -71,6 +71,11 @@ def read_payload(f, size, what):
         raise (TruncatedFileError if left < size else FormatError)(
             f"{what} should be {size} bytes, but the file holds {left} "
             f"after the header")
+
+
+def read_payload(f, size, what):
+    """The size bytes after the header, checked against the file first."""
+    check_payload_size(f, size, what)
     return read_exact(f, size, what)
 
 

@@ -9,6 +9,12 @@ convolution blocks followed by three hidden fully connected layers and a
 log-softmax head; the hidden FC activations (taken after their ReLUs)
 double as retrieval features named fc1, fc2, fc3.
 
+A network loaded from a checkpoint is frozen: every parameter array is
+read-only, so a write to it raises instead of leaving a stale hash
+behind, and its fingerprint is hashed on the first call and cached. A
+query against a loaded network therefore hashes nothing. Networks built
+in memory (training, tests) are never frozen and hash on every call.
+
 Every pass goes through one layer loop over batch-first kernels (see
 layers). Network.classify is the eval pass over many images: it stacks
 them a chunk at a time and runs each kernel once per chunk, and every
@@ -28,20 +34,23 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._binio import (
     atomic_write,
+    check_payload_size,
     read_container_header,
-    read_payload,
+    read_exact,
     write_container_header,
 )
 from .errors import (
     ConfigurationError,
     FormatError,
     InternalError,
+    TruncatedFileError,
     VersionMismatchError,
 )
 from .layers import (
@@ -281,6 +290,7 @@ class Network:
              if isinstance(ls, ConvSpec)), default=1)
         itemsize = np.dtype(DTYPE).itemsize
         self.chunk_size = max(1, CHUNK_BYTES // (patch_elems * itemsize))
+        self._fingerprint = None  # cached only while frozen
 
     @classmethod
     def from_spec(cls, spec):
@@ -308,10 +318,6 @@ class Network:
                 raise ConfigurationError(f"unhandled layer spec {ls!r}")
             layers.append(layer)
         return cls(spec, layers, shapes, taps)
-
-    def feature_dims(self):
-        return {name: int(np.prod(self._shapes[idx + 1]))
-                for name, idx in self.feature_taps}
 
     def initialize(self, seed, weight_std=WEIGHT_STD):
         """Draw all weights from N(0, weight_std^2); set biases to their constants.
@@ -417,13 +423,34 @@ class Network:
         return (log_probs[0], int(predicted[0]),
                 {name: f[0] for name, f in features.items()})
 
+    def freeze(self):
+        """Make every parameter read-only; returns the network.
+
+        The digest is cached by the next fingerprint() call, not here. To
+        change a weight, set that array writable again: fingerprint()
+        hashes afresh while any parameter is writable.
+        """
+        for value, _ in self.parameters():
+            value.flags.writeable = False
+        self._fingerprint = None
+        return self
+
     def fingerprint(self):
-        """sha256 over the canonical spec plus every parameter's bytes."""
+        """sha256 over the canonical spec plus every parameter's bytes.
+
+        Hashed once while no parameter is writable, on every call otherwise.
+        """
+        frozen = not any(value.flags.writeable
+                         for value, _ in self.parameters())
+        if frozen and self._fingerprint is not None:
+            return self._fingerprint
         h = hashlib.sha256()
         h.update(self.spec.canonical_json())
         for value, _ in self.parameters():
-            h.update(np.ascontiguousarray(value, dtype=DTYPE).tobytes())
-        return h.hexdigest()
+            h.update(np.ascontiguousarray(value, dtype=DTYPE))  # no copy
+        digest = h.hexdigest()
+        self._fingerprint = digest if frozen else None
+        return digest
 
 
 def _tensor_head(shape):
@@ -456,10 +483,11 @@ def save_checkpoint(path, network, metadata=None):
 
 
 def load_checkpoint(path):
-    """Rebuild a Network (plus its metadata dict) from save_checkpoint output.
+    """Rebuild a frozen Network (plus its metadata dict) from a checkpoint.
 
     The payload size, worked out from the spec, is checked against the
-    file before any parameter is allocated; the payload is read once.
+    file before any parameter is allocated; each tensor is then read
+    straight into its parameter, so nothing else holds the payload.
     """
     with open(path, "rb") as f:
         version, header = read_container_header(
@@ -470,21 +498,23 @@ def load_checkpoint(path):
                 f"(this build reads version {CHECKPOINT_VERSION})")
         try:
             spec = NetworkSpec.from_dict(header.get("spec", {}))
-            raw = read_payload(f, sum(
+            check_payload_size(f, sum(
                 1 + 4 * len(shape) + 8 * math.prod(shape)
                 for shape in spec.parameter_shapes()), "tensor payload")
             network = Network.from_spec(spec)
         except ConfigurationError as exc:
             raise FormatError(f"checkpoint spec is invalid: {exc}") from exc
-    offset = 0
-    for value, _ in network.parameters():
-        head = _tensor_head(value.shape)
-        if raw[offset:offset + len(head)] != head:
-            raise FormatError(
-                f"stored tensor at payload byte {offset} does not have the "
-                f"network's parameter shape {value.shape}")
-        offset += len(head)
-        value[...] = np.frombuffer(raw, "<f8", value.size, offset).reshape(
-            value.shape)
-        offset += 8 * value.size
-    return network, header.get("metadata", {})
+        start = f.tell()
+        for value, _ in network.parameters():
+            offset = f.tell() - start
+            head = _tensor_head(value.shape)
+            if read_exact(f, len(head), "tensor head") != head:
+                raise FormatError(
+                    f"stored tensor at payload byte {offset} does not have "
+                    f"the network's parameter shape {value.shape}")
+            if f.readinto(value) != value.nbytes:
+                raise TruncatedFileError(
+                    f"file ends inside the tensor at payload byte {offset}")
+            if sys.byteorder == "big":  # stored as little-endian float64
+                value.byteswap(inplace=True)
+    return network.freeze(), header.get("metadata", {})

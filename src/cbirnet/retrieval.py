@@ -3,11 +3,18 @@
 The index is columnar, like a flat FAISS index: one (N, dim) float64
 matrix per hidden-FC tap is the only copy of the features, next to the
 source id and label columns and the rows of each predicted class. scan
-is the exact brute-force kernel over one layer: ranking happens on
-squared distances (the square root is order-preserving and applied only
-to the returned top k), ties break by ascending source_id. query is one
-eval forward followed by scan. A built index is immutable, so concurrent
-scans need no locking.
+is the exact brute-force kernel over one layer. It streams the layer
+matrix (or, with the class filter, the partition's rows) a block of
+SCAN_BLOCK_BYTES at a time through one preallocated buffer, so it never
+holds an (N, dim) temporary, and each row's squared distance has the
+bits of np.sum((row - q) ** 2). Ranking happens on squared distances
+(the square root is order-preserving and applied only to the returned
+top k): np.partition finds the k-th smallest, every row at or below it
+is a candidate, so ties at the cut all stay in, and only the candidates
+are lexsorted by distance, then ascending source_id. query is the
+fingerprint check (a hash only for an unfrozen network), one eval
+forward and scan. A built index is immutable, so concurrent scans need
+no locking.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .layers import DTYPE
 INDEX_MAGIC = b"CBNINDX\n"
 INDEX_VERSION = 1
 WRITE_BLOCK_BYTES = 1 << 20  # payload save_index encodes at a time
+SCAN_BLOCK_BYTES = 1 << 18  # feature rows scan subtracts and squares at a time
 
 
 @dataclass(frozen=True)
@@ -124,20 +132,36 @@ def scan(index, q, predicted, layer, k, use_class_filter):
         raise InputError(f"query vector has shape {np.shape(q)}, layer "
                          f"{layer} holds {matrix.shape[1]}-dim features")
     predicted = int(predicted)
+    rows = None
     if use_class_filter:
         rows = index.class_partitions.get(predicted)
         if rows is None:
             return RetrievalResult(
                 items=(), query_predicted_label=predicted, layer=layer,
                 class_filter_enabled=True, status="empty-class")
-        matrix, sids, labels = matrix[rows], sids[rows], labels[rows]
-    sq = np.sum((matrix - q) ** 2, axis=1)
+    n, dim = len(matrix) if rows is None else len(rows), matrix.shape[1]
+    block = max(1, SCAN_BLOCK_BYTES // max(1, 8 * dim))
+    buf = np.empty((min(block, n), dim), dtype=DTYPE)
+    sq = np.empty(n, dtype=DTYPE)
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        part = buf[:e - s]
+        np.subtract(matrix[s:e] if rows is None else matrix[rows[s:e]], q,
+                    out=part)
+        np.square(part, out=part)
+        np.sum(part, axis=1, out=sq[s:e])
+    picked = np.arange(n)
+    if k < n:
+        # Keep every row not above the k-th smallest distance. Written as
+        # "not >" so that a NaN query keeps all rows, as a full sort would.
+        picked = np.flatnonzero(~(sq > np.partition(sq, k - 1)[k - 1]))
+    picked_rows = picked if rows is None else rows[picked]
     # lexsort's last key is primary: distance first, then source_id.
-    order = np.lexsort((sids, sq))[:k]
+    order = np.lexsort((sids[picked_rows], sq[picked]))[:k]
     items = tuple(
-        RetrievedItem(source_id=str(sids[i]), distance=float(np.sqrt(sq[i])),
-                      true_label=int(labels[i]))
-        for i in order)
+        RetrievedItem(source_id=str(sids[r]), distance=float(np.sqrt(d)),
+                      true_label=int(labels[r]))
+        for r, d in zip(picked_rows[order], sq[picked[order]]))
     return RetrievalResult(
         items=items, query_predicted_label=predicted, layer=layer,
         class_filter_enabled=use_class_filter, status="ok")
@@ -149,11 +173,12 @@ def query(index, net, query_image, layer, k, use_class_filter):
     After checking that net built the index, one eval forward pass gives
     the query's class prediction and features, and scan ranks them.
     """
-    if index.network_fingerprint != net.fingerprint():
+    fingerprint = net.fingerprint()
+    if index.network_fingerprint != fingerprint:
         raise StaleIndexError(
             "index was built by a different network than the one supplied "
             f"(index fingerprint {index.network_fingerprint[:12]}..., "
-            f"network {net.fingerprint()[:12]}...)")
+            f"network {fingerprint[:12]}...)")
     _, predicted, features = net.forward_classify(query_image)
     return scan(index, features.get(layer), predicted, layer, k,
                 use_class_filter)

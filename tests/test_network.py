@@ -16,6 +16,7 @@ from cbirnet.errors import (
     VersionMismatchError,
 )
 from cbirnet import network
+from cbirnet.data import Sample
 from cbirnet.layers import Conv2d, Dropout, FullyConnected
 from cbirnet.network import (
     CHECKPOINT_MAGIC,
@@ -25,6 +26,7 @@ from cbirnet.network import (
     load_checkpoint,
     save_checkpoint,
 )
+from cbirnet.training import TrainConfig, sgd_step
 
 # Hand-computed stage-by-stage shapes for the full-size topology on a
 # 1x224x224 input, using out = (in + 2p - k) // s + 1 at every stage.
@@ -209,10 +211,6 @@ class TestForwardClassify:
         assert all(f.shape == (410,) for f in feats.values())
         assert all((f >= 0).all() for f in feats.values())  # post-ReLU
 
-    def test_feature_dims_match_taps(self):
-        net = desk_network()
-        assert net.feature_dims() == {"fc1": 410, "fc2": 410, "fc3": 410}
-
     def test_eval_pass_stores_no_state(self):
         net = desk_network()
         net.forward_classify(np.zeros((1, 64, 64)))
@@ -353,6 +351,51 @@ class TestFingerprint:
         assert a.fingerprint() != b.fingerprint()
 
 
+class TestFrozen:
+    def loaded(self, tmp_path):
+        net = desk_network(seed=21)
+        save_checkpoint(tmp_path / "model.ckpt", net)
+        return net, load_checkpoint(tmp_path / "model.ckpt")[0]
+
+    def test_loaded_parameters_are_read_only(self, tmp_path):
+        _, loaded = self.loaded(tmp_path)
+        assert not any(value.flags.writeable
+                       for value, _ in loaded.parameters())
+        fc = next(l for l in loaded.layers if isinstance(l, FullyConnected))
+        with pytest.raises(ValueError, match="read-only"):
+            fc.weights[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            fc.biases += 1.0
+
+    def test_initialize_and_sgd_step_raise(self, tmp_path):
+        _, loaded = self.loaded(tmp_path)
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.initialize(0)
+        sample = Sample(image=np.random.default_rng(0).random((1, 64, 64)),
+                        label=1, source_id="x")
+        loaded.seed_dropout(0)
+        with pytest.raises(ValueError, match="read-only"):
+            sgd_step(loaded, sample, TrainConfig(learning_rate=0.01))
+
+    def test_writable_parameter_is_hashed_again(self, tmp_path):
+        _, loaded = self.loaded(tmp_path)
+        before = loaded.fingerprint()
+        fc = next(l for l in loaded.layers if isinstance(l, FullyConnected))
+        fc.weights.flags.writeable = True
+        old = fc.weights[0, 0]
+        fc.weights[0, 0] += 1e-9
+        changed = loaded.fingerprint()
+        assert changed != before
+        fc.weights[0, 0] = old
+        assert loaded.fingerprint() == before
+        fc.weights[0, 0] += 1e-9
+        assert loaded.freeze().fingerprint() == changed
+
+    def test_in_memory_network_is_not_frozen(self):
+        net = desk_network()
+        assert all(value.flags.writeable for value, _ in net.parameters())
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = desk_network(seed=21)
@@ -363,6 +406,7 @@ class TestCheckpoint:
         for (va, _), (vb, _) in zip(net.parameters(), loaded.parameters()):
             npt.assert_array_equal(va, vb)
         assert loaded.fingerprint() == net.fingerprint()
+        assert loaded.fingerprint() == net.fingerprint()  # the cached digest
 
     def test_save_is_deterministic(self, tmp_path):
         net = desk_network(seed=21)

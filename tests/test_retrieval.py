@@ -1,5 +1,6 @@
 """Feature index, exact-scan queries against a loop oracle, index files."""
 
+import hashlib
 import math
 import struct
 
@@ -24,6 +25,8 @@ from cbirnet.network import (
     Network,
     NetworkSpec,
     ReLUSpec,
+    load_checkpoint,
+    save_checkpoint,
 )
 from cbirnet import _binio, retrieval
 from cbirnet._binio import write_container_header
@@ -352,6 +355,134 @@ class TestQuery:
             float(((2.0 * vectors[i] - 2.0 * q) ** 2).sum()),
             index.source_ids[i]))
         assert base == scaled
+
+
+def tie_heavy_index():
+    """48 records in predicted classes of 24, 16 and 8. fc1 holds small
+    integers, so many rows tie; ids descend, so ties reorder by id."""
+    rng = np.random.default_rng(5)
+    n = 48
+    return FeatureIndex(
+        [f"s{n - i:03d}" for i in range(n)], rng.integers(0, 3, n),
+        rng.permutation([0] * 24 + [1] * 16 + [2] * 8),
+        {"fc1": rng.integers(0, 3, (n, 5)).astype(np.float64),
+         "fc2": rng.standard_normal((n, 410))}, "fp")
+
+
+def reference_scan(index, q, predicted, layer, k, use_filter):
+    """Whole-matrix squared distances and a full lexsort, as exact bits."""
+    rows = (index.class_partitions[predicted] if use_filter
+            else np.arange(len(index)))
+    sq = np.sum((index.features[layer][rows] - q) ** 2, axis=1)
+    ranks = np.lexsort((index.source_ids[rows], sq))[:k]
+    return [(str(index.source_ids[rows[i]]), np.sqrt(sq[i]).tobytes(),
+             int(index.true_labels[rows[i]])) for i in ranks]
+
+
+def item_bits(result):
+    return [(it.source_id, np.float64(it.distance).tobytes(), it.true_label)
+            for it in result.items]
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("layout", ["contiguous", "loaded"])
+    @pytest.mark.parametrize("block", ["one", "divisor", "n-1", "over-n"])
+    @pytest.mark.parametrize("use_filter", [False, True])
+    def test_matches_whole_matrix_reference(self, tmp_path, monkeypatch,
+                                            layout, block, use_filter):
+        index = tie_heavy_index()
+        if layout == "loaded":
+            save_index(index, tmp_path / "features.idx")
+            index = load_index(tmp_path / "features.idx")
+            assert not index.features["fc2"].flags.c_contiguous
+        for layer, m in index.features.items():
+            queries = [m[3], m[3] + 1.0, np.full(m.shape[1], 0.5)]
+            for predicted in (0, 1, 2):
+                n = (len(index.class_partitions[predicted]) if use_filter
+                     else len(index))
+                rows = {"one": 1, "divisor": n // 4, "n-1": n - 1,
+                        "over-n": n + 1}[block]
+                monkeypatch.setattr(retrieval, "SCAN_BLOCK_BYTES",
+                                    rows * 8 * m.shape[1])
+                for q in queries:
+                    for k in (1, 3, 8, n, n + 5):
+                        assert item_bits(scan(
+                            index, q, predicted, layer, k, use_filter)) == \
+                            reference_scan(index, q, predicted, layer, k,
+                                           use_filter)
+
+    def test_every_tie_at_the_cut_is_a_candidate(self):
+        # Row 0 is at distance 0 and rows 1-9 all at distance 1; the ids
+        # descend, so the top k among the ties are the last rows.
+        ids = [f"id{99 - i}" for i in range(13)]
+        index = FeatureIndex(
+            ids, [0] * 13, [0] * 13,
+            {"fc1": np.array([[0.0, 0.0]] + [[1.0, 0.0]] * 9
+                             + [[5.0, 5.0]] * 3)}, "fp")
+        ranking = ["id99"] + sorted(ids[1:10]) + sorted(ids[10:])
+        for k in (1, 2, 3, 9, 10, 11, 13, 20):
+            res = scan(index, np.zeros(2), 0, "fc1", k, False)
+            assert [it.source_id for it in res.items] == ranking[:k]
+            assert item_bits(res) == reference_scan(
+                index, np.zeros(2), 0, "fc1", k, False)
+
+    def test_nan_query_ranks_every_row(self):
+        # A full sort keeps all rows at NaN distance; so must the cut.
+        index = one_layer_index(RNG.random((6, 3)))
+        res = scan(index, np.full(3, np.nan), 0, "fc1", 4, False)
+        assert [it.source_id for it in res.items] == ["r0", "r1", "r2", "r3"]
+        assert all(math.isnan(it.distance) for it in res.items)
+
+
+class TestFrozenQuery:
+    @pytest.fixture
+    def loaded(self, net_and_index, tmp_path):
+        net, _, _ = net_and_index
+        save_checkpoint(tmp_path / "model.ckpt", net)
+        return load_checkpoint(tmp_path / "model.ckpt")[0]
+
+    def count_hashes(self, monkeypatch):
+        calls = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256",
+                            lambda *a: (calls.append(1), sha256(*a))[1])
+        return calls
+
+    def test_frozen_network_hashes_at_most_once(self, net_and_index, loaded,
+                                                monkeypatch):
+        net, samples, index = net_and_index
+        calls = self.count_hashes(monkeypatch)
+        for i in range(50):
+            frozen = query(index, loaded, samples[i % len(samples)].image,
+                           "fc2", 5, i % 2 == 0)
+        assert len(calls) <= 1
+        calls.clear()
+        for i in range(50):
+            unfrozen = query(index, net, samples[i % len(samples)].image,
+                             "fc2", 5, i % 2 == 0)
+        assert len(calls) == 50
+        assert frozen == unfrozen
+
+    def test_stale_hash_error_hashes_once(self, net_and_index, monkeypatch):
+        _, samples, index = net_and_index
+        other = Network.from_spec(three_tap_spec())
+        other.initialize(99)
+        digest = other.fingerprint()
+        calls = self.count_hashes(monkeypatch)
+        with pytest.raises(StaleIndexError, match=digest[:12]):
+            query(index, other, samples[0].image, "fc1", 1, False)
+        assert len(calls) == 1
+
+    def test_changed_weight_makes_index_stale(self, net_and_index, loaded):
+        _, samples, index = net_and_index
+        assert loaded.fingerprint() == index.network_fingerprint
+        query(index, loaded, samples[0].image, "fc1", 1, False)
+        fc = next(l for l in loaded.layers if hasattr(l, "in_features"))
+        fc.weights.flags.writeable = True
+        fc.weights[0, 0] += 1e-9
+        assert loaded.fingerprint() != index.network_fingerprint
+        with pytest.raises(StaleIndexError):
+            query(index, loaded, samples[0].image, "fc1", 1, False)
 
 
 class TestIndexFile:
