@@ -19,13 +19,14 @@ import json
 import logging
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from ._binio import header_value
 from .data import (
+    PreprocessedImages,
     generate_synthetic_corpus,
     ingest_directory,
     preprocess_image,
@@ -192,6 +193,7 @@ def _load_pipeline_inputs(cfg, need_index=False):
 
 
 def _ingest_split(cfg, expected_class_names=None):
+    """Split of the configured corpus; each sample's image is its raster."""
     if cfg.data_dir is None:
         raise ConfigurationError("data_dir is not set; pass --data-dir or a config")
     samples, class_names, skipped = ingest_directory(
@@ -237,13 +239,16 @@ def cmd_train(args):
         scale=cfg.scale)
     net = Network.from_spec(spec)
     net.initialize(cfg.init_seed, weight_std=cfg.init_std)
+    train_samples = [
+        replace(s, image=preprocess_image(s.image, out_size=cfg.image_size))
+        for s in split.train]
     train_config = TrainConfig(
         learning_rate=cfg.learning_rate,
         max_epochs=cfg.max_epochs,
         rng_seed=cfg.train_seed,
         shuffle_each_epoch=cfg.shuffle_each_epoch,
         log_interval=cfg.log_interval)
-    report = train(net, split.train, train_config)
+    report = train(net, train_samples, train_config)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / CHECKPOINT_NAME, net, metadata={
@@ -265,7 +270,8 @@ def cmd_index(args):
     cfg = resolve_config(args)
     net, metadata, _ = _load_pipeline_inputs(cfg)
     split, _ = _ingest_split(cfg, expected_class_names=metadata["class_names"])
-    index = build_index(net, split.train)
+    index = build_index(net, split.train, PreprocessedImages(
+        [s.image for s in split.train], cfg.image_size))
     out = Path(cfg.output_dir)
     save_index(index, out / INDEX_NAME)
     write_run_config(cfg)
@@ -338,8 +344,8 @@ def cmd_evaluate(args):
     out = Path(cfg.output_dir)
 
     true_labels = [s.label for s in split.test]
-    _, predicted_labels, test_features = net.classify(
-        [s.image for s in split.test])
+    _, predicted_labels, test_features = net.classify(PreprocessedImages(
+        [s.image for s in split.test], cfg.image_size))
     cm = confusion_matrix(true_labels, predicted_labels,
                           len(class_names), class_names=class_names)
     report = classification_report(cm)

@@ -1,13 +1,18 @@
 """Corpus ingestion, preprocessing, splits, and synthetic image generation.
 
-Images move through the pipeline as (1, H, W) float64 tensors in [0, 1].
 On-disk corpora are directory-per-class trees of 8-bit PGM files (P2 or P5,
 decoded here without any imaging dependency); class ids come from sorted
-directory names so every filesystem yields the same labeling.
+directory names so every filesystem yields the same labeling. Ingest keeps
+each file as its decoded uint8 raster (4 KB at 64 px). The network reads
+(1, H, W) float64 tensors in [0, 1], which preprocess_image makes from a
+stack of equal-size rasters at once; PreprocessedImages hands rasters to
+Network.classify so that they are preprocessed one chunk at a time, and
+only the rasters a command uses are preprocessed at all.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -27,7 +32,7 @@ SYNTHETIC_FAMILIES = ("grating", "polygon", "blobs", "checker")
 
 @dataclass
 class Sample:
-    image: np.ndarray  # (1, H, W), values in [0, 1]
+    image: np.ndarray  # (1, H, W) in [0, 1], or a 2-D uint8 raster as ingested
     label: int
     source_id: str
 
@@ -134,53 +139,97 @@ def write_pgm(path, image, binary=True):
 # ---------------------------------------------------------------------------
 # Preprocessing
 
-def bilinear_resize(image, out_h, out_w):
-    """Resample a 2-D grid with half-pixel-center coordinate mapping.
+def _check_raster(shape, out_size):
+    """Raise InputError unless preprocess_image accepts a raster of shape."""
+    if len(shape) != 2 or shape[0] < 2 or shape[1] < 2:
+        raise InputError(
+            f"raw image must be 2-D and at least 2x2, got shape {tuple(shape)}")
+    if out_size < 1:
+        raise InputError(f"out_size must be >= 1, got {out_size}")
 
-    Destination pixel d samples source coordinate (d + 0.5)*in/out - 0.5,
-    clamped at the borders; resizing to the input size is the identity.
+
+@functools.lru_cache(maxsize=64)
+def _resize_plan(in_h, in_w, out_size):
+    """Source indices and weights of each pixel preprocess_image keeps.
+
+    Per axis: the low and high source index and the weights (1 - w, w) of
+    the bilinear resize to round(out_size * 256 / 224), restricted to the
+    central out_size crop. Destination d samples source coordinate
+    (d + 0.5)*in/target - 0.5, clamped at the borders.
     """
-    image = np.asarray(image, dtype=DTYPE)
-    if image.ndim != 2:
-        raise InputError(f"expected a 2-D image, got shape {image.shape}")
-    in_h, in_w = image.shape
-    if min(in_h, in_w) < 1 or min(out_h, out_w) < 1:
-        raise InputError("image sizes must be positive")
-    if (out_h, out_w) == (in_h, in_w):
-        return image.copy()
-    ys = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5,
-                 0.0, in_h - 1.0)
-    xs = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5,
-                 0.0, in_w - 1.0)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    top = image[np.ix_(y0, x0)] * (1.0 - wx) + image[np.ix_(y0, x1)] * wx
-    bot = image[np.ix_(y1, x0)] * (1.0 - wx) + image[np.ix_(y1, x1)] * wx
-    return top * (1.0 - wy) + bot * wy
+    target = round(out_size * 256 / 224)
+    kept = np.arange(out_size) + (target - out_size) // 2
+
+    def axis(n):
+        src = np.clip((kept + 0.5) * (n / target) - 0.5, 0.0, n - 1.0)
+        lo = np.floor(src).astype(np.intp)
+        w = src - lo
+        plan = (lo, np.minimum(lo + 1, n - 1), 1.0 - w, w)
+        for a in plan:
+            a.flags.writeable = False  # shared by every caller of the cache
+        return plan
+
+    return axis(in_h), axis(in_w)
 
 
 def preprocess_image(raw, out_size=224):
-    """Resize, center-crop, and scale an 8-bit grid to a [0,1] tensor.
+    """Resize, center-crop, and scale 8-bit grids to [0,1] tensors.
 
-    The resize target keeps the stock 256:224 ratio for any out_size, so
-    out_size=224 resizes to 256 and crops rows/cols 16..239; smaller
-    networks get the same proportional margin.
+    raw is one 2-D raster, giving a (1, out_size, out_size) tensor, or a
+    stack (N, H, W) of equal-size rasters, giving (N, 1, out_size,
+    out_size). The resize target keeps the stock 256:224 ratio for any
+    out_size, so out_size=224 resizes to 256 and keeps rows/cols
+    16..239; smaller networks get the same proportional margin. Only the
+    kept pixels are interpolated, each as top*(1-wy) + bot*wy of its
+    row-interpolated neighbours, then divided by 255.
     """
     raw = np.asarray(raw)
-    if raw.ndim != 2 or raw.shape[0] < 2 or raw.shape[1] < 2:
-        raise InputError(
-            f"raw image must be 2-D and at least 2x2, got shape {raw.shape}")
-    if out_size < 1:
-        raise InputError(f"out_size must be >= 1, got {out_size}")
-    target = round(out_size * 256 / 224)
-    resized = bilinear_resize(raw.astype(DTYPE), target, target)
-    off = (target - out_size) // 2
-    crop = resized[off:off + out_size, off:off + out_size]
-    return (crop / 255.0)[None, :, :]
+    _check_raster(raw.shape[1:] if raw.ndim == 3 else raw.shape, out_size)
+    stack = raw.reshape(-1, *raw.shape[-2:])
+    (y0, y1, vy, wy), (x0, x1, vx, wx) = _resize_plan(*raw.shape[-2:],
+                                                       out_size)
+    rows0, rows1 = stack[:, y0], stack[:, y1]
+    top = rows0[:, :, x0] * vx
+    top += rows0[:, :, x1] * wx
+    bot = rows1[:, :, x0] * vx
+    bot += rows1[:, :, x1] * wx
+    top *= vy[:, None]
+    bot *= wy[:, None]
+    top += bot
+    top /= 255.0
+    return top.reshape(*raw.shape[:-2], 1, out_size, out_size)
+
+
+class PreprocessedImages:
+    """Rasters that are preprocessed a slice at a time, on indexing.
+
+    Network.classify reads its images a chunk (a slice) at a time, so
+    over this view only one chunk of float64 tensors exists at once. A
+    slice preprocesses its rasters one stack per raster shape and returns
+    an (n, 1, out_size, out_size) array.
+    """
+
+    def __init__(self, rasters, out_size):
+        if out_size < 1:
+            raise InputError(f"out_size must be >= 1, got {out_size}")
+        self.rasters = list(rasters)
+        self.out_size = out_size
+
+    def __len__(self):
+        return len(self.rasters)
+
+    def __getitem__(self, key):
+        rasters = self.rasters[key]  # a slice
+        groups = {}
+        for i, raw in enumerate(rasters):
+            groups.setdefault(np.shape(raw), []).append(i)
+        if len(groups) == 1:
+            return preprocess_image(np.stack(rasters), self.out_size)
+        out = np.empty((len(rasters), 1, self.out_size, self.out_size), DTYPE)
+        for idx in groups.values():
+            out[idx] = preprocess_image(np.stack([rasters[i] for i in idx]),
+                                        self.out_size)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +239,10 @@ def ingest_directory(root, out_size=224):
     """Load a directory-per-class PGM tree.
 
     Returns (samples, class_names, skipped) where skipped counts files
-    that failed to decode; each failure is logged and the file skipped.
-    Samples are ordered by (class, sorted filename) and source_id is the
-    path relative to root.
+    that failed to decode or that preprocess_image would refuse at
+    out_size; each failure is logged and the file skipped. Each sample's
+    image is its decoded 2-D uint8 raster. Samples are ordered by (class,
+    sorted filename) and source_id is the path relative to root.
     """
     root = Path(root)
     if not root.is_dir():
@@ -209,12 +259,12 @@ def ingest_directory(root, out_size=224):
         for path in files:
             try:
                 raw = read_pgm(path)
-                image = preprocess_image(raw, out_size=out_size)
+                _check_raster(raw.shape, out_size)
             except InputError as exc:
                 log.warning("skipping %s: %s", path, exc)
                 skipped += 1
                 continue
-            samples.append(Sample(image=image, label=label,
+            samples.append(Sample(image=raw, label=label,
                                   source_id=f"{class_dir.name}/{path.name}"))
             loaded += 1
         if loaded == 0:

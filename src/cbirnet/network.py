@@ -9,10 +9,11 @@ convolution blocks followed by three hidden fully connected layers and a
 log-softmax head; the hidden FC activations (taken after their ReLUs)
 double as retrieval features named fc1, fc2, fc3.
 
-A network loaded from a checkpoint is frozen: every parameter array is
-read-only, so a write to it raises instead of leaving a stale hash
-behind, and its fingerprint is hashed on the first call and cached. A
-query against a loaded network therefore hashes nothing. Networks built
+A network loaded from a checkpoint is frozen: every parameter array is a
+view of a read-only base, so a write to it raises (and so does making it
+writable again) instead of leaving a stale hash behind, and its
+fingerprint is hashed on the first call and cached. A query against a
+loaded network therefore hashes nothing. Networks built
 in memory (training, tests) are never frozen and hash on every call.
 
 Every pass goes through one layer loop over batch-first kernels (see
@@ -33,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import struct
 import sys
 from dataclasses import dataclass, field, fields
@@ -290,6 +292,7 @@ class Network:
              if isinstance(ls, ConvSpec)), default=1)
         itemsize = np.dtype(DTYPE).itemsize
         self.chunk_size = max(1, CHUNK_BYTES // (patch_elems * itemsize))
+        self._frozen = None  # the parameter arrays freeze() handed out
         self._fingerprint = None  # cached only while frozen
 
     @classmethod
@@ -391,15 +394,15 @@ class Network:
     def classify(self, images):
         """Eval-mode pass over a batch: (log_probs, predicted, features).
 
-        images is a sequence of input_shape arrays, or one array with a
-        leading batch axis. log_probs is (N, classes), predicted (N,) and
-        features maps each tap name to an (N, dim) array. The images run
-        through the layers chunk_size at a time, and each image's results
-        are bit-identical to a pass of that image alone. No layer state is
+        images is a sequence of input_shape arrays, one array with a
+        leading batch axis, or any sized object whose slices are those
+        (data.PreprocessedImages preprocesses rasters slice by slice).
+        log_probs is (N, classes), predicted (N,) and features maps each
+        tap name to an (N, dim) array. The images are read and run through
+        the layers chunk_size at a time, and each image's results are
+        bit-identical to a pass of that image alone. No layer state is
         written, so a frozen network may serve many callers at once.
         """
-        for i, x in enumerate(images):
-            self._check_input(np.shape(x), what=f"image {i}")
         n = len(images)
         log_probs = np.empty((n, *self._shapes[-1]), dtype=DTYPE)
         taps = {idx: np.empty((n, int(np.prod(self._shapes[idx + 1]))),
@@ -407,9 +410,12 @@ class Network:
                 for _, idx in self.feature_taps}
         for start in range(0, n, self.chunk_size):
             stop = min(start + self.chunk_size, n)
-            chunk = np.asarray(images[start:stop], dtype=DTYPE)
+            chunk = images[start:stop]
+            for i, x in enumerate(chunk, start):
+                self._check_input(np.shape(x), what=f"image {i}")
             log_probs[start:stop] = self._run(
-                chunk, taps={idx: t[start:stop] for idx, t in taps.items()})
+                np.asarray(chunk, dtype=DTYPE),
+                taps={idx: t[start:stop] for idx, t in taps.items()})
         features = {name: taps[idx] for name, idx in self.feature_taps}
         return log_probs, log_probs.argmax(axis=1), features
 
@@ -424,29 +430,39 @@ class Network:
                 {name: f[0] for name, f in features.items()})
 
     def freeze(self):
-        """Make every parameter read-only; returns the network.
+        """Make every parameter read-only for good; returns the network.
 
-        The digest is cached by the next fingerprint() call, not here. To
-        change a weight, set that array writable again: fingerprint()
-        hashes afresh while any parameter is writable.
+        Each parameter becomes a view of a read-only base, and numpy
+        refuses to make such a view writable again. The digest is cached
+        by the next fingerprint() call, not here. To change a weight of a
+        frozen network, give its layer a copy of the array (layer.weights
+        = layer.weights.copy()): fingerprint() hashes afresh while any
+        parameter is not an array that freeze() handed out.
         """
-        for value, _ in self.parameters():
-            value.flags.writeable = False
+        for layer in self.layers:
+            if isinstance(layer, (Conv2d, FullyConnected)):
+                for name in ("weights", "biases"):
+                    base = getattr(layer, name)
+                    base.flags.writeable = False
+                    setattr(layer, name, base.view())
+        self._frozen = [value for value, _ in self.parameters()]
         self._fingerprint = None
         return self
 
     def fingerprint(self):
         """sha256 over the canonical spec plus every parameter's bytes.
 
-        Hashed once while no parameter is writable, on every call otherwise.
+        Hashed once while every parameter is the read-only array that
+        freeze() handed out, on every call otherwise.
         """
-        frozen = not any(value.flags.writeable
-                         for value, _ in self.parameters())
+        values = [value for value, _ in self.parameters()]
+        frozen = (self._frozen is not None
+                  and all(map(operator.is_, values, self._frozen)))
         if frozen and self._fingerprint is not None:
             return self._fingerprint
         h = hashlib.sha256()
         h.update(self.spec.canonical_json())
-        for value, _ in self.parameters():
+        for value in values:
             h.update(np.ascontiguousarray(value, dtype=DTYPE))  # no copy
         digest = h.hexdigest()
         self._fingerprint = digest if frozen else None

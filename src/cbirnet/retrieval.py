@@ -100,15 +100,19 @@ class FeatureIndex:
         return len(self.source_ids)
 
 
-def build_index(net, samples):
+def build_index(net, samples, images=None):
     """Index all samples, keeping the tap arrays of one classify pass.
 
-    Records are partitioned by the *predicted* label (the retrieval-time
-    filter can only see predictions); true labels ride along solely for
-    evaluation.
+    images is what classify reads for the samples, in order (say, a
+    data.PreprocessedImages over their rasters); by default each sample's
+    image. Records are partitioned by the *predicted* label (the
+    retrieval-time filter can only see predictions); true labels ride
+    along solely for evaluation.
     """
     samples = list(samples)
-    _, predicted, features = net.classify([s.image for s in samples])
+    if images is None:
+        images = [s.image for s in samples]
+    _, predicted, features = net.classify(images)
     return FeatureIndex([s.source_id for s in samples],
                         [s.label for s in samples], predicted, features,
                         net.fingerprint())

@@ -142,6 +142,46 @@ def eval_forward_reference(net, x):
     return out, int(np.argmax(out)), features
 
 
+def bilinear_resize(image, out_h, out_w):
+    """Resample a 2-D grid with half-pixel-center coordinate mapping.
+
+    Destination pixel d samples source coordinate (d + 0.5)*in/out - 0.5,
+    clamped at the borders; resizing to the input size is the identity.
+    This is the per-image resize that data.preprocess_image replaced,
+    kept as the oracle for it.
+    """
+    image = np.asarray(image, dtype=DTYPE)
+    in_h, in_w = image.shape
+    if (out_h, out_w) == (in_h, in_w):
+        return image.copy()
+    ys = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5,
+                 0.0, in_h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5,
+                 0.0, in_w - 1.0)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    top = image[np.ix_(y0, x0)] * (1.0 - wx) + image[np.ix_(y0, x1)] * wx
+    bot = image[np.ix_(y1, x0)] * (1.0 - wx) + image[np.ix_(y1, x1)] * wx
+    return top * (1.0 - wy) + bot * wy
+
+
+def preprocess_reference(raw, out_size):
+    """One raster: whole-image bilinear_resize, center crop, then / 255.
+
+    The per-image path the batched data.preprocess_image must match byte
+    for byte. Returns (1, out_size, out_size).
+    """
+    target = round(out_size * 256 / 224)
+    resized = bilinear_resize(np.asarray(raw).astype(DTYPE), target, target)
+    off = (target - out_size) // 2
+    crop = resized[off:off + out_size, off:off + out_size]
+    return (crop / 255.0)[None, :, :]
+
+
 def rewrite_container_header(path, edit):
     """Replace the JSON header of a checkpoint or index file with edit(header)."""
     raw = path.read_bytes()

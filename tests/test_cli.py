@@ -3,14 +3,17 @@
 import csv
 import json
 import shutil
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import conftest
-from cbirnet import cli
+from cbirnet import cli, data
 from cbirnet.cli import EXIT_CONFIG, EXIT_INPUT, RunConfig, main
+from cbirnet.data import preprocess_image, read_pgm
 from cbirnet.metrics import mean_average_precision
-from cbirnet.network import Network, load_checkpoint
+from cbirnet.network import CHUNK_BYTES, Network, load_checkpoint
 from cbirnet.retrieval import load_index, query
 
 DESK = ["--image-size", "64", "--scale", "0.05", "--epochs", "3",
@@ -298,6 +301,73 @@ def evaluated(pipeline):
     return run_dir
 
 
+class TestPreprocessOnUse:
+    """index and evaluate hold rasters and preprocess only what they use."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        """600 images with the pipeline's class names."""
+        out = tmp_path_factory.mktemp("corpus") / "big"
+        assert main(["prepare", "--synthetic", "--classes", "3",
+                     "--per-class", "200", "--size", "64", "--seed", "6",
+                     "--out", str(out)]) == 0
+        return out
+
+    @pytest.fixture
+    def run_copy(self, pipeline, tmp_path):
+        copy = tmp_path / "run"
+        shutil.copytree(pipeline[1], copy)
+        return copy
+
+    @pytest.mark.parametrize("command, side", [("index", "train"),
+                                               ("evaluate", "test")])
+    def test_preprocesses_only_its_split(self, run_copy, capsys, monkeypatch,
+                                         command, side):
+        split, _ = cli._ingest_split(cli.load_run_config(
+            run_copy / "config.json"))
+        counted = []
+
+        def counting(fn):
+            def wrapper(raw, out_size=224):
+                raw = np.asarray(raw)
+                counted.append(len(raw) if raw.ndim == 3 else 1)
+                return fn(raw, out_size)
+            return wrapper
+
+        for module in (data, cli):
+            monkeypatch.setattr(module, "preprocess_image",
+                                counting(preprocess_image))
+        code, _, _ = run(capsys, command, "--out", str(run_copy))
+        assert code == 0
+        assert sum(counted) == len(getattr(split, side)) > 0
+
+    def test_traced_peak_holds_no_corpus_of_float_images(self, run_copy,
+                                                         corpus, capsys):
+        # Only the rasters and the index may grow with the corpus; the
+        # rest is bounded by a few classify chunks, each of float64
+        # images plus its im2col patches, and the network's parameters
+        # and gradients. Every database image as float64 is 8x the
+        # rasters (13.8 MB here) and breaks the bound.
+        rasters = sum(read_pgm(path).nbytes for path in corpus.rglob("*.pgm"))
+        net, _ = load_checkpoint(run_copy / "model.ckpt")
+        network_bytes = 2 * sum(value.nbytes for value, _ in net.parameters())
+        chunk_bytes = net.chunk_size * 64 * 64 * 8 + CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            for command in ("index", "evaluate"):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                code, _, _ = run(capsys, command, "--out", str(run_copy),
+                                 "--data-dir", str(corpus))
+                peak = tracemalloc.get_traced_memory()[1] - start
+                assert code == 0
+                index_bytes = (run_copy / cli.INDEX_NAME).stat().st_size
+                assert peak < (rasters + index_bytes + network_bytes
+                               + 4 * chunk_bytes), (command, peak)
+        finally:
+            tracemalloc.stop()
+
+
 class TestEvaluate:
     def test_one_fingerprint_and_no_query_forwards(self, pipeline, tmp_path,
                                                    capsys, monkeypatch):
@@ -333,8 +403,8 @@ class TestEvaluate:
             for use_filter in (False, True):
                 triples = []
                 for s in split.test:
-                    result = query(index, net, s.image, layer, 10,
-                                   use_filter)
+                    image = preprocess_image(s.image, out_size=cfg.image_size)
+                    result = query(index, net, image, layer, 10, use_filter)
                     triples.append(([i.true_label for i in result.items],
                                     s.label, totals.get(s.label, 0)))
                 valid = sum(1 for _, _, total in triples if total > 0)

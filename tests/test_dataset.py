@@ -3,11 +3,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cbirnet.data
+import conftest
 from cbirnet.data import (
     DatasetSplit,
+    PreprocessedImages,
     Sample,
-    bilinear_resize,
     generate_synthetic_corpus,
     ingest_directory,
     preprocess_image,
@@ -17,8 +20,24 @@ from cbirnet.data import (
     write_pgm,
 )
 from cbirnet.errors import InputError
+from cbirnet.network import Network, build_architecture
+from conftest import bilinear_resize
 
 RNG = np.random.default_rng(31415)
+# Fixed examples, so the suite tests the same rasters on every run.
+EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+OUT_SIZES = (1, 8, 16, 64, 224)
+SIDES = st.integers(2, 400)
+
+
+def rasters_of(shapes, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 256, shape, dtype=np.uint8) for shape in shapes]
+
+
+def same_bytes(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def bilinear_reference(img, out_h, out_w):
@@ -160,6 +179,91 @@ class TestPreprocessImage:
     def test_degenerate_input_rejected(self):
         with pytest.raises(InputError):
             preprocess_image(np.zeros((1, 5), dtype=np.uint8))
+
+
+class TestBatchedPreprocess:
+    """preprocess_image on stacks, byte for byte the per-image path."""
+
+    @EXAMPLES
+    @given(h=SIDES, w=SIDES, out_size=st.sampled_from(OUT_SIZES),
+           n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_matches_per_image_reference(self, h, w, out_size, n, seed):
+        stack = np.stack(rasters_of([(h, w)] * n, seed))
+        got = preprocess_image(stack, out_size=out_size)
+        assert got.dtype == np.float64
+        assert got.shape == (n, 1, out_size, out_size)
+        for raw, image in zip(stack, got):
+            assert same_bytes(image,
+                              conftest.preprocess_reference(raw, out_size))
+        assert same_bytes(preprocess_image(stack[0], out_size=out_size),
+                          got[0])
+
+    @pytest.mark.parametrize("out_size", OUT_SIZES[1:])
+    def test_identity_resize(self, out_size):
+        # The side that resizes to itself: 9, 18, 73 and 256.
+        side = round(out_size * 256 / 224)
+        raw = rasters_of([(side, side)], out_size)[0]
+        assert same_bytes(preprocess_image(raw, out_size=out_size),
+                          conftest.preprocess_reference(raw, out_size))
+        off = (side - out_size) // 2
+        npt.assert_array_equal(
+            preprocess_image(raw, out_size=out_size)[0] * 255.0,
+            raw[off:off + out_size, off:off + out_size])
+
+    @EXAMPLES
+    @given(shapes=st.lists(st.tuples(st.integers(2, 40), st.integers(2, 40)),
+                           max_size=12),
+           out_size=st.sampled_from(OUT_SIZES[:4]),
+           bounds=st.tuples(st.integers(-13, 13), st.integers(-13, 13)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_view_slices_of_mixed_sizes(self, shapes, out_size, bounds,
+                                        seed):
+        rasters = rasters_of(shapes, seed)
+        view = PreprocessedImages(rasters, out_size)
+        assert len(view) == len(rasters)
+        got = view[slice(*bounds)]
+        want = [conftest.preprocess_reference(raw, out_size)
+                for raw in rasters[slice(*bounds)]]
+        assert got.shape == (len(want), 1, out_size, out_size)
+        for image, ref in zip(got, want):
+            assert same_bytes(image, ref)
+
+    def test_classify_over_view_across_chunk_boundaries(self):
+        net = Network.from_spec(build_architecture(
+            input_shape=(1, 64, 64), num_classes=4, scale=0.1))
+        net.initialize(3, weight_std=0.15)
+        c = net.chunk_size
+        shapes = [(64, 64), (80, 50), (37, 61), (73, 73), (256, 256)]
+        for n in (1, c - 1, c, c + 1):
+            rasters = rasters_of([shapes[i % 5] for i in range(n)], n)
+            got = net.classify(PreprocessedImages(rasters, 64))
+            want = net.classify([conftest.preprocess_reference(raw, 64)
+                                 for raw in rasters])
+            assert same_bytes(got[0], want[0])
+            npt.assert_array_equal(got[1], want[1])
+            for name in want[2]:
+                assert same_bytes(got[2][name], want[2][name])
+
+    def test_view_reads_only_the_slice(self, monkeypatch):
+        seen = []
+        real = preprocess_image
+
+        def counted(raw, out_size=224):
+            seen.append(len(raw))
+            return real(raw, out_size)
+
+        monkeypatch.setattr(cbirnet.data, "preprocess_image", counted)
+        view = PreprocessedImages(rasters_of([(8, 8)] * 5 + [(9, 7)] * 5, 0),
+                                  8)
+        view[3:7]
+        assert sorted(seen) == [2, 2]
+
+    def test_bad_raster_or_size_rejected(self):
+        for stack in (np.zeros((3, 1, 5), np.uint8), np.zeros((2, 2, 2, 2))):
+            with pytest.raises(InputError):
+                preprocess_image(stack, out_size=8)
+        with pytest.raises(InputError):
+            PreprocessedImages([np.zeros((8, 8), np.uint8)], 0)
 
 
 def make_samples(per_class, num_classes=2, size=8):
@@ -306,6 +410,29 @@ class TestCorpusRoundTrip:
         loaded, _, skipped = ingest_directory(tmp_path, out_size=16)
         assert skipped == 1
         assert len(loaded) == 20
+
+    def test_unpreprocessable_file_skipped_and_split_unchanged(self,
+                                                              tmp_path):
+        samples, names = generate_synthetic_corpus(2, 10, 16, rng_seed=1)
+        write_corpus(samples, names, tmp_path / "clean")
+        write_corpus(samples, names, tmp_path / "dirty")
+        thin = tmp_path / "dirty" / names[1] / "0003a.pgm"
+        write_pgm(thin, np.zeros((1, 16), dtype=np.uint8))
+        assert read_pgm(thin).shape == (1, 16)  # decodes, too thin to resize
+        clean, _, clean_skipped = ingest_directory(tmp_path / "clean",
+                                                   out_size=16)
+        dirty, _, skipped = ingest_directory(tmp_path / "dirty", out_size=16)
+        assert (clean_skipped, skipped) == (0, 1)
+        assert [s.source_id for s in dirty] == [s.source_id for s in clean]
+        for a, b in zip(dirty, clean):
+            assert a.image.dtype == np.uint8 and a.image.shape == (16, 16)
+            npt.assert_array_equal(a.image,
+                                   read_pgm(tmp_path / "clean" / b.source_id))
+        for side in ("train", "test"):
+            assert ([s.source_id for s in getattr(
+                        split_dataset(dirty, names, rng_seed=4), side)]
+                    == [s.source_id for s in getattr(
+                        split_dataset(clean, names, rng_seed=4), side)])
 
     def test_empty_class_dir_rejected(self, tmp_path):
         (tmp_path / "a").mkdir()

@@ -381,7 +381,7 @@ class TestFrozen:
         _, loaded = self.loaded(tmp_path)
         before = loaded.fingerprint()
         fc = next(l for l in loaded.layers if isinstance(l, FullyConnected))
-        fc.weights.flags.writeable = True
+        fc.weights = fc.weights.copy()  # how a frozen network is edited
         old = fc.weights[0, 0]
         fc.weights[0, 0] += 1e-9
         changed = loaded.fingerprint()
@@ -390,6 +390,26 @@ class TestFrozen:
         assert loaded.fingerprint() == before
         fc.weights[0, 0] += 1e-9
         assert loaded.freeze().fingerprint() == changed
+
+    def test_hand_toggled_writeable_flag_leaves_no_stale_digest(self,
+                                                              tmp_path):
+        net, loaded = self.loaded(tmp_path)
+        before = loaded.fingerprint()
+        conv = next(l for l in loaded.layers if isinstance(l, Conv2d))
+        w = conv.weights
+        with pytest.raises(ValueError):
+            w.flags.writeable = True
+            w[0, 0, 0, 0] += 1
+            w.flags.writeable = False
+        assert loaded.fingerprint() == before == net.fingerprint()
+        # The same edit made on a copy, then set read-only by hand.
+        conv.weights = w.copy()
+        conv.weights[0, 0, 0, 0] += 1
+        conv.weights.flags.writeable = False
+        edited = next(l for l in net.layers if isinstance(l, Conv2d))
+        edited.weights[0, 0, 0, 0] += 1
+        assert loaded.fingerprint() == net.fingerprint() != before
+        assert loaded.freeze().fingerprint() == net.fingerprint()
 
     def test_in_memory_network_is_not_frozen(self):
         net = desk_network()
