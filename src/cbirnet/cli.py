@@ -54,7 +54,7 @@ from .metrics import (
     retrieval_pr,
 )
 from .network import Network, build_architecture, load_checkpoint, save_checkpoint
-from .retrieval import build_index, load_index, query, save_index, scan
+from .retrieval import build_index, load_index, query, save_index, scan_batch
 from .training import TrainConfig, train
 
 log = logging.getLogger(__name__)
@@ -286,14 +286,16 @@ def cmd_query(args):
     net, metadata, index = _load_pipeline_inputs(cfg, need_index=True)
     raw = read_pgm(args.image)
     image = preprocess_image(raw, out_size=metadata["image_size"])
+    timings = {} if args.json_lines else None
     result = query(index, net, image, cfg.layer, cfg.k,
-                   use_class_filter=cfg.use_class_filter)
+                   use_class_filter=cfg.use_class_filter, timings=timings)
     class_names = metadata["class_names"]
     predicted_name = class_names[result.query_predicted_label]
     if args.json_lines:
         meta = {"query": str(args.image), "predicted_class": predicted_name,
                 "layer": result.layer, "filter": result.class_filter_enabled,
-                "status": result.status}
+                "status": result.status, "rows_scanned": result.rows_scanned,
+                "rows_ranked": result.rows_ranked, **timings}
         print(json.dumps(meta, sort_keys=True))
         for rank, item in enumerate(result.items, start=1):
             print(json.dumps({
@@ -362,9 +364,9 @@ def cmd_evaluate(args):
             mode = "on" if use_filter else "off"
             triples = []
             curves = []
-            for s, predicted, q in zip(split.test, predicted_labels,
-                                       test_features[layer]):
-                result = scan(index, q, predicted, layer, cfg.k, use_filter)
+            results = scan_batch(index, test_features[layer],
+                                 predicted_labels, layer, cfg.k, use_filter)
+            for s, result in zip(split.test, results):
                 ranked = [item.true_label for item in result.items]
                 total = db_label_counts.get(s.label, 0)
                 triples.append((ranked, s.label, total))

@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,7 +113,8 @@ def read_pgm(path):
         except ValueError:
             raise InputError(f"{path}: non-numeric pixel value") from None
         pixels = np.asarray(values, dtype=np.int64)
-    if pixels.max(initial=0) > maxval:
+    # A P5 byte cannot exceed 255; every other raster is checked.
+    if (magic == b"P2" or maxval < 255) and pixels.max(initial=0) > maxval:
         raise InputError(f"{path}: pixel value exceeds maxval {maxval}")
     return pixels.astype(np.uint8).reshape(height, width)
 
@@ -247,16 +249,16 @@ def ingest_directory(root, out_size=224):
     root = Path(root)
     if not root.is_dir():
         raise InputError(f"{root} is not a directory")
-    class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
-    if not class_dirs:
+    class_names = _listing(root, "is_dir")
+    if not class_names:
         raise InputError(f"{root} contains no class directories")
     samples = []
     skipped = 0
-    class_names = tuple(d.name for d in class_dirs)
-    for label, class_dir in enumerate(class_dirs):
-        files = sorted(p for p in class_dir.iterdir() if p.is_file())
+    for label, name in enumerate(class_names):
+        class_dir = root / name
         loaded = 0
-        for path in files:
+        for file_name in _listing(class_dir, "is_file"):
+            path = class_dir / file_name
             try:
                 raw = read_pgm(path)
                 _check_raster(raw.shape, out_size)
@@ -265,13 +267,31 @@ def ingest_directory(root, out_size=224):
                 skipped += 1
                 continue
             samples.append(Sample(image=raw, label=label,
-                                  source_id=f"{class_dir.name}/{path.name}"))
+                                  source_id=f"{name}/{file_name}"))
             loaded += 1
         if loaded == 0:
             raise InputError(f"class directory {class_dir} has no usable images")
     if skipped:
         log.warning("ingest skipped %d undecodable file(s)", skipped)
     return samples, class_names, skipped
+
+
+def _listing(directory, kind):
+    """Sorted names of the entries of directory that are of kind.
+
+    kind is "is_dir" or "is_file", asked of each os.DirEntry: one scandir
+    pass, with no stat per entry on most filesystems. Both follow
+    symlinks, as the Path methods do; where the entry raises (a symlink
+    loop, say), the Path method answers instead.
+    """
+    def keep(entry):
+        try:
+            return getattr(entry, kind)()
+        except OSError:
+            return getattr(Path(entry.path), kind)()
+
+    with os.scandir(directory) as entries:
+        return tuple(sorted(e.name for e in entries if keep(e)))
 
 
 def split_dataset(samples, class_names, train_fraction=0.7, rng_seed=0):

@@ -2,24 +2,34 @@
 
 The index is columnar, like a flat FAISS index: one (N, dim) float64
 matrix per hidden-FC tap is the only copy of the features, next to the
-source id and label columns and the rows of each predicted class. scan
-is the exact brute-force kernel over one layer. It streams the layer
-matrix (or, with the class filter, the partition's rows) a block of
-SCAN_BLOCK_BYTES at a time through one preallocated buffer, so it never
-holds an (N, dim) temporary, and each row's squared distance has the
-bits of np.sum((row - q) ** 2). Ranking happens on squared distances
-(the square root is order-preserving and applied only to the returned
-top k): np.partition finds the k-th smallest, every row at or below it
-is a candidate, so ties at the cut all stay in, and only the candidates
-are lexsorted by distance, then ascending source_id. query is the
-fingerprint check (a hash only for an unfrozen network), one eval
-forward and scan. A built index is immutable, so concurrent scans need
-no locking.
+source id and label columns, the rows of each predicted class and each
+row's squared norm. scan_batch is the exact brute-force kernel over one
+layer, for an (m, dim) block of queries; scan is its m = 1 case and
+cmd_evaluate passes each layer's test features at once. It works in the
+split of Johnson et al. (FAISS, arXiv 1702.08734): a GEMM distance
+||x||^2 - 2 x.q + ||q||^2 over the searched rows (every row, or the
+query's class partition) only picks a shortlist, every row within a
+rigorous floating-point error bound of the k-th smallest GEMM distance
+(_error_bound), and the GEMM values are never reported. The exact loop
+then streams the shortlisted rows a block of SCAN_BLOCK_BYTES at a time,
+so each squared distance has the bits of np.sum((row - q) ** 2).
+Ranking happens on squared distances (the square root is order-preserving
+and applied only to the returned top k): np.partition finds the k-th
+smallest, every row at or below it is a candidate, so ties at the cut all
+stay in, and only the candidates are lexsorted by distance, then
+ascending source_id. Searched rows that fit in one exact block, or number
+at most k, skip the GEMM. No scan holds an (N, dim) temporary: GEMM
+distances are computed GEMM_BLOCK_BYTES at a time. query is the
+fingerprint check (a hash only for an unfrozen network), one eval forward
+and scan. A built index is immutable, so concurrent scans need no
+locking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +52,7 @@ INDEX_MAGIC = b"CBNINDX\n"
 INDEX_VERSION = 1
 WRITE_BLOCK_BYTES = 1 << 20  # payload save_index encodes at a time
 SCAN_BLOCK_BYTES = 1 << 18  # feature rows scan subtracts and squares at a time
+GEMM_BLOCK_BYTES = 1 << 20  # GEMM distances (queries x rows) scan holds at once
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,10 @@ class RetrievalResult:
     layer: str
     class_filter_enabled: bool
     status: str  # "ok", or "empty-class" when the filtered partition is empty
+    # Work done, not part of the result: the rows of the searched
+    # partition, and how many of them were given exact distances.
+    rows_scanned: int = field(default=0, compare=False)
+    rows_ranked: int = field(default=0, compare=False)
 
 
 class FeatureIndex:
@@ -65,6 +80,7 @@ class FeatureIndex:
 
     features maps each layer name, in index order, to an (N, dim)
     matrix. Arrays that already hold float64 are kept, not copied.
+    row_norms maps each layer name to its rows' squared L2 norms.
     """
 
     def __init__(self, source_ids, true_labels, predicted_labels, features,
@@ -85,13 +101,20 @@ class FeatureIndex:
             if m.ndim != 2 or len(m) != len(self):
                 raise InputError(f"layer {name} features have shape "
                                  f"{m.shape}, not ({len(self)}, dim)")
-        if not all(np.isfinite(m).all() for m in self.features.values()):
+        # Squared row norms, which scan's GEMM reads. A norm is finite
+        # unless its row holds a NaN or inf or squares past the float64
+        # range; only then are the elements themselves checked.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.row_norms = {name: np.einsum("ij,ij->i", m, m)
+                              for name, m in self.features.items()}
+        if not all(np.isfinite(v).all() for v in self.row_norms.values()):
             bad = np.stack([~np.isfinite(m).all(axis=1)
                             for m in self.features.values()], axis=1)
-            row, col = np.argwhere(bad)[0]
-            raise InputError(
-                f"record {self.source_ids[row]} has non-finite features "
-                f"in {self.feature_layers[col]}")
+            if bad.any():
+                row, col = np.argwhere(bad)[0]
+                raise InputError(
+                    f"record {self.source_ids[row]} has non-finite features "
+                    f"in {self.feature_layers[col]}")
         self.class_partitions = {
             label: np.flatnonzero(self.predicted_labels == label)
             for label in dict.fromkeys(self.predicted_labels.tolist())}
@@ -123,35 +146,175 @@ def scan(index, q, predicted, layer, k, use_class_filter):
 
     predicted is the query's class prediction. With the filter on, only
     that class's partition is scanned; an absent partition yields an
-    empty result marked "empty-class" rather than an error.
+    empty result marked "empty-class" rather than an error. This is the
+    one-query case of scan_batch.
     """
+    matrix = _layer_matrix(index, layer, k)
+    if np.shape(q) != matrix.shape[1:]:
+        raise InputError(f"query vector has shape {np.shape(q)}, layer "
+                         f"{layer} holds {matrix.shape[1]}-dim features")
+    return scan_batch(index, np.asarray(q, dtype=DTYPE)[None], [predicted],
+                      layer, k, use_class_filter)[0]
+
+
+def scan_batch(index, queries, predicted, layer, k, use_class_filter):
+    """One scan result per row of the (m, dim) queries, in order.
+
+    predicted holds each query's class prediction. Queries that search
+    the same rows (all of them, or one class partition) share each GEMM;
+    every result equals that of scanning its query alone.
+    """
+    matrix = _layer_matrix(index, layer, k)
+    queries = np.asarray(queries, dtype=DTYPE)
+    predicted = [int(p) for p in predicted]
+    if (queries.ndim != 2 or queries.shape[1:] != matrix.shape[1:]
+            or len(predicted) != len(queries)):
+        raise InputError(
+            f"queries have shape {queries.shape} with {len(predicted)} "
+            f"predictions; layer {layer} needs (m, {matrix.shape[1]}) "
+            f"and m predictions")
+    groups = {}
+    for i, label in enumerate(predicted):
+        groups.setdefault(label if use_class_filter else None, []).append(i)
+    results = [None] * len(queries)
+    for label, members in groups.items():
+        rows = None if label is None else index.class_partitions.get(label)
+        if label is not None and rows is None:
+            for i in members:
+                results[i] = RetrievalResult(
+                    items=(), query_predicted_label=label, layer=layer,
+                    class_filter_enabled=True, status="empty-class")
+            continue
+        n = len(matrix) if rows is None else len(rows)
+        for i, shortlist in _shortlists(matrix, index.row_norms[layer], rows,
+                                         queries, members, k):
+            results[i] = RetrievalResult(
+                items=_rank(index, matrix, queries[i], shortlist, k),
+                query_predicted_label=predicted[i], layer=layer,
+                class_filter_enabled=use_class_filter, status="ok",
+                rows_scanned=n,
+                rows_ranked=n if shortlist is None else len(shortlist))
+    return results
+
+
+def _layer_matrix(index, layer, k):
+    """The layer's feature matrix, once k and the layer name are checked."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     if layer not in index.features:
         raise InputError(
             f"layer {layer!r} not in index layers {index.feature_layers}")
-    matrix, sids, labels = (index.features[layer], index.source_ids,
-                            index.true_labels)
-    if np.shape(q) != matrix.shape[1:]:
-        raise InputError(f"query vector has shape {np.shape(q)}, layer "
-                         f"{layer} holds {matrix.shape[1]}-dim features")
-    predicted = int(predicted)
-    rows = None
-    if use_class_filter:
-        rows = index.class_partitions.get(predicted)
-        if rows is None:
-            return RetrievalResult(
-                items=(), query_predicted_label=predicted, layer=layer,
-                class_filter_enabled=True, status="empty-class")
+    return index.features[layer]
+
+
+def _shortlists(matrix, norms, rows, queries, members, k):
+    """Yield (query position, the rows _rank must see) for each member.
+
+    rows are the searched rows (None: every row). For a block of queries
+    at a time, a GEMM gives every searched row's distance
+    g = ||x||^2 - 2 x.q + ||q||^2; a row is kept when g <= t + 2E, where
+    t is the k-th smallest g and E bounds |g - exact| (_error_bound).
+    """
+    n, dim = len(matrix) if rows is None else len(rows), matrix.shape[1]
+    # Rows that fit in one exact block are ranked whole: that one pass
+    # costs less than a GEMM and then a pass over the shortlist.
+    if n <= max(k, SCAN_BLOCK_BYTES // max(1, 8 * dim)):
+        for i in members:
+            yield i, rows
+        return
+    row_norms = norms if rows is None else norms[rows]
+    max_norm = float(row_norms.max())
+    per_gemm = max(1, GEMM_BLOCK_BYTES // (8 * n))
+    # A partition's rows are gathered (copied) a bounded block at a time.
+    per_gather = n if rows is None else max(1, GEMM_BLOCK_BYTES
+                                            // max(1, 8 * dim))
+    for b in range(0, len(members), per_gemm):
+        block = members[b:b + per_gemm]
+        q = queries[block]
+        q_norms = np.einsum("ij,ij->i", q, q)
+        g = np.empty((len(block), n), dtype=DTYPE)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, n, per_gather):
+                e = min(s + per_gather, n)
+                np.matmul(q, (matrix[s:e] if rows is None
+                              else matrix[rows[s:e]]).T, out=g[:, s:e])
+            g *= -2.0
+            g += row_norms
+            g += q_norms[:, None]
+        for i, gi, q_norm in zip(block, g, q_norms.tolist()):
+            t = float(np.partition(gi, k - 1)[k - 1])
+            # "not >": a NaN or infinite cut keeps every row.
+            keep = np.flatnonzero(
+                ~(gi > t + 2.0 * _error_bound(dim, max_norm, q_norm)))
+            if len(keep) == n:
+                yield i, rows
+            else:
+                yield i, keep if rows is None else rows[keep]
+
+
+_U = np.finfo(DTYPE).eps / 2  # unit roundoff
+_ETA = float(np.finfo(DTYPE).smallest_subnormal)
+
+
+def _error_bound(dim, max_norm_sq, q_norm_sq):
+    """A bound E on |g - s| for every searched row, as a float.
+
+    g is a row's GEMM distance and s the bits of np.sum((x - q) ** 2).
+    With u = eps/2, gamma_j = j*u/(1 - j*u) and any summation order
+    (pairwise, blocked BLAS, FMA), a computed sum of j nonnegative terms,
+    or a dot product of length j, is within gamma_j of the exact one
+    relative to the sum of the terms' magnitudes. So, with D the exact
+    ||x - q||^2 and r = ||x|| + ||q||:
+      |s - D| <= gamma_{dim+2} D <= gamma_{dim+2} r^2   (dim differences,
+        squares and additions; D <= r^2);
+      |g - D| <= gamma_{dim+2} (||x||^2 + 2 sum|x_i q_i| + ||q||^2)
+              <= gamma_{dim+2} r^2   (the norms and the dot product, then
+        two additions; sum|x_i q_i| <= ||x|| ||q||).
+    A rounding that lands below the normal range errs by up to half the
+    smallest subnormal eta instead, at most 4j eta over both sums with
+    j = dim + 3. So |g - s| <= E0 = 2 gamma_j R^2 + 4 j eta, with
+    R = max ||x|| over the searched rows + ||q||. Then every row with
+    s <= t* (the k-th smallest s) has g <= s + E0 <= t* + E0 <= t + 2 E0,
+    since shifting each value by at most E0 moves each order statistic
+    by at most E0: the shortlist holds every row of the exact top k and
+    every tie at its k-th distance. E = 4 E0; the factor covers the
+    rounding of R (taken from computed norms) and of E and t + 2E, which
+    are a few u relative. gamma_j is taken as infinite once j*u reaches
+    1/4, and E is infinite when 4 R^2 overflows (an overflowing norm, an
+    inf or NaN query), so such a scan keeps every row.
+    """
+    j = dim + 3
+    gamma = j * _U / (1 - j * _U) if j * _U < 0.25 else math.inf
+    r = math.sqrt(max_norm_sq) + math.sqrt(q_norm_sq)
+    r2 = r * r  # inf, not OverflowError, past the float range
+    if not 4.0 * r2 < math.inf:
+        return math.inf
+    return 4.0 * (2.0 * gamma * r2 + 4.0 * j * _ETA)
+
+
+def _rank(index, matrix, q, rows, k):
+    """Exact top k among rows (None: every row), as RetrievedItems.
+
+    The rows are streamed SCAN_BLOCK_BYTES at a time, through one buffer
+    or, for listed rows, through each block's gathered copy (a second
+    block-sized allocation per call made the allocator return and fault
+    pages in again on every call), and each squared distance has the
+    bits of np.sum((x - q) ** 2).
+    """
+    sids, labels = index.source_ids, index.true_labels
     n, dim = len(matrix) if rows is None else len(rows), matrix.shape[1]
     block = max(1, SCAN_BLOCK_BYTES // max(1, 8 * dim))
-    buf = np.empty((min(block, n), dim), dtype=DTYPE)
+    if rows is None:
+        buf = np.empty((min(block, n), dim), dtype=DTYPE)
     sq = np.empty(n, dtype=DTYPE)
     for s in range(0, n, block):
         e = min(s + block, n)
-        part = buf[:e - s]
-        np.subtract(matrix[s:e] if rows is None else matrix[rows[s:e]], q,
-                    out=part)
+        if rows is None:
+            part = buf[:e - s]
+            np.subtract(matrix[s:e], q, out=part)
+        else:
+            part = matrix[rows[s:e]]
+            np.subtract(part, q, out=part)
         np.square(part, out=part)
         np.sum(part, axis=1, out=sq[s:e])
     picked = np.arange(n)
@@ -162,20 +325,22 @@ def scan(index, q, predicted, layer, k, use_class_filter):
     picked_rows = picked if rows is None else rows[picked]
     # lexsort's last key is primary: distance first, then source_id.
     order = np.lexsort((sids[picked_rows], sq[picked]))[:k]
-    items = tuple(
-        RetrievedItem(source_id=str(sids[r]), distance=float(np.sqrt(d)),
-                      true_label=int(labels[r]))
-        for r, d in zip(picked_rows[order], sq[picked[order]]))
-    return RetrievalResult(
-        items=items, query_predicted_label=predicted, layer=layer,
-        class_filter_enabled=use_class_filter, status="ok")
+    top = picked_rows[order]
+    return tuple(
+        RetrievedItem(source_id=sid, distance=d, true_label=label)
+        for sid, d, label in zip(sids[top].tolist(),
+                                 np.sqrt(sq[picked[order]]).tolist(),
+                                 labels[top].tolist()))
 
 
-def query(index, net, query_image, layer, k, use_class_filter):
+def query(index, net, query_image, layer, k, use_class_filter,
+          timings=None):
     """Top-k nearest records to a query image's features at one layer.
 
     After checking that net built the index, one eval forward pass gives
     the query's class prediction and features, and scan ranks them.
+    timings, when a dict, receives the wall time of the forward and of
+    the scan as forward_ms and scan_ms.
     """
     fingerprint = net.fingerprint()
     if index.network_fingerprint != fingerprint:
@@ -183,9 +348,15 @@ def query(index, net, query_image, layer, k, use_class_filter):
             "index was built by a different network than the one supplied "
             f"(index fingerprint {index.network_fingerprint[:12]}..., "
             f"network {fingerprint[:12]}...)")
+    started = time.perf_counter()
     _, predicted, features = net.forward_classify(query_image)
-    return scan(index, features.get(layer), predicted, layer, k,
-                use_class_filter)
+    forwarded = time.perf_counter()
+    result = scan(index, features.get(layer), predicted, layer, k,
+                  use_class_filter)
+    if timings is not None:
+        timings["forward_ms"] = (forwarded - started) * 1e3
+        timings["scan_ms"] = (time.perf_counter() - forwarded) * 1e3
+    return result
 
 
 def save_index(index, path):

@@ -2,10 +2,13 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from cbirnet import data
+from cbirnet.errors import InputError
 from cbirnet.layers import (
     Conv2d,
     Dropout,
@@ -180,6 +183,31 @@ def preprocess_reference(raw, out_size):
     off = (target - out_size) // 2
     crop = resized[off:off + out_size, off:off + out_size]
     return (crop / 255.0)[None, :, :]
+
+
+def ingest_directory_reference(root, out_size):
+    """The Path-sorted listing data.ingest_directory replaced, as its oracle.
+
+    Class directories and files are listed with Path.iterdir, filtered
+    with Path.is_dir and Path.is_file and sorted as Paths; each file is
+    decoded and checked as ingest does. Returns (samples, class_names,
+    skipped).
+    """
+    root = Path(root)
+    class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
+    samples, skipped = [], 0
+    for label, class_dir in enumerate(class_dirs):
+        for path in sorted(p for p in class_dir.iterdir() if p.is_file()):
+            try:
+                raw = data.read_pgm(path)
+                data._check_raster(raw.shape, out_size)
+            except InputError:
+                skipped += 1
+                continue
+            samples.append(data.Sample(
+                image=raw, label=label,
+                source_id=f"{class_dir.name}/{path.name}"))
+    return samples, tuple(d.name for d in class_dirs), skipped
 
 
 def rewrite_container_header(path, edit):

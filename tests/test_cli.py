@@ -241,6 +241,22 @@ class TestQuery:
         assert "predicted_class" in lines[0]
         assert lines[1]["rank"] == 1
         assert {"rank", "source_id", "distance", "true_class"} <= set(lines[1])
+        # The meta line reports the scan's work and the stages' wall time.
+        meta = lines[0]
+        index = load_index(run_dir / "features.idx")
+        class_names = load_checkpoint(run_dir / "model.ckpt")[1]["class_names"]
+        label = class_names.index(meta["predicted_class"])
+        assert meta["rows_scanned"] == len(index.class_partitions[label])
+        assert len(lines) - 1 <= meta["rows_ranked"] <= meta["rows_scanned"]
+        for key in ("forward_ms", "scan_ms"):
+            assert isinstance(meta[key], float) and meta[key] >= 0.0
+        code, stdout, _ = run(capsys, "query", "--out", str(run_dir),
+                              "--image", str(image), "--k", "3",
+                              "--json-lines", "--no-filter")
+        assert code == 0
+        meta = json.loads(stdout.splitlines()[0])
+        assert meta["rows_scanned"] == len(index)
+        assert 3 <= meta["rows_ranked"] <= len(index)
 
     def test_unreadable_image_is_input_error(self, pipeline, capsys):
         _, run_dir = pipeline

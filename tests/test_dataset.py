@@ -434,6 +434,43 @@ class TestCorpusRoundTrip:
                     == [s.source_id for s in getattr(
                         split_dataset(clean, names, rng_seed=4), side)])
 
+    def test_listing_matches_path_sorted_oracle(self, tmp_path):
+        samples, names = generate_synthetic_corpus(3, 10, 16, rng_seed=2)
+        write_corpus(samples, names, tmp_path)
+        first, second = tmp_path / names[0], tmp_path / names[1]
+        # Names whose string order differs from a numeric or case-folded one.
+        for name in ("B.pgm", "a10.pgm", "a9.pgm", "_x.pgm", "Z"):
+            write_pgm(first / name, RNG.integers(0, 256, (16, 16), np.uint8))
+        (first / "nested").mkdir()
+        write_pgm(first / "nested" / "deep.pgm",
+                  np.zeros((16, 16), dtype=np.uint8))
+        (first / "link.pgm").symlink_to(second / "0003.pgm")
+        (first / "dangling.pgm").symlink_to(tmp_path / "missing.pgm")
+        (first / "loop_a").symlink_to(first / "loop_b")
+        (first / "loop_b").symlink_to(first / "loop_a")
+        (first / "notes.txt").write_text("not an image")
+        # P5 at maxval 200 holding a 250: skipped only once decoded.
+        (second / "over.pgm").write_bytes(b"P5\n4 4\n200\n"
+                                          + bytes([250] + [0] * 15))
+        (tmp_path / "linked_class").symlink_to(second)
+        got = ingest_directory(tmp_path, out_size=16)
+        want = conftest.ingest_directory_reference(tmp_path, out_size=16)
+        assert got[1:] == want[1:]
+        assert got[1] == (*names, "linked_class")
+        assert got[2] == 3  # notes.txt, and over.pgm in two classes
+        ids = [(s.source_id, s.label) for s in got[0]]
+        assert ids == [(s.source_id, s.label) for s in want[0]]
+        assert (f"{names[0]}/link.pgm", 0) in ids
+        assert not any("deep" in sid or "loop" in sid or "dangling" in sid
+                       for sid, _ in ids)
+        assert all(same_bytes(a.image, b.image)
+                   for a, b in zip(got[0], want[0]))
+        for side in ("train", "test"):
+            assert ([s.source_id for s in getattr(
+                        split_dataset(got[0], got[1], rng_seed=3), side)]
+                    == [s.source_id for s in getattr(
+                        split_dataset(want[0], want[1], rng_seed=3), side)])
+
     def test_empty_class_dir_rejected(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

@@ -1,12 +1,15 @@
 """Feature index, exact-scan queries against a loop oracle, index files."""
 
+import contextlib
 import hashlib
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conftest
 from cbirnet.data import generate_synthetic_corpus
@@ -37,6 +40,7 @@ from cbirnet.retrieval import (
     query,
     save_index,
     scan,
+    scan_batch,
 )
 
 RNG = np.random.default_rng(2718)
@@ -432,6 +436,198 @@ class TestBlockedScan:
         res = scan(index, np.full(3, np.nan), 0, "fc1", 4, False)
         assert [it.source_id for it in res.items] == ["r0", "r1", "r2", "r3"]
         assert all(math.isnan(it.distance) for it in res.items)
+
+
+# Fixed examples, so the suite tests the same indexes on every run.
+EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True,
+                    database=None)
+
+
+def columnar_index(matrix, labels, layout, ids=None):
+    """One-layer index over matrix; "loaded" makes fc1 a column view of a
+    wider table, as load_index does, and "contiguous" keeps it whole."""
+    n, dim = matrix.shape
+    if layout == "loaded":
+        table = np.zeros((n, dim + 3))
+        table[:, 2:2 + dim] = matrix
+        matrix = np.split(table, [2, 2 + dim], axis=1)[1]
+    ids = [f"s{(7 * i) % n:04d}" for i in range(n)] if ids is None else ids
+    return FeatureIndex(ids, labels, labels, {"fc1": matrix}, "fp")
+
+
+def batch_matches_reference(index, queries, predicted, k, use_filter,
+                            scan_rows=1):
+    """scan_batch and scan give each query the reference's bits.
+
+    The exact scan block is patched to scan_rows rows, so that any
+    partition of more than k rows goes through the shortlist (None keeps
+    SCAN_BLOCK_BYTES, under which a partition that fits in one block is
+    ranked whole).
+    """
+    patch = contextlib.nullcontext() if scan_rows is None else \
+        mock.patch.object(retrieval, "SCAN_BLOCK_BYTES",
+                          8 * scan_rows * index.features["fc1"].shape[1])
+    with patch:
+        results = scan_batch(index, queries, predicted, "fc1", k, use_filter)
+        alone = [scan(index, q, label, "fc1", k, use_filter)
+                 for q, label in zip(queries, predicted)]
+    assert len(results) == len(queries)
+    for q, label, res, one in zip(queries, predicted, results, alone):
+        assert (one.status, item_bits(one)) == (res.status, item_bits(res))
+        if use_filter and label not in index.class_partitions:
+            assert (res.status, res.items) == ("empty-class", ())
+            continue
+        assert res.status == "ok"
+        assert item_bits(res) == reference_scan(index, q, label, "fc1", k,
+                                                use_filter)
+        assert min(k, res.rows_scanned) <= res.rows_ranked <= res.rows_scanned
+    return results
+
+
+class TestShortlist:
+    """The GEMM shortlist never changes what the exact ranking returns."""
+
+    @EXAMPLES
+    @given(n=st.integers(1, 40), dim=st.integers(0, 9),
+           classes=st.integers(1, 4), m=st.sampled_from([1, 2, 5]),
+           per_gemm=st.sampled_from([1, 2, None]),
+           scan_rows=st.sampled_from([1, 3, None]),
+           layout=st.sampled_from(["contiguous", "loaded"]),
+           values=st.sampled_from(["normal", "integers", "offset"]),
+           use_filter=st.booleans(), extra_k=st.integers(0, 45),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference(self, n, dim, classes, m, per_gemm, scan_rows,
+                               layout, values, use_filter, extra_k, seed):
+        rng = np.random.default_rng(seed)
+        matrix = {"normal": lambda shape: rng.standard_normal(shape),
+                  "integers": lambda shape: rng.integers(-2, 3, shape) * 1.0,
+                  "offset": lambda shape: 1e8 + rng.random(shape)}[values](
+                      (n + m, dim))
+        index = columnar_index(matrix[:n], rng.integers(0, classes, n),
+                               layout)
+        # Half the queries are indexed rows, the rest fresh vectors.
+        queries = np.where(rng.random((m, 1)) < 0.5,
+                           matrix[rng.integers(0, n, m)], matrix[n:])
+        predicted = rng.integers(0, classes + 1, m)  # classes may be absent
+        k = 1 + extra_k % (n + 5)
+        block = 8 * n * (per_gemm or m)  # per_gemm queries to a GEMM
+        with mock.patch.object(retrieval, "GEMM_BLOCK_BYTES", block):
+            batch_matches_reference(index, queries, predicted, k, use_filter,
+                                    scan_rows)
+
+    def test_near_ties_closer_than_the_gemm_error(self):
+        # Forty rows within ~1e-14 of one another: their exact distances
+        # differ in the last bits, and the GEMM ranks them in another
+        # order, so only a cut widened by the bound keeps the right ones.
+        rng = np.random.default_rng(9)
+        base = rng.standard_normal(64)
+        for spread in (1e-16, 1e-15, 1e-14, 1e-13):
+            rows = np.vstack([base + spread * rng.standard_normal((40, 64)),
+                              rng.standard_normal((60, 64)) * 3.0])
+            for layout in ("contiguous", "loaded"):
+                index = columnar_index(rows, [0] * 100, layout)
+                queries = [np.zeros(64), base + 1e-9, rows[50],
+                           3.0 * rng.standard_normal(64)]
+                for k in (1, 5, 17, 39, 40, 41):
+                    batch_matches_reference(index, queries, [0] * 4, k,
+                                            False)
+
+    def test_large_common_offset(self):
+        # ||x||^2 ~ 1e17 while distances are ~1: the GEMM values cancel to
+        # noise, so the bound must widen the cut to every row.
+        rng = np.random.default_rng(3)
+        rows = 1e8 + rng.random((50, 16))
+        index = columnar_index(rows, rng.integers(0, 2, 50), "contiguous")
+        queries = np.vstack([rows[:3], 1e8 + rng.random((3, 16))])
+        for k in (1, 4, 20):
+            for use_filter in (False, True):
+                batch_matches_reference(index, queries, [0, 1, 0, 1, 0, 1],
+                                        k, use_filter)
+
+    def test_rows_whose_norms_overflow(self):
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((30, 6))
+        rows[[3, 11, 25]] = 1e200
+        rows[17, 2] = -1e200
+        index = columnar_index(rows, [0] * 30, "loaded")
+        assert not np.isfinite(index.row_norms["fc1"]).all()
+        queries = np.vstack([rows[:2], np.full(6, 1e200),
+                             rng.standard_normal(6)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1, 3, 4, 29):
+                batch_matches_reference(index, queries, [0] * 4, k, False)
+
+    def test_nan_and_inf_queries(self):
+        rng = np.random.default_rng(5)
+        index = columnar_index(rng.standard_normal((30, 8)),
+                               rng.integers(0, 2, 30), "contiguous")
+        queries = np.vstack([np.full(8, np.nan), np.full(8, np.inf),
+                             np.r_[-np.inf, np.zeros(7)],
+                             np.r_[np.nan, np.ones(7)],
+                             rng.standard_normal(8)])
+        with np.errstate(invalid="ignore"):
+            for k in (1, 3, 31):
+                for use_filter in (False, True):
+                    results = batch_matches_reference(
+                        index, queries, [0, 1, 0, 1, 0], k, use_filter)
+                    assert all(r.rows_ranked == r.rows_scanned
+                               for r in results[:4])
+
+    def test_empty_class_and_partitions_smaller_than_k(self):
+        rng = np.random.default_rng(6)
+        labels = [0] * 3 + [1] * 40
+        index = columnar_index(rng.standard_normal((43, 5)), labels,
+                               "contiguous")
+        queries = rng.standard_normal((4, 5))
+        results = batch_matches_reference(index, queries, [0, 2, 1, 0], 5,
+                                          True)
+        assert [r.status for r in results] == ["ok", "empty-class", "ok",
+                                               "ok"]
+        assert [(r.rows_scanned, r.rows_ranked) for r in results] == [
+            (3, 3), (0, 0), (40, 5), (3, 3)]
+
+    def test_ranks_only_the_top_k_and_its_ties(self):
+        # At the desk feature width and the stock block sizes, the
+        # shortlist of a generic index is the top k and any rows tied at
+        # its k-th distance, so a silent fall-back to scanning every row
+        # fails here.
+        rng = np.random.default_rng(7)
+        rows = np.abs(rng.standard_normal((600, 410)))
+        for layout in ("contiguous", "loaded"):
+            index = columnar_index(rows, rng.integers(0, 3, 600), layout)
+            queries = np.vstack([rows[:4],
+                                 np.abs(rng.standard_normal((4, 410)))])
+            for use_filter in (False, True):
+                for k in (1, 5, 20):
+                    results = batch_matches_reference(
+                        index, queries, [0, 1, 2, 0] * 2, k, use_filter,
+                        scan_rows=None)
+                    for q, res in zip(queries, results):
+                        searched = (index.class_partitions[
+                            res.query_predicted_label] if use_filter
+                            else np.arange(600))
+                        sq = np.sum((rows[searched] - q) ** 2, axis=1)
+                        cut = np.sort(sq)[k - 1]
+                        assert res.rows_ranked <= np.count_nonzero(sq <= cut)
+                        assert res.rows_ranked < res.rows_scanned
+
+    def test_one_block_partition_is_ranked_whole(self):
+        # Rows that fit in one exact block skip the GEMM.
+        rng = np.random.default_rng(8)
+        index = columnar_index(rng.standard_normal((60, 410)), [0] * 60,
+                               "contiguous")
+        assert 60 * 410 * 8 <= retrieval.SCAN_BLOCK_BYTES
+        res = batch_matches_reference(index, rng.standard_normal((2, 410)),
+                                      [0, 0], 5, True, scan_rows=None)
+        assert [(r.rows_scanned, r.rows_ranked) for r in res] == [(60, 60)] * 2
+
+    def test_bad_query_block_rejected(self):
+        index = one_layer_index(RNG.random((4, 3)))
+        for queries, predicted in ((np.ones(3), [0]), (np.ones((2, 4)), [0, 0]),
+                                   (np.ones((2, 3)), [0])):
+            with pytest.raises(InputError):
+                scan_batch(index, queries, predicted, "fc1", 1, False)
+        assert scan_batch(index, np.ones((0, 3)), [], "fc1", 1, False) == []
 
 
 class TestFrozenQuery:
