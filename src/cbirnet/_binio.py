@@ -73,10 +73,16 @@ def check_payload_size(f, size, what):
             f"after the header")
 
 
-def read_payload(f, size, what):
-    """The size bytes after the header, checked against the file first."""
-    check_payload_size(f, size, what)
-    return read_exact(f, size, what)
+def read_into(f, array, what):
+    """Fill the C-contiguous array with its size in bytes from f.
+
+    A file that ends first raises TruncatedFileError, as read_exact does.
+    """
+    view = memoryview(array).cast("B")
+    got = f.readinto(view)
+    if got != len(view):
+        raise TruncatedFileError(
+            f"file ends inside {what}: wanted {len(view)} bytes, got {got}")
 
 
 def write_container_header(f, magic, version, header_obj):

@@ -2,12 +2,15 @@
 
 The index is columnar, like a flat FAISS index: one (N, dim) float64
 matrix per hidden-FC tap is the only copy of the features, next to the
-source id and label columns, the rows of each predicted class and each
-row's squared norm. scan_batch is the exact brute-force kernel over one
-layer, for an (m, dim) block of queries; scan is its m = 1 case and
-cmd_evaluate passes each layer's test features at once. It works in the
-split of Johnson et al. (FAISS, arXiv 1702.08734): a GEMM distance
-||x||^2 - 2 x.q + ||q||^2 over the searched rows (every row, or the
+source id, label and record-number columns and each row's squared norm.
+Rows are stored grouped by predicted label, like the inverted lists of an
+IVF index probed once (Johnson et al., FAISS, arXiv 1702.08734): each
+class partition is a range of rows, so the class filter scans a slice of
+every matrix and never gathers a copy. scan_batch is the exact
+brute-force kernel over one layer, for an (m, dim) block of queries; scan
+is its m = 1 case and cmd_evaluate passes each layer's test features at
+once. It works in FAISS's split: a GEMM distance
+||x||^2 - 2 x.q + ||q||^2 over the searched range (every row, or the
 query's class partition) only picks a shortlist, every row within a
 rigorous floating-point error bound of the k-th smallest GEMM distance
 (_error_bound), and the GEMM values are never reported. The exact loop
@@ -17,12 +20,14 @@ Ranking happens on squared distances (the square root is order-preserving
 and applied only to the returned top k): np.partition finds the k-th
 smallest, every row at or below it is a candidate, so ties at the cut all
 stay in, and only the candidates are lexsorted by distance, then
-ascending source_id. Searched rows that fit in one exact block, or number
-at most k, skip the GEMM. No scan holds an (N, dim) temporary: GEMM
+ascending source_id, then record number, so no result depends on the
+storage order. Searched rows that fit in one exact block, or number at
+most k, skip the GEMM. No scan holds an (N, dim) temporary: GEMM
 distances are computed GEMM_BLOCK_BYTES at a time. query is the
 fingerprint check (a hash only for an unfrozen network), one eval forward
 and scan. A built index is immutable, so concurrent scans need no
-locking.
+locking. The index file keeps records in record order (see save_index);
+only memory is grouped.
 """
 
 from __future__ import annotations
@@ -35,9 +40,10 @@ import numpy as np
 
 from ._binio import (
     atomic_write,
+    check_payload_size,
     header_value,
     read_container_header,
-    read_payload,
+    read_into,
     write_container_header,
 )
 from .errors import (
@@ -51,6 +57,7 @@ from .layers import DTYPE
 INDEX_MAGIC = b"CBNINDX\n"
 INDEX_VERSION = 1
 WRITE_BLOCK_BYTES = 1 << 20  # payload save_index encodes at a time
+READ_BLOCK_BYTES = 1 << 20  # payload load_index reads at a time
 SCAN_BLOCK_BYTES = 1 << 18  # feature rows scan subtracts and squares at a time
 GEMM_BLOCK_BYTES = 1 << 20  # GEMM distances (queries x rows) scan holds at once
 
@@ -76,69 +83,123 @@ class RetrievalResult:
 
 
 class FeatureIndex:
-    """Immutable columns of N records, partitioned by predicted label.
+    """Immutable columns of N records, grouped by predicted label.
 
-    features maps each layer name, in index order, to an (N, dim)
-    matrix. Arrays that already hold float64 are kept, not copied.
-    row_norms maps each layer name to its rows' squared L2 norms.
+    The constructor takes records in record order and stores every column
+    and every layer matrix grouped by predicted label, in ascending label
+    order; the sort is stable, so each class keeps record order. positions
+    holds the record number of each stored row, and class_partitions maps
+    each predicted label to its range of rows. features maps each layer
+    name, in index order, to an (N, dim) matrix; a float64 matrix whose
+    records are already grouped is kept, not copied. row_norms maps each
+    layer name to its rows' squared L2 norms.
     """
 
     def __init__(self, source_ids, true_labels, predicted_labels, features,
                  network_fingerprint):
-        self.source_ids = np.asarray(source_ids, dtype=str)
-        self.true_labels = np.asarray(true_labels, dtype=np.int64)
-        self.predicted_labels = np.asarray(predicted_labels, dtype=np.int64)
-        self.features = {name: np.asarray(m, dtype=DTYPE)
-                         for name, m in features.items()}
-        self.feature_layers = tuple(self.features)
-        self.network_fingerprint = network_fingerprint
-        columns = (self.source_ids, self.true_labels, self.predicted_labels)
-        if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
+        columns = (np.asarray(source_ids, dtype=str),
+                   np.asarray(true_labels, dtype=np.int64),
+                   np.asarray(predicted_labels, dtype=np.int64))
+        features = {name: np.asarray(m, dtype=DTYPE)
+                    for name, m in features.items()}
+        n = len(columns[0])
+        if any(c.ndim != 1 or len(c) != n for c in columns):
             raise InputError(
                 f"source_ids, true_labels and predicted_labels need one "
                 f"entry per record, got shapes {[c.shape for c in columns]}")
-        for name, m in self.features.items():
-            if m.ndim != 2 or len(m) != len(self):
+        for name, m in features.items():
+            if m.ndim != 2 or len(m) != n:
                 raise InputError(f"layer {name} features have shape "
-                                 f"{m.shape}, not ({len(self)}, dim)")
+                                 f"{m.shape}, not ({n}, dim)")
+        order = _group_order(columns[2])
+        self._fill(*(_take(c, order) for c in columns), order,
+                   {name: _take(m, order) for name, m in features.items()},
+                   network_fingerprint)
+
+    @classmethod
+    def _grouped(cls, source_ids, true_labels, predicted_labels, order,
+                 features, network_fingerprint):
+        """An index over columns and matrices already grouped by order.
+
+        order is what _group_order gave for the records' predicted labels.
+        """
+        index = cls.__new__(cls)
+        index._fill(source_ids, true_labels, predicted_labels, order,
+                    features, network_fingerprint)
+        return index
+
+    def _fill(self, source_ids, true_labels, predicted_labels, order,
+              features, network_fingerprint):
+        self.source_ids = np.asarray(source_ids, dtype=str)
+        self.true_labels = np.asarray(true_labels, dtype=np.int64)
+        self.predicted_labels = np.asarray(predicted_labels, dtype=np.int64)
+        n = len(self.source_ids)
+        self.positions = np.arange(n) if order is None else order
+        self.features = features
+        self.feature_layers = tuple(features)
+        self.network_fingerprint = network_fingerprint
         # Squared row norms, which scan's GEMM reads. A norm is finite
         # unless its row holds a NaN or inf or squares past the float64
         # range; only then are the elements themselves checked.
         with np.errstate(over="ignore", invalid="ignore"):
             self.row_norms = {name: np.einsum("ij,ij->i", m, m)
-                              for name, m in self.features.items()}
+                              for name, m in features.items()}
         if not all(np.isfinite(v).all() for v in self.row_norms.values()):
-            bad = np.stack([~np.isfinite(m).all(axis=1)
-                            for m in self.features.values()], axis=1)
-            if bad.any():
-                row, col = np.argwhere(bad)[0]
+            rows, cols = np.nonzero(np.stack(
+                [~np.isfinite(m).all(axis=1) for m in features.values()],
+                axis=1))
+            if len(rows):
+                # The first bad record in record order, then its first layer.
+                first = np.lexsort((cols, self.positions[rows]))[0]
                 raise InputError(
-                    f"record {self.source_ids[row]} has non-finite features "
-                    f"in {self.feature_layers[col]}")
+                    f"record {self.source_ids[rows[first]]} has non-finite "
+                    f"features in {self.feature_layers[cols[first]]}")
+        cuts = (np.flatnonzero(np.diff(self.predicted_labels)) + 1).tolist()
         self.class_partitions = {
-            label: np.flatnonzero(self.predicted_labels == label)
-            for label in dict.fromkeys(self.predicted_labels.tolist())}
+            label: range(start, stop) for label, start, stop in zip(
+                self.predicted_labels[[0, *cuts]].tolist() if n else [],
+                [0, *cuts], [*cuts, n])}
 
     def __len__(self):
         return len(self.source_ids)
 
 
+def _group_order(predicted):
+    """Stable order that groups records by ascending predicted label.
+
+    None when the records are grouped already, so their arrays are kept.
+    """
+    if (predicted[1:] >= predicted[:-1]).all():
+        return None
+    return np.argsort(predicted, kind="stable")
+
+
+def _take(array, order):
+    """array's rows in _group_order's order."""
+    return array if order is None else array[order]
+
+
 def build_index(net, samples, images=None):
-    """Index all samples, keeping the tap arrays of one classify pass.
+    """Index all samples from the tap arrays of one classify pass.
 
     images is what classify reads for the samples, in order (say, a
     data.PreprocessedImages over their rasters); by default each sample's
     image. Records are partitioned by the *predicted* label (the
     retrieval-time filter can only see predictions); true labels ride
-    along solely for evaluation.
+    along solely for evaluation. Taps whose records are grouped already
+    are kept; otherwise each is regrouped and dropped before the next, so
+    at most one layer is held twice.
     """
     samples = list(samples)
     if images is None:
         images = [s.image for s in samples]
-    _, predicted, features = net.classify(images)
-    return FeatureIndex([s.source_id for s in samples],
-                        [s.label for s in samples], predicted, features,
-                        net.fingerprint())
+    _, predicted, taps = net.classify(images)
+    order = _group_order(predicted)
+    features = {name: _take(taps.pop(name), order) for name in list(taps)}
+    return FeatureIndex._grouped(
+        _take(np.asarray([s.source_id for s in samples], dtype=str), order),
+        _take(np.asarray([s.label for s in samples], dtype=np.int64), order),
+        _take(predicted, order), order, features, net.fingerprint())
 
 
 def scan(index, q, predicted, layer, k, use_class_filter):
@@ -178,22 +239,21 @@ def scan_batch(index, queries, predicted, layer, k, use_class_filter):
         groups.setdefault(label if use_class_filter else None, []).append(i)
     results = [None] * len(queries)
     for label, members in groups.items():
-        rows = None if label is None else index.class_partitions.get(label)
-        if label is not None and rows is None:
+        rows = (range(len(matrix)) if label is None
+                else index.class_partitions.get(label))
+        if rows is None:
             for i in members:
                 results[i] = RetrievalResult(
                     items=(), query_predicted_label=label, layer=layer,
                     class_filter_enabled=True, status="empty-class")
             continue
-        n = len(matrix) if rows is None else len(rows)
         for i, shortlist in _shortlists(matrix, index.row_norms[layer], rows,
                                          queries, members, k):
             results[i] = RetrievalResult(
                 items=_rank(index, matrix, queries[i], shortlist, k),
                 query_predicted_label=predicted[i], layer=layer,
                 class_filter_enabled=use_class_filter, status="ok",
-                rows_scanned=n,
-                rows_ranked=n if shortlist is None else len(shortlist))
+                rows_scanned=len(rows), rows_ranked=len(shortlist))
     return results
 
 
@@ -210,34 +270,28 @@ def _layer_matrix(index, layer, k):
 def _shortlists(matrix, norms, rows, queries, members, k):
     """Yield (query position, the rows _rank must see) for each member.
 
-    rows are the searched rows (None: every row). For a block of queries
-    at a time, a GEMM gives every searched row's distance
+    rows is the range of searched rows. For a block of queries at a time,
+    one GEMM over that slice of matrix gives every searched row's distance
     g = ||x||^2 - 2 x.q + ||q||^2; a row is kept when g <= t + 2E, where
     t is the k-th smallest g and E bounds |g - exact| (_error_bound).
     """
-    n, dim = len(matrix) if rows is None else len(rows), matrix.shape[1]
+    n, dim = len(rows), matrix.shape[1]
     # Rows that fit in one exact block are ranked whole: that one pass
     # costs less than a GEMM and then a pass over the shortlist.
     if n <= max(k, SCAN_BLOCK_BYTES // max(1, 8 * dim)):
         for i in members:
             yield i, rows
         return
-    row_norms = norms if rows is None else norms[rows]
+    searched = matrix[rows.start:rows.stop]
+    row_norms = norms[rows.start:rows.stop]
     max_norm = float(row_norms.max())
     per_gemm = max(1, GEMM_BLOCK_BYTES // (8 * n))
-    # A partition's rows are gathered (copied) a bounded block at a time.
-    per_gather = n if rows is None else max(1, GEMM_BLOCK_BYTES
-                                            // max(1, 8 * dim))
     for b in range(0, len(members), per_gemm):
         block = members[b:b + per_gemm]
         q = queries[block]
         q_norms = np.einsum("ij,ij->i", q, q)
-        g = np.empty((len(block), n), dtype=DTYPE)
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(0, n, per_gather):
-                e = min(s + per_gather, n)
-                np.matmul(q, (matrix[s:e] if rows is None
-                              else matrix[rows[s:e]]).T, out=g[:, s:e])
+            g = q @ searched.T
             g *= -2.0
             g += row_norms
             g += q_norms[:, None]
@@ -246,10 +300,7 @@ def _shortlists(matrix, norms, rows, queries, members, k):
             # "not >": a NaN or infinite cut keeps every row.
             keep = np.flatnonzero(
                 ~(gi > t + 2.0 * _error_bound(dim, max_norm, q_norm)))
-            if len(keep) == n:
-                yield i, rows
-            else:
-                yield i, keep if rows is None else rows[keep]
+            yield i, rows if len(keep) == n else keep + rows.start
 
 
 _U = np.finfo(DTYPE).eps / 2  # unit roundoff
@@ -293,25 +344,26 @@ def _error_bound(dim, max_norm_sq, q_norm_sq):
 
 
 def _rank(index, matrix, q, rows, k):
-    """Exact top k among rows (None: every row), as RetrievedItems.
+    """Exact top k among rows (a range, or listed rows), as RetrievedItems.
 
-    The rows are streamed SCAN_BLOCK_BYTES at a time, through one buffer
-    or, for listed rows, through each block's gathered copy (a second
+    The rows are streamed SCAN_BLOCK_BYTES at a time: a range through one
+    buffer, listed rows through each block's gathered copy (a second
     block-sized allocation per call made the allocator return and fault
-    pages in again on every call), and each squared distance has the
-    bits of np.sum((x - q) ** 2).
+    pages in again on every call). Each squared distance has the bits of
+    np.sum((x - q) ** 2).
     """
     sids, labels = index.source_ids, index.true_labels
-    n, dim = len(matrix) if rows is None else len(rows), matrix.shape[1]
+    n, dim = len(rows), matrix.shape[1]
     block = max(1, SCAN_BLOCK_BYTES // max(1, 8 * dim))
-    if rows is None:
+    is_range = isinstance(rows, range)
+    if is_range:
         buf = np.empty((min(block, n), dim), dtype=DTYPE)
     sq = np.empty(n, dtype=DTYPE)
     for s in range(0, n, block):
         e = min(s + block, n)
-        if rows is None:
+        if is_range:
             part = buf[:e - s]
-            np.subtract(matrix[s:e], q, out=part)
+            np.subtract(matrix[rows.start + s:rows.start + e], q, out=part)
         else:
             part = matrix[rows[s:e]]
             np.subtract(part, q, out=part)
@@ -322,9 +374,11 @@ def _rank(index, matrix, q, rows, k):
         # Keep every row not above the k-th smallest distance. Written as
         # "not >" so that a NaN query keeps all rows, as a full sort would.
         picked = np.flatnonzero(~(sq > np.partition(sq, k - 1)[k - 1]))
-    picked_rows = picked if rows is None else rows[picked]
-    # lexsort's last key is primary: distance first, then source_id.
-    order = np.lexsort((sids[picked_rows], sq[picked]))[:k]
+    picked_rows = picked + rows.start if is_range else rows[picked]
+    # lexsort's last key is primary: distance, then source_id, then the
+    # record number, so that equal ids never fall back on storage order.
+    order = np.lexsort((index.positions[picked_rows], sids[picked_rows],
+                        sq[picked]))[:k]
     top = picked_rows[order]
     return tuple(
         RetrievedItem(source_id=sid, distance=d, true_label=label)
@@ -364,11 +418,15 @@ def save_index(index, path):
 
     Layout mirrors the checkpoint container: magic, u32 version, u32
     header length, JSON header (fingerprint, layer names and dims, and
-    per-record metadata in order), then for each record its feature
-    vectors back to back in the header's layer order, little-endian
-    float64. Rows are encoded a block at a time, never all at once.
+    per-record metadata in record order), then for each record, in record
+    order, its feature vectors back to back in the header's layer order,
+    little-endian float64. The file does not depend on how memory groups
+    the rows. Rows are encoded a block at a time, never all at once.
     """
     matrices = list(index.features.values())
+    stored = _stored_rows(index.positions)
+    records = zip(*(column[stored].tolist() for column in (
+        index.source_ids, index.true_labels, index.predicted_labels)))
     header = {
         "fingerprint": index.network_fingerprint,
         "feature_layers": list(index.feature_layers),
@@ -376,18 +434,26 @@ def save_index(index, path):
                          for name, m in index.features.items()},
         "records": [
             {"source_id": sid, "true_label": true, "predicted_label": pred}
-            for sid, true, pred in zip(index.source_ids.tolist(),
-                                       index.true_labels.tolist(),
-                                       index.predicted_labels.tolist())],
+            for sid, true, pred in records],
     }
-    row_bytes = 8 * sum(m.shape[1] for m in matrices)
-    rows = max(1, WRITE_BLOCK_BYTES // max(1, row_bytes))
+    bounds = np.cumsum([0, *(m.shape[1] for m in matrices)]).tolist()
+    rows = max(1, WRITE_BLOCK_BYTES // max(1, 8 * bounds[-1]))
+    buf = np.empty((min(rows, len(index)), bounds[-1]), dtype="<f8")
     with atomic_write(path) as f:
         write_container_header(f, INDEX_MAGIC, INDEX_VERSION, header)
         for start in range(0, len(index) if matrices else 0, rows):
-            block = np.concatenate([m[start:start + rows] for m in matrices],
-                                   axis=1)
-            f.write(block.astype("<f8", copy=False).tobytes())
+            take = stored[start:start + rows]
+            block = buf[:len(take)]
+            for m, a, b in zip(matrices, bounds, bounds[1:]):
+                block[:, a:b] = m[take]
+            f.write(block)
+
+
+def _stored_rows(positions):
+    """The stored row of each record: the inverse of positions."""
+    stored = np.empty(len(positions), dtype=np.intp)
+    stored[positions] = np.arange(len(positions))
+    return stored
 
 
 def load_index(path, expected_fingerprint=None):
@@ -396,8 +462,10 @@ def load_index(path, expected_fingerprint=None):
     A mismatch between expected_fingerprint and the stored one raises
     StaleIndexError: the index no longer describes the network's features.
     The header is type-checked, and the payload size checked against the
-    file, before anything is allocated. The payload is read in one call,
-    and each layer's matrix is a column view of that one buffer.
+    file, before anything is allocated. All layer matrices are C-contiguous
+    views of one (N x total width) store, grouped as FeatureIndex groups
+    them. The record-order payload is read READ_BLOCK_BYTES at a time into
+    one reused buffer, and each block's rows are scattered to their rows.
     """
     with open(path, "rb") as f:
         version, header = read_container_header(f, INDEX_MAGIC, "index")
@@ -431,9 +499,23 @@ def load_index(path, expected_fingerprint=None):
                 "index was built by a different network "
                 f"(stored fingerprint {fingerprint[:12]}..., "
                 f"expected {expected_fingerprint[:12]}...)")
-        n, width = len(metas), sum(widths)
-        raw = read_payload(f, 8 * n * width, "feature payload")
-    table = np.frombuffer(raw, dtype="<f8").reshape(n, width)
-    columns = np.split(table, np.cumsum(widths)[:-1], axis=1)
-    return FeatureIndex(sids, true, pred, dict(zip(layers, columns)),
-                        fingerprint)
+        n, bounds = len(metas), np.cumsum([0, *widths]).tolist()
+        check_payload_size(f, 8 * n * bounds[-1], "feature payload")
+        pred = np.asarray(pred, dtype=np.int64)
+        order = _group_order(pred)
+        stored = _stored_rows(np.arange(n) if order is None else order)
+        store = np.empty(n * bounds[-1], dtype=DTYPE)
+        matrices = [store[n * a:n * b].reshape(n, b - a)
+                    for a, b in zip(bounds, bounds[1:])]
+        rows = max(1, READ_BLOCK_BYTES // max(1, 8 * bounds[-1]))
+        buf = np.empty((min(rows, n), bounds[-1]), dtype="<f8")
+        for start in range(0, n if bounds[-1] else 0, rows):
+            put = stored[start:start + rows]
+            block = buf[:len(put)]
+            read_into(f, block, "feature payload")
+            for m, a, b in zip(matrices, bounds, bounds[1:]):
+                m[put] = block[:, a:b]
+    return FeatureIndex._grouped(
+        _take(np.asarray(sids, dtype=str), order),
+        _take(np.asarray(true, dtype=np.int64), order), _take(pred, order),
+        order, dict(zip(layers, matrices)), fingerprint)

@@ -210,6 +210,34 @@ def ingest_directory_reference(root, out_size):
     return samples, tuple(d.name for d in class_dirs), skipped
 
 
+def save_index_reference(path, source_ids, true_labels, predicted_labels,
+                         features, fingerprint):
+    """Record by record, the v1 index file retrieval.save_index must write.
+
+    The records are in the order given (record order), whatever order
+    memory stores them in: magic, u32 version 1, u32 header length, the
+    JSON header with sorted keys and no spaces, then each record's feature
+    vectors back to back in layer order, little-endian float64.
+    """
+    header = {
+        "fingerprint": fingerprint,
+        "feature_layers": list(features),
+        "feature_dims": {name: int(np.shape(m)[1])
+                         for name, m in features.items()},
+        "records": [{"source_id": str(sid), "true_label": int(true),
+                     "predicted_label": int(pred)}
+                    for sid, true, pred in zip(source_ids, true_labels,
+                                               predicted_labels)],
+    }
+    encoded = json.dumps(header, sort_keys=True,
+                         separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(b"CBNINDX\n" + struct.pack("<II", 1, len(encoded)) + encoded)
+        for i in range(len(source_ids)):
+            for m in features.values():
+                f.write(np.asarray(m[i], dtype="<f8").tobytes())
+
+
 def rewrite_container_header(path, edit):
     """Replace the JSON header of a checkpoint or index file with edit(header)."""
     raw = path.read_bytes()

@@ -1,14 +1,16 @@
 """Corrupt checkpoint and index files: each reader loads them or raises.
 
 Every truncation, single-byte flips in the container header and in the
-tensor rank/dims bytes, and arbitrary JSON in place of any header field.
-load_checkpoint and load_index must either load the file or raise a
-CbirError, and when either refuses it, `cbirnet query` over it must exit
-with the input-error code rather than a traceback.
+tensor rank/dims bytes, arbitrary JSON in place of any header field, and
+an index that shrinks while it is read. load_checkpoint and load_index
+must either load the file or raise a CbirError, and when either refuses
+it, `cbirnet query` over it must exit with the input-error code rather
+than a traceback.
 """
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
-from cbirnet import cli
+from cbirnet import cli, retrieval
 from cbirnet.data import Sample, write_pgm
 from cbirnet.errors import CbirError, FormatError
 from cbirnet.network import (
@@ -185,3 +187,33 @@ def test_mangled_header_field(run_dir, name, data, value):
         value = None
     check_corrupted(run_dir, name, lambda p: conftest.rewrite_container_header(
         p, lambda h: replaced(h, path, value)))
+
+
+def test_index_shrinking_while_read_is_input_error(run_dir, tmp_path,
+                                                   monkeypatch, capsys):
+    # The index loses its tail after load_index checked its size, so the
+    # payload read comes up short. 3000 records put the payload's end
+    # beyond what the reader buffers with the header.
+    for name in (cli.CHECKPOINT_NAME, "query.pgm"):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    net = load_checkpoint(run_dir / cli.CHECKPOINT_NAME)[0]
+    rng = np.random.default_rng(1)
+    save_index(build_index(net, [Sample(rng.random((1, 8, 8)), i % 2, f"s{i}")
+                                 for i in range(3000)]),
+               tmp_path / cli.INDEX_NAME)
+    cli.write_run_config(cli.RunConfig(output_dir=str(tmp_path), image_size=8,
+                                       k=3))
+    assert query_exit_code(tmp_path) == cli.EXIT_OK
+    path = tmp_path / cli.INDEX_NAME
+    check = retrieval.check_payload_size
+
+    def check_then_shrink(f, size, what):
+        check(f, size, what)
+        os.truncate(path, path.stat().st_size - 8)
+
+    monkeypatch.setattr(retrieval, "check_payload_size", check_then_shrink)
+    capsys.readouterr()
+    assert query_exit_code(tmp_path) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "file ends inside feature payload" in err
+    assert "Traceback" not in err

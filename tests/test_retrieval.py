@@ -1,9 +1,15 @@
 """Feature index, exact-scan queries against a loop oracle, index files."""
 
+import concurrent.futures
 import contextlib
 import hashlib
 import math
+import os
 import struct
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
-from cbirnet.data import generate_synthetic_corpus
+from cbirnet.data import Sample, generate_synthetic_corpus
 from cbirnet.errors import (
     FormatError,
     InputError,
@@ -67,10 +73,35 @@ def three_tap_spec(num_classes=3, size=16):
 
 @pytest.fixture(scope="module")
 def net_and_index():
+    """An untrained net whose predictions span every class, out of order.
+
+    Untrained, every image's fc3 output is about the same vector, so the
+    head's biases are shifted by minus the head of the samples' mean fc3
+    output: the logits then follow each image's own variation, and the
+    index is grouped by predicted label in an order unlike record order.
+    """
     net = Network.from_spec(three_tap_spec())
     net.initialize(11)
     samples, _ = generate_synthetic_corpus(3, 20, 16, rng_seed=4)
+    head = [layer for layer in net.layers if hasattr(layer, "in_features")][-1]
+    fc3 = net.classify([s.image for s in samples])[2]["fc3"]
+    head.biases -= head.weights @ fc3.mean(axis=0)
     return net, samples, build_index(net, samples)
+
+
+class TapNet:
+    """Stands in for a network: classify hands out copies of fixed taps."""
+
+    def __init__(self, predicted, taps):
+        self.predicted, self.taps = np.asarray(predicted), taps
+
+    def classify(self, images):
+        assert len(images) == len(self.predicted)
+        return (None, self.predicted.copy(),
+                {name: m.copy() for name, m in self.taps.items()})
+
+    def fingerprint(self):
+        return "fp"
 
 
 def brute_force_query(index, net, image, layer, k, use_filter):
@@ -156,8 +187,10 @@ class TestBuildIndex:
         assert index.class_partitions == {}
 
     def test_predicted_labels_reverified(self, net_and_index):
+        # Stored row i holds record positions[i].
         net, samples, index = net_and_index
-        for i, s in enumerate(samples[:10]):
+        for i, record in enumerate(index.positions.tolist()):
+            s = samples[record]
             assert index.predicted_labels[i] == net.forward_classify(
                 s.image)[1]
             assert index.true_labels[i] == s.label
@@ -165,9 +198,21 @@ class TestBuildIndex:
 
     def test_partitions_cover_exactly_once(self, net_and_index):
         _, _, index = net_and_index
-        merged = np.sort(np.concatenate(
-            [idx for idx in index.class_partitions.values()]))
-        npt.assert_array_equal(merged, np.arange(len(index)))
+        parts = sorted(index.class_partitions.values(), key=lambda r: r.start)
+        assert len(parts) == 3
+        assert all(type(r) is range and r.step == 1 and len(r) for r in parts)
+        assert [r.start for r in parts] == [0, *(r.stop for r in parts[:-1])]
+        assert parts[-1].stop == len(index)
+
+    def test_positions_are_a_permutation_in_class_then_record_order(
+            self, net_and_index):
+        net, samples, index = net_and_index
+        npt.assert_array_equal(np.sort(index.positions),
+                               np.arange(len(index)))
+        predicted = net.classify([s.image for s in samples])[1]
+        npt.assert_array_equal(index.positions,
+                               np.argsort(predicted, kind="stable"))
+        assert (index.positions != np.arange(len(index))).any()
 
     def test_partition_key_is_predicted_not_true(self, net_and_index):
         _, _, index = net_and_index
@@ -176,23 +221,49 @@ class TestBuildIndex:
                 assert index.predicted_labels[i] == label
 
     def test_keeps_classify_taps_without_copy(self, net_and_index):
-        net, samples, _ = net_and_index
+        # Taps whose records come grouped are kept; others are regrouped.
+        net, samples, built = net_and_index
+        grouped = [samples[i] for i in built.positions]
         taps = {}
         classify = net.classify
 
         def spy(images):
             out = classify(images)
+            taps.clear()
             taps.update(out[2])
             return out
 
         net.classify = spy
         try:
+            index = build_index(net, grouped)
+            assert index.feature_layers == tuple(taps)
+            for name in index.feature_layers:
+                assert index.features[name] is taps[name]
             index = build_index(net, samples)
         finally:
             del net.classify
-        assert index.feature_layers == tuple(taps)
         for name in index.feature_layers:
-            assert index.features[name] is taps[name]
+            assert index.features[name].flags.c_contiguous
+            assert (index.features[name].tobytes()
+                    == taps[name][index.positions].tobytes())
+
+    def test_regroups_one_tap_at_a_time(self):
+        # Each regrouped tap is dropped before the next is copied, so
+        # build_index never holds more than one layer twice.
+        n, dim = 2000, 200
+        rng = np.random.default_rng(1)
+        net = TapNet(rng.integers(0, 4, n),
+                     {name: rng.standard_normal((n, dim))
+                      for name in ("fc1", "fc2", "fc3")})
+        samples = [Sample(None, 0, f"s{i}") for i in range(n)]
+        tracemalloc.start()
+        try:
+            index = build_index(net, samples, [None] * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(index.class_partitions) == 4
+        assert peak < 4.5 * 8 * n * dim
 
     def test_nonfinite_features_rejected(self):
         with pytest.raises(InputError):
@@ -206,6 +277,14 @@ class TestBuildIndex:
                            match="record b has non-finite features in fc2"):
             FeatureIndex(["a", "b", "c"], [0] * 3, [0] * 3,
                          {"fc1": fc1, "fc2": fc2}, "fp")
+
+    def test_first_nonfinite_record_is_in_record_order(self):
+        # Grouping stores c (label 0) first; b is still the first record.
+        fc1 = np.array([[0.0, 1.0], [np.inf, 1.0], [np.nan, 1.0]])
+        with pytest.raises(InputError,
+                           match="record b has non-finite features in fc1"):
+            FeatureIndex(["a", "b", "c"], [0] * 3, [1, 1, 0], {"fc1": fc1},
+                         "fp")
 
     def test_wrong_matrix_shape_names_layer(self):
         # Too few rows, too many, rank 1 and rank 3.
@@ -222,8 +301,8 @@ class TestBuildIndex:
 
     def test_records_match_one_image_passes(self, net_and_index):
         net, samples, index = net_and_index
-        for i, s in enumerate(samples):
-            _, _, feats = net.forward_classify(s.image)
+        for i, record in enumerate(index.positions.tolist()):
+            _, _, feats = net.forward_classify(samples[record].image)
             for name in index.feature_layers:
                 assert (index.features[name][i].tobytes()
                         == feats[name].tobytes())
@@ -374,11 +453,15 @@ def tie_heavy_index():
 
 
 def reference_scan(index, q, predicted, layer, k, use_filter):
-    """Whole-matrix squared distances and a full lexsort, as exact bits."""
-    rows = (index.class_partitions[predicted] if use_filter
-            else np.arange(len(index)))
+    """Whole-matrix squared distances and a full lexsort, as exact bits.
+
+    Ties in distance rank by source_id, then by record number.
+    """
+    rows = np.asarray(index.class_partitions[predicted] if use_filter
+                      else range(len(index)), dtype=np.intp)
     sq = np.sum((index.features[layer][rows] - q) ** 2, axis=1)
-    ranks = np.lexsort((index.source_ids[rows], sq))[:k]
+    ranks = np.lexsort((index.positions[rows], index.source_ids[rows],
+                        sq))[:k]
     return [(str(index.source_ids[rows[i]]), np.sqrt(sq[i]).tobytes(),
              int(index.true_labels[rows[i]])) for i in ranks]
 
@@ -398,7 +481,8 @@ class TestBlockedScan:
         if layout == "loaded":
             save_index(index, tmp_path / "features.idx")
             index = load_index(tmp_path / "features.idx")
-            assert not index.features["fc2"].flags.c_contiguous
+            assert index.features["fc2"].flags.c_contiguous
+            assert index.features["fc2"].base is index.features["fc1"].base
         for layer, m in index.features.items():
             queries = [m[3], m[3] + 1.0, np.full(m.shape[1], 0.5)]
             for predicted in (0, 1, 2):
@@ -429,6 +513,26 @@ class TestBlockedScan:
             assert [it.source_id for it in res.items] == ranking[:k]
             assert item_bits(res) == reference_scan(
                 index, np.zeros(2), 0, "fc1", k, False)
+
+    def test_equal_ids_rank_by_record_number(self):
+        # Records r0..r2 are repeated as r3..r5 with equal ids and rows but
+        # other labels, so grouping moves them around; the unfiltered
+        # ranking must follow record order as on an ungrouped reference.
+        rng = np.random.default_rng(11)
+        rows = rng.integers(0, 2, (6, 3)).astype(np.float64)
+        rows[3:] = rows[:3]
+        ids, true = ["a", "b", "a", "a", "b", "a"], [0, 1, 2, 3, 4, 5]
+        predicted = [2, 1, 0, 0, 2, 1]
+        index = FeatureIndex(ids, true, predicted, {"fc1": rows}, "fp")
+        assert (index.positions != np.arange(6)).any()
+        for q in (rows[0], rows[1], np.zeros(3), np.full(3, 0.5)):
+            sq = np.sum((rows - q) ** 2, axis=1)
+            want = sorted(range(6), key=lambda r: (sq[r], ids[r], r))
+            for k in (1, 2, 4, 6):
+                res = scan(index, q, 0, "fc1", k, False)
+                assert [it.true_label for it in res.items] == want[:k]
+                assert item_bits(res) == reference_scan(index, q, 0, "fc1", k,
+                                                        False)
 
     def test_nan_query_ranks_every_row(self):
         # A full sort keeps all rows at NaN distance; so must the cut.
@@ -681,6 +785,124 @@ class TestFrozenQuery:
             query(index, loaded, samples[0].image, "fc1", 1, False)
 
 
+class TestConcurrentScans:
+    def test_threads_match_a_serial_run(self, net_and_index, tmp_path):
+        # One frozen network and one loaded index serve every thread. The
+        # exact block is cut to 4 rows, so scans go through the GEMM
+        # shortlist and several exact blocks.
+        net, samples, index = net_and_index
+        save_checkpoint(tmp_path / "model.ckpt", net)
+        save_index(index, tmp_path / "features.idx")
+        frozen = load_checkpoint(tmp_path / "model.ckpt")[0]
+        loaded = load_index(tmp_path / "features.idx",
+                            expected_fingerprint=frozen.fingerprint())
+        images = [s.image for s in samples[::4]]
+        _, predicted, feats = frozen.classify(images)
+
+        def bits(result):
+            return (result.status, result.query_predicted_label,
+                    item_bits(result))
+
+        tasks = [(i, layer, use_filter) for i in range(len(images))
+                 for layer in loaded.feature_layers
+                 for use_filter in (False, True)]
+        batches = [(layer, use_filter) for layer in loaded.feature_layers
+                   for use_filter in (False, True)]
+
+        def run(task):
+            if len(task) == 3:
+                i, layer, use_filter = task
+                return bits(query(loaded, frozen, images[i], layer, 5,
+                                  use_filter))
+            layer, use_filter = task
+            return [bits(r) for r in scan_batch(loaded, feats[layer],
+                                                predicted, layer, 5,
+                                                use_filter)]
+
+        work = (tasks + batches) * 4
+        interval = sys.getswitchinterval()
+        with mock.patch.object(retrieval, "SCAN_BLOCK_BYTES", 8 * 12 * 4):
+            serial = [run(task) for task in work]
+            sys.setswitchinterval(1e-5)
+            try:
+                with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                    futures = [pool.submit(run, task) for task in work]
+                    threaded = [f.result(timeout=120) for f in futures]
+            finally:
+                sys.setswitchinterval(interval)
+        assert threaded == serial
+
+
+def record_order_ranking(ids, predicted, matrix, q, label, k, use_filter):
+    """Record numbers of the top k, from the record-order arrays alone."""
+    sq = np.sum((matrix - q) ** 2, axis=1)
+    rows = [r for r in range(len(ids))
+            if not use_filter or predicted[r] == label]
+    return sorted(rows, key=lambda r: (sq[r], ids[r], r))[:k]
+
+
+class TestGroupedLayout:
+    """Grouping rows in memory shows neither in files nor in results."""
+
+    @EXAMPLES
+    @given(raw_labels=st.lists(st.integers(0, 4), max_size=24),
+           classes=st.integers(1, 5),
+           dims=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+           values=st.sampled_from(["normal", "integers"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_round_trips_and_scans(self, raw_labels, classes, dims, values,
+                                   seed):
+        rng = np.random.default_rng(seed)
+        labels = [label % classes for label in raw_labels]
+        n = len(labels)
+        draw = {"normal": rng.standard_normal,
+                "integers": lambda shape: rng.integers(-1, 2, shape) * 1.0}
+        features = {f"fc{j + 1}": draw[values]((n, dim))
+                    for j, dim in enumerate(dims)}
+        # Repeated ids, so that ties in distance and id happen; the true
+        # label is the record number, so results name their records.
+        ids = [f"s{i}" for i in rng.integers(0, max(1, n // 2), n)]
+        true = list(range(n))
+        with tempfile.TemporaryDirectory() as tmp:
+            ref, out = Path(tmp, "ref.idx"), Path(tmp, "out.idx")
+            conftest.save_index_reference(ref, ids, true, labels, features,
+                                          "fp")
+            want = ref.read_bytes()
+            built = build_index(TapNet(labels, features),
+                                [Sample(None, t, sid)
+                                 for sid, t in zip(ids, true)], [None] * n)
+            indexes = [FeatureIndex(ids, true, labels, features, "fp"),
+                       built, load_index(ref)]
+            for index in indexes:
+                save_index(index, out)
+                assert out.read_bytes() == want
+            save_index(load_index(out), out)
+            assert out.read_bytes() == want
+        order = np.argsort(labels, kind="stable")
+        queries = draw[values]((4, dims[0]))
+        queries[:min(n, 2)] = features["fc1"][:2]  # indexed rows
+        predicted = list(range(4))  # absent classes among them
+        for index in indexes:
+            npt.assert_array_equal(index.positions, order)
+            assert index.class_partitions == {
+                label: range(labels_before(labels, label),
+                             labels_before(labels, label + 1))
+                for label in set(labels)}
+            for k in (1, 3, n + 1):
+                for use_filter in (False, True):
+                    results = batch_matches_reference(
+                        index, queries, predicted, k, use_filter)
+                    for q, label, res in zip(queries, predicted, results):
+                        assert [it.true_label for it in res.items] == \
+                            record_order_ranking(ids, labels,
+                                                 features["fc1"], q, label,
+                                                 k, use_filter)
+
+
+def labels_before(labels, label):
+    return sum(x < label for x in labels)
+
+
 class TestIndexFile:
     def test_round_trip_identical_queries(self, net_and_index, tmp_path):
         net, samples, index = net_and_index
@@ -707,6 +929,8 @@ class TestIndexFile:
         loaded = load_index(path)
         assert len(loaded) == len(index)
         assert loaded.feature_layers == index.feature_layers
+        npt.assert_array_equal(loaded.positions, index.positions)
+        assert loaded.class_partitions == index.class_partitions
         for i in range(len(index)):
             assert loaded.source_ids[i] == index.source_ids[i]
             assert loaded.true_labels[i] == index.true_labels[i]
@@ -748,24 +972,64 @@ class TestIndexFile:
                             index, feats[layer], predicted, layer, k,
                             use_filter)
 
-    def test_payload_is_one_read_and_layers_are_views(
+    def test_payload_is_read_in_blocks_into_one_store(
             self, net_and_index, tmp_path, monkeypatch):
         _, _, index = net_and_index
         path = tmp_path / "features.idx"
         save_index(index, path)
         reads = []
-        read_exact = _binio.read_exact
+        read_exact, read_into = _binio.read_exact, retrieval.read_into
         monkeypatch.setattr(_binio, "read_exact", lambda f, n, what: (
             reads.append(what), read_exact(f, n, what))[1])
+        monkeypatch.setattr(retrieval, "read_into", lambda f, a, what: (
+            reads.append((what, a.shape)), read_into(f, a, what))[1])
+        width = sum(m.shape[1] for m in index.features.values())
+        monkeypatch.setattr(retrieval, "READ_BLOCK_BYTES", 8 * 7 * width)
         loaded = load_index(path)
-        # The container header's three reads, then one for the payload.
+        # The container header's three reads, then the payload 7 rows at a
+        # time: 60 records take 8 blocks, the last of 4 rows.
         assert reads == ["format version", "header length", "JSON header",
-                         "feature payload"]
+                         *[("feature payload", (7, width))] * 8,
+                         ("feature payload", (4, width))]
+        # Each layer is a C-contiguous (N, dim) block of one store, in
+        # layer order.
         matrices = list(loaded.features.values())
-        buffer = matrices[0].base
-        assert buffer.size == len(loaded) * sum(m.shape[1] for m in matrices)
+        store = matrices[0].base
+        assert store.ndim == 1 and store.size == len(loaded) * width
+        offset = 0
         for m in matrices:
-            assert m.base is buffer
+            assert m.base is store and m.flags.c_contiguous
+            assert np.shares_memory(m, store[offset:offset + m.size])
+            offset += m.size
+
+    def test_load_holds_no_second_payload_copy(self, tmp_path):
+        rng = np.random.default_rng(2)
+        n = 2000
+        index = FeatureIndex([f"s{i}" for i in range(n)], [0] * n,
+                             rng.integers(0, 4, n),
+                             {"fc1": rng.standard_normal((n, 410)),
+                              "fc2": rng.standard_normal((n, 390))}, "fp")
+        path = tmp_path / "features.idx"
+        save_index(index, path)
+        payload = 8 * n * 800
+        tracemalloc.start()
+        try:
+            loaded = load_index(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload
+        npt.assert_array_equal(loaded.features["fc2"], index.features["fc2"])
+
+    def test_file_shrinking_after_size_check_is_truncated(
+            self, net_and_index, tmp_path, monkeypatch):
+        _, _, index = net_and_index
+        path = tmp_path / "features.idx"
+        save_index(index, path)
+        monkeypatch.setattr(retrieval, "check_payload_size",
+                            shrinking_after_check(path))
+        with pytest.raises(TruncatedFileError, match="feature payload"):
+            load_index(path)
 
     def test_failed_save_keeps_old_file(self, net_and_index, tmp_path,
                                         monkeypatch):
@@ -871,6 +1135,17 @@ class TestIndexFile:
         conftest.rewrite_container_header(path, edit)
         with pytest.raises(error):
             load_index(path)
+
+
+def shrinking_after_check(path):
+    """check_payload_size that lets the file lose its last 40 bytes after."""
+    check = retrieval.check_payload_size
+
+    def check_then_shrink(f, size, what):
+        check(f, size, what)
+        os.truncate(path, os.path.getsize(path) - 40)
+
+    return check_then_shrink
 
 
 def with_dim(header, value):
