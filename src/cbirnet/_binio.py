@@ -3,9 +3,10 @@
 Both persisted artifacts (checkpoint, feature index) share one envelope:
 an 8-byte magic, a little-endian u32 format version, a u32 header length,
 and a UTF-8 JSON header with sorted keys, followed by format-specific
-binary payload. Readers fail loudly: wrong magic, unreadable header, or
-short reads each raise their own error type. Writers go through
-atomic_write, so a crash mid-write leaves any earlier file in place.
+binary payload. Readers fail loudly: wrong magic, a version this build
+does not read, unreadable header, or short reads each raise their own
+error type. Writers go through atomic_write, so a crash mid-write leaves
+any earlier file in place.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import secrets
 import struct
 
-from .errors import FormatError, TruncatedFileError
+from .errors import FormatError, TruncatedFileError, VersionMismatchError
 
 
 @contextlib.contextmanager
@@ -94,12 +95,21 @@ def write_container_header(f, magic, version, header_obj):
     f.write(header_bytes)
 
 
-def read_container_header(f, magic, kind):
+def read_container_header(f, magic, version, kind):
+    """The JSON header of a kind file, if it holds format version version.
+
+    A build reads exactly one version of each format; any other raises
+    VersionMismatchError before the header is read.
+    """
     lead = f.read(len(magic))
     if lead != magic:
         raise FormatError(
             f"not a {kind} file: expected magic {magic!r}, found {lead!r}")
-    (version,) = struct.unpack("<I", read_exact(f, 4, "format version"))
+    (stored,) = struct.unpack("<I", read_exact(f, 4, "format version"))
+    if stored != version:
+        raise VersionMismatchError(
+            f"{kind} format version {stored} is not supported "
+            f"(this build reads version {version})")
     (hlen,) = struct.unpack("<I", read_exact(f, 4, "header length"))
     raw = read_exact(f, hlen, "JSON header")
     try:
@@ -109,4 +119,4 @@ def read_container_header(f, magic, kind):
     if not isinstance(header, dict):
         raise FormatError(
             f"{kind} header is a JSON {type(header).__name__}, not an object")
-    return version, header
+    return header

@@ -1,8 +1,10 @@
 """Forward and backward kernels for every layer type the network uses.
 
-Every kernel is batch-first: forward takes x of shape (N, *sample_shape)
-and returns (N, *output_shape), while output_shape() speaks of one sample.
-All arithmetic is 64-bit.
+Every kernel is batch-first: forward takes N samples as one (N, ...)
+array and returns their N outputs the same way. Kernels do not check
+their input shape: they trust the shapes that Network checked against
+spec.shape_trace(), and each takes its output size from work it does
+anyway. All arithmetic is 64-bit.
 
 Eval passes (train=False) run a whole batch through each kernel at once
 and touch no layer state, so they are safe to run concurrently on a frozen
@@ -28,14 +30,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, InternalError
 
 DTYPE = np.float64
-
-
-def _sample_shape(x):
-    """Shape of one sample of a batch-first array."""
-    if x.ndim < 2:
-        raise ConfigurationError(
-            f"expected a batch-first array (N, ...), got shape {x.shape}")
-    return x.shape[1:]
 
 
 def _check_train_batch(x):
@@ -77,10 +71,6 @@ class Layer:
         for _, grad in self.parameters():
             grad.fill(0.0)
 
-    def output_shape(self, input_shape):
-        """Shape of one sample's output given one sample's input shape."""
-        raise NotImplementedError
-
     def forward(self, x, train=False):
         raise NotImplementedError
 
@@ -91,19 +81,13 @@ class Layer:
 class Conv2d(Layer):
     """2-D cross-correlation over (channels, height, width) samples.
 
-    Output spatial size follows the floor rule of _window_shape. The
-    kernel is applied unflipped (cross-correlation, the usual CNN
-    convention).
+    forward reads the output size off its strided window view, which
+    follows the floor rule of _window_shape. The kernel is applied
+    unflipped (cross-correlation, the usual CNN convention).
     """
 
     def __init__(self, in_channels, out_channels, kernel_h, kernel_w,
                  stride=1, padding=0):
-        if stride < 1:
-            raise ConfigurationError(f"stride must be >= 1, got {stride}")
-        if padding < 0:
-            raise ConfigurationError(f"padding must be >= 0, got {padding}")
-        if min(in_channels, out_channels, kernel_h, kernel_w) < 1:
-            raise ConfigurationError("channel and kernel sizes must be >= 1")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_h = kernel_h
@@ -118,21 +102,14 @@ class Conv2d(Layer):
         self.bias_grads = np.zeros(self.biases.shape, dtype=DTYPE)
         self._cols = None
         self._in_shape = None
+        self._out_shape = None
 
     def parameters(self):
         return [(self.weights, self.weight_grads),
                 (self.biases, self.bias_grads)]
 
-    def output_shape(self, input_shape):
-        c, oh, ow = _window_shape(input_shape, self.kernel_h, self.kernel_w,
-                                  self.stride, self.padding)
-        if c != self.in_channels:
-            raise ConfigurationError(
-                f"input has {c} channels, kernel expects {self.in_channels}")
-        return (self.out_channels, oh, ow)
-
     def _im2col(self, x):
-        """Patch matrices of shape (N, in_channels*kh*kw, out_h*out_w)."""
+        """(cols, out_h, out_w): patches of shape (N, c*kh*kw, out_h*out_w)."""
         p, s = self.padding, self.stride
         n, c, h, w = x.shape
         if p > 0:
@@ -144,33 +121,33 @@ class Conv2d(Layer):
         oh, ow = win.shape[2:4]
         cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(
             n, c * self.kernel_h * self.kernel_w, oh * ow)
-        return np.ascontiguousarray(cols)
+        return np.ascontiguousarray(cols), oh, ow
 
     def forward(self, x, train=False):
-        _, oh, ow = self.output_shape(_sample_shape(x))
         if train:
             _check_train_batch(x)
-        cols = self._im2col(x)
+        cols, oh, ow = self._im2col(x)
         w2d = self.weights.reshape(self.out_channels, -1)
         # One GEMM per sample, as in the one-sample pass (module docstring).
         out = np.matmul(w2d, cols)
         out += self.biases[:, None]
+        out = out.reshape(len(x), self.out_channels, oh, ow)
         if train:
             self._cols = cols[0]
             self._in_shape = x.shape[1:]
-        return out.reshape(len(x), self.out_channels, oh, ow)
+            self._out_shape = out.shape
+        return out
 
     def backward(self, grad_out):
         if self._cols is None:
             raise InternalError("backward called before a train-mode forward")
         c, h, w = self._in_shape
         kh, kw, s, p = self.kernel_h, self.kernel_w, self.stride, self.padding
-        expect = (1, *self.output_shape(self._in_shape))
-        if grad_out.shape != expect:
+        if grad_out.shape != self._out_shape:
             raise InternalError(
                 f"upstream gradient shape {grad_out.shape} does not match "
-                f"forward output {expect}")
-        _, oc, oh, ow = expect
+                f"forward output {self._out_shape}")
+        _, oc, oh, ow = self._out_shape
         g2d = grad_out.reshape(oc, oh * ow)
         self.bias_grads += g2d.sum(axis=1)
         self.weight_grads += (g2d @ self._cols.T).reshape(self.weights.shape)
@@ -197,20 +174,14 @@ class MaxPool2d(Layer):
     """
 
     def __init__(self, window, stride):
-        if window < 1 or stride < 1:
-            raise ConfigurationError("window and stride must be >= 1")
         self.window = window
         self.stride = stride
         self._argmax = None
         self._in_shape = None
 
-    def output_shape(self, input_shape):
-        return _window_shape(input_shape, self.window, self.window,
-                             self.stride)
-
     def forward(self, x, train=False):
-        c, oh, ow = self.output_shape(_sample_shape(x))
         k, s = self.window, self.stride
+        c, oh, ow = _window_shape(x.shape[1:], k, k, s)
         if not train:
             rows, cols = s * (oh - 1) + 1, s * (ow - 1) + 1
             out = x[:, :, :rows:s, :cols:s].copy()
@@ -254,9 +225,6 @@ class ReLU(Layer):
     def __init__(self):
         self._mask = None
 
-    def output_shape(self, input_shape):
-        return input_shape
-
     def forward(self, x, train=False):
         if train:
             _check_train_batch(x)
@@ -273,8 +241,6 @@ class FullyConnected(Layer):
     """Affine map y = W x + b on each sample's flattened input vector."""
 
     def __init__(self, in_features, out_features):
-        if in_features < 1 or out_features < 1:
-            raise ConfigurationError("feature counts must be >= 1")
         self.in_features = in_features
         self.out_features = out_features
         self.weights = np.zeros((out_features, in_features), dtype=DTYPE)
@@ -289,16 +255,7 @@ class FullyConnected(Layer):
         return [(self.weights, self.weight_grads),
                 (self.biases, self.bias_grads)]
 
-    def output_shape(self, input_shape):
-        n = int(np.prod(input_shape))
-        if n != self.in_features:
-            raise ConfigurationError(
-                f"input of {n} values does not match weight matrix "
-                f"expecting {self.in_features}")
-        return (self.out_features,)
-
     def forward(self, x, train=False):
-        self.output_shape(_sample_shape(x))
         flat = x.reshape(len(x), -1)
         if train:
             _check_train_batch(x)
@@ -339,9 +296,6 @@ class Dropout(Layer):
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._mask = None
 
-    def output_shape(self, input_shape):
-        return input_shape
-
     def forward(self, x, train=False):
         if not train:
             return x * self.keep_prob
@@ -368,15 +322,7 @@ class LogSoftmax(Layer):
         self.num_classes = num_classes
         self._probs = None
 
-    def output_shape(self, input_shape):
-        n = int(np.prod(input_shape))
-        if n != self.num_classes:
-            raise ConfigurationError(
-                f"expected a vector of {self.num_classes} logits, got {n}")
-        return (self.num_classes,)
-
     def forward(self, x, train=False):
-        self.output_shape(_sample_shape(x))
         if train:
             _check_train_batch(x)
         flat = x.reshape(len(x), -1)

@@ -53,7 +53,6 @@ from .errors import (
     FormatError,
     InternalError,
     TruncatedFileError,
-    VersionMismatchError,
 )
 from .layers import (
     DTYPE,
@@ -506,12 +505,8 @@ def load_checkpoint(path):
     straight into its parameter, so nothing else holds the payload.
     """
     with open(path, "rb") as f:
-        version, header = read_container_header(
-            f, CHECKPOINT_MAGIC, "checkpoint")
-        if version != CHECKPOINT_VERSION:
-            raise VersionMismatchError(
-                f"checkpoint format version {version} is not supported "
-                f"(this build reads version {CHECKPOINT_VERSION})")
+        header = read_container_header(
+            f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
         try:
             spec = NetworkSpec.from_dict(header.get("spec", {}))
             check_payload_size(f, sum(

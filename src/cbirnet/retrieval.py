@@ -50,7 +50,6 @@ from .errors import (
     FormatError,
     InputError,
     StaleIndexError,
-    VersionMismatchError,
 )
 from .layers import DTYPE
 
@@ -456,6 +455,19 @@ def _stored_rows(positions):
     return stored
 
 
+def _record_column(records, key, kind):
+    """Field key of every record, each checked as header_value checks it.
+
+    Only the first failing record gets a message, so a well-formed header
+    formats no string per record.
+    """
+    values = [r.get(key) if isinstance(r, dict) else None for r in records]
+    if not {*map(type, values)} <= {kind}:
+        i = next(i for i, v in enumerate(values) if type(v) is not kind)
+        header_value(records[i], key, kind, f"index record {i}")
+    return values
+
+
 def load_index(path, expected_fingerprint=None):
     """Read an index file back; optionally enforce a network fingerprint.
 
@@ -468,11 +480,8 @@ def load_index(path, expected_fingerprint=None):
     one reused buffer, and each block's rows are scattered to their rows.
     """
     with open(path, "rb") as f:
-        version, header = read_container_header(f, INDEX_MAGIC, "index")
-        if version != INDEX_VERSION:
-            raise VersionMismatchError(
-                f"index format version {version} is not supported "
-                f"(this build reads version {INDEX_VERSION})")
+        header = read_container_header(f, INDEX_MAGIC, INDEX_VERSION,
+                                       "index")
         fingerprint, layers, dims, metas = (
             header_value(header, key, kind, "index header")
             for key, kind in (("fingerprint", str), ("feature_layers", list),
@@ -486,8 +495,7 @@ def load_index(path, expected_fingerprint=None):
         if any(w < 0 for w in widths):
             raise FormatError(f"index feature_dims are negative: {dims}")
         sids, true, pred = (
-            [header_value(m, key, kind, f"index record {i}")
-             for i, m in enumerate(metas)]
+            _record_column(metas, key, kind)
             for key, kind in (("source_id", str), ("true_label", int),
                               ("predicted_label", int)))
         if not all(0 <= label < 2 ** 63 for label in (*true, *pred)):

@@ -105,9 +105,9 @@ def _conv_eval_reference(conv, x):
 
 def _pool_eval_reference(pool, x):
     """One sample: argmax over each flattened window, then gather."""
-    c, oh, ow = pool.output_shape(x.shape)
     k, s = pool.window, pool.stride
     win = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
+    c, oh, ow = win.shape[:3]
     flat = win.reshape(c, oh, ow, k * k)
     arg = flat.argmax(axis=3)
     return np.take_along_axis(flat, arg[..., None], axis=3)[..., 0]
@@ -248,9 +248,9 @@ def rewrite_container_header(path, edit):
                      + raw[16 + hlen:])
 
 
-def with_conv_field(header, field, value):
-    """Checkpoint header whose first conv layer has field set to value."""
+def with_layer_field(header, type, field, value):
+    """Checkpoint header whose first layer of type has field set to value."""
     layers = [dict(layer) for layer in header["spec"]["layers"]]
-    first = next(i for i, layer in enumerate(layers) if layer["type"] == "conv")
+    first = next(i for i, layer in enumerate(layers) if layer["type"] == type)
     layers[first][field] = value
     return dict(header, spec=dict(header["spec"], layers=layers))

@@ -246,14 +246,6 @@ def test_architecture_fidelity():
         spec = build_architecture()
         net = Network.from_spec(spec)
 
-        shape = spec.input_shape
-        stages = [shape]
-        for layer in net.layers:
-            shape = layer.output_shape(shape)
-            if isinstance(layer, (Conv2d, MaxPool2d, FullyConnected)):
-                stages.append(shape)
-        trace_ok = stages == FULL_STAGE_TRACE
-
         convs = [l for l in net.layers if isinstance(l, Conv2d)]
         geometry_ok = [
             (c.out_channels, c.kernel_h, c.kernel_w, c.stride, c.padding)
@@ -273,6 +265,16 @@ def test_architecture_fidelity():
         mean = total_sum / total
         std = float(np.sqrt(total_sq / total - mean * mean))
         init_ok = abs(mean) < 1e-4 and abs(std - 0.01) < 1e-4
+
+        # The kernels' own output shapes in one eval pass, not the spec's
+        # trace, which would only check the spec against itself.
+        out = np.random.default_rng(0).random((1, *spec.input_shape))
+        stages = [spec.input_shape]
+        for layer in net.layers:
+            out = layer.forward(out)
+            if isinstance(layer, (Conv2d, MaxPool2d, FullyConnected)):
+                stages.append(out.shape[1:])
+        trace_ok = stages == FULL_STAGE_TRACE and len(out) == 1
 
         fcs = [l for l in net.layers if isinstance(l, FullyConnected)]
         bias_ok = (

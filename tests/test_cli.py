@@ -274,16 +274,18 @@ class TestQuery:
         ("features.idx", lambda h: dict(h, feature_dims=dict(
             h["feature_dims"], fc1=2 ** 40))),
         ("model.ckpt", lambda h: [h]),
-        ("model.ckpt", lambda h: conftest.with_conv_field(h, "stride", None)),
         ("model.ckpt",
-         lambda h: conftest.with_conv_field(h, "out_channels", "x")),
-        ("model.ckpt", lambda h: conftest.with_conv_field(h, "stride", 0)),
+         lambda h: conftest.with_layer_field(h, "conv", "stride", None)),
+        ("model.ckpt",
+         lambda h: conftest.with_layer_field(h, "conv", "out_channels", "x")),
+        ("model.ckpt",
+         lambda h: conftest.with_layer_field(h, "conv", "stride", 0)),
         ("model.ckpt", lambda h: dict(h, metadata={
             k: v for k, v in h["metadata"].items() if k != "class_names"})),
         ("model.ckpt", lambda h: dict(h, metadata={
             k: v for k, v in h["metadata"].items() if k != "image_size"})),
-        ("model.ckpt",
-         lambda h: conftest.with_conv_field(h, "out_channels", 2 ** 40)),
+        ("model.ckpt", lambda h: conftest.with_layer_field(
+            h, "conv", "out_channels", 2 ** 40)),
         ("model.ckpt", lambda h: dict(h, metadata=dict(
             h["metadata"], class_names=["a"]))),
         ("model.ckpt", lambda h: dict(h, metadata=dict(

@@ -77,10 +77,6 @@ class TestConv2d:
         x = np.arange(6, dtype=float).reshape(1, 2, 3)
         npt.assert_array_equal(conv.forward(x[None])[0], 2.0 * x + 3.0)
 
-    def test_output_shape_floor_division(self):
-        conv = Conv2d(1, 64, 11, 11, stride=4, padding=2)
-        assert conv.output_shape((1, 224, 224)) == (64, 55, 55)
-
     def test_gradients(self):
         conv = Conv2d(2, 3, 3, 3, stride=2, padding=1)
         conv.weights[:] = 0.5 * RNG.standard_normal(conv.weights.shape)
@@ -102,20 +98,6 @@ class TestConv2d:
         conv.zero_grads()
         assert not conv.weight_grads.any()
         assert not conv.bias_grads.any()
-
-    def test_channel_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Conv2d(3, 4, 3, 3).forward(np.zeros((1, 2, 8, 8)))
-
-    def test_kernel_larger_than_input_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Conv2d(1, 1, 5, 5).output_shape((1, 4, 4))
-
-    def test_bad_hyperparameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Conv2d(1, 1, 3, 3, stride=0)
-        with pytest.raises(ConfigurationError):
-            Conv2d(1, 1, 3, 3, padding=-1)
 
     def test_backward_without_forward_rejected(self):
         with pytest.raises(InternalError):
@@ -191,10 +173,6 @@ class TestMaxPool2d:
         x = RNG.permutation(np.arange(81, dtype=float)).reshape(1, 1, 9, 9)
         assert check_gradients(pool, x) < FD_TOL
 
-    def test_window_exceeding_input_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MaxPool2d(4, 2).output_shape((1, 3, 3))
-
 
 class TestReLU:
     def test_forward(self):
@@ -241,10 +219,6 @@ class TestFullyConnected:
         fc = FullyConnected(12, 3)
         fc.forward(RNG.standard_normal((1, 3, 2, 2)), train=True)
         assert fc.backward(np.ones((1, 3))).shape == (1, 3, 2, 2)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FullyConnected(10, 4).forward(np.zeros((1, 9)))
 
 
 class TestDropout:
@@ -325,7 +299,3 @@ class TestLogSoftmax:
         ls = LogSoftmax(6)
         x = RNG.standard_normal((1, 6))
         assert check_gradients(ls, x) < FD_TOL
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LogSoftmax(4).forward(np.zeros((1, 5)))

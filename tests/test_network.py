@@ -328,6 +328,25 @@ class TestClassify:
         assert kinds == {"Conv2d", "MaxPool2d", "ReLU", "FullyConnected",
                          "Dropout", "LogSoftmax"}
 
+    def test_every_layer_output_has_its_traced_shape(self):
+        # Kernels trust the spec's shape trace; this holds each of the 23
+        # layers to it, in a train forward and in a batched classify.
+        net = self.oracle_network()
+        outputs = [(1, *shape) for shape in net.spec.shape_trace()[1:]]
+        assert len(outputs) == len(net.layers) == 23
+        seen = []
+        for layer in net.layers:
+            def record(x, train=False, forward=layer.forward):
+                out = forward(x, train=train)
+                seen.append(out.shape)
+                return out
+            layer.forward = record
+        net.forward(probe_images(1)[0], train=True)
+        assert seen == outputs
+        seen.clear()
+        net.classify(probe_images(2))
+        assert seen == [(2, *shape[1:]) for shape in outputs]
+
     def test_chunk_budget_scales_with_input(self):
         # conv1 patches: 121 x 225 doubles at 64 px, 121 x 3025 at 224 px.
         assert self.oracle_network().chunk_size == 9
@@ -451,6 +470,15 @@ class TestCheckpoint:
         with pytest.raises(VersionMismatchError):
             load_checkpoint(path)
 
+    def test_version_checked_before_header(self, tmp_path):
+        # The file ends after its version field: no header is read.
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 2))
+        with pytest.raises(VersionMismatchError, match=(
+                r"^checkpoint format version 2 is not supported "
+                r"\(this build reads version 1\)$")):
+            load_checkpoint(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         net = desk_network()
         path = tmp_path / "model.ckpt"
@@ -476,28 +504,37 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [
-        lambda h: conftest.with_conv_field(h, "stride", None),
-        lambda h: conftest.with_conv_field(h, "stride", "2"),
-        lambda h: conftest.with_conv_field(h, "stride", 2.0),
-        lambda h: conftest.with_conv_field(h, "stride", True),
-        lambda h: conftest.with_conv_field(h, "stride", 0),
-        lambda h: conftest.with_conv_field(h, "out_channels", "x"),
-        lambda h: conftest.with_conv_field(h, "out_channels", [7]),
-        lambda h: conftest.with_conv_field(h, "bias_init", None),
-        lambda h: conftest.with_conv_field(h, "no_such_field", 1),
-        lambda h: conftest.with_conv_field(h, "type", ["conv"]),
+        lambda h: conftest.with_layer_field(h, "conv", "stride", None),
+        lambda h: conftest.with_layer_field(h, "conv", "stride", "2"),
+        lambda h: conftest.with_layer_field(h, "conv", "stride", 2.0),
+        lambda h: conftest.with_layer_field(h, "conv", "stride", True),
+        lambda h: conftest.with_layer_field(h, "conv", "stride", 0),
+        lambda h: conftest.with_layer_field(h, "conv", "out_channels", "x"),
+        lambda h: conftest.with_layer_field(h, "conv", "out_channels", [7]),
+        lambda h: conftest.with_layer_field(h, "conv", "bias_init", None),
+        lambda h: conftest.with_layer_field(h, "conv", "no_such_field", 1),
+        lambda h: conftest.with_layer_field(h, "conv", "type", ["conv"]),
         lambda h: dict(h, spec=dict(h["spec"], layers=[[1]])),
         lambda h: dict(h, spec=dict(h["spec"], input_shape=None)),
         lambda h: dict(h, spec=[]),
         lambda h: dict(h, spec=dict(h["spec"], layers=["relu"])),
         lambda h: dict(h, spec=dict(h["spec"], input_shape=[1, math.inf, 64])),
-        lambda h: conftest.with_conv_field(h, "out_channels", 0),
-        lambda h: conftest.with_conv_field(h, "kernel_h", 99),
+        lambda h: conftest.with_layer_field(h, "conv", "out_channels", 0),
+        lambda h: conftest.with_layer_field(h, "conv", "kernel_h", 99),
+        lambda h: conftest.with_layer_field(h, "conv", "padding", -1),
+        lambda h: conftest.with_layer_field(h, "maxpool", "stride", 0),
+        # conv1 leaves the first pool a 15x15 input.
+        lambda h: conftest.with_layer_field(h, "maxpool", "window", 16),
+        lambda h: conftest.with_layer_field(h, "fc", "out_features", 0),
+        # The desk head gives 4 logits.
+        lambda h: conftest.with_layer_field(h, "logsoftmax", "num_classes", 5),
     ], ids=["null-stride", "string-stride", "float-stride", "boolean-stride",
             "zero-stride", "string-out-channels", "list-out-channels",
             "null-bias", "unknown-field", "list-type", "list-layer",
             "null-input-shape", "list-spec", "string-layer",
-            "infinite-input-shape", "zero-out-channels", "kernel-too-big"])
+            "infinite-input-shape", "zero-out-channels", "kernel-too-big",
+            "negative-padding", "zero-pool-stride", "pool-window-too-big",
+            "zero-out-features", "class-count-mismatch"])
     def test_malformed_spec_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, desk_network())
@@ -514,8 +551,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, desk_network())
         conftest.rewrite_container_header(
-            path, lambda h: conftest.with_conv_field(
-                h, "out_channels", out_channels))
+            path, lambda h: conftest.with_layer_field(
+                h, "conv", "out_channels", out_channels))
         refuse_layers(monkeypatch)
         with pytest.raises(error, match="tensor payload"):
             load_checkpoint(path)
@@ -525,7 +562,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, net)
         conftest.rewrite_container_header(
-            path, lambda h: conftest.with_conv_field(h, "bias_init", 0))
+            path,
+            lambda h: conftest.with_layer_field(h, "conv", "bias_init", 0))
         loaded, _ = load_checkpoint(path)
         for (va, _), (vb, _) in zip(net.parameters(), loaded.parameters()):
             npt.assert_array_equal(va, vb)

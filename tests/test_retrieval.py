@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import math
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -1134,6 +1135,29 @@ class TestIndexFile:
         save_index(index, path)
         conftest.rewrite_container_header(path, edit)
         with pytest.raises(error):
+            load_index(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: {k: v for k, v in r.items() if k != "true_label"},
+         "index record 2 has no 'true_label' field"),
+        (lambda r: dict(r, predicted_label="1"),
+         "index record 2 field 'predicted_label' is a str, not a int"),
+        (lambda r: [r], "index record 2 has no 'source_id' field"),
+    ], ids=["missing-field", "wrong-type", "record-not-object"])
+    def test_record_error_names_first_bad_record(
+            self, net_and_index, tmp_path, edit, message):
+        _, _, index = net_and_index
+        path = tmp_path / "features.idx"
+        save_index(index, path)
+
+        def edit_records(header):
+            records = list(header["records"])
+            for i in (2, 5):  # record 5 is just as bad, but comes later
+                records[i] = edit(records[i])
+            return dict(header, records=records)
+
+        conftest.rewrite_container_header(path, edit_records)
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_index(path)
 
 
