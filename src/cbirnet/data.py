@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,28 +48,17 @@ class DatasetSplit:
 
 # ---------------------------------------------------------------------------
 # PGM codec
+#
+# read_pgm accepts a subset of netpbm's PGM: the magic P2 or P5, then
+# width, height and maxval as runs of 1 to 9 ASCII digits, each after
+# whitespace or # comments (a comment runs to the end of its line), then
+# exactly one whitespace byte. A P5 raster is the next width*height bytes;
+# a P2 raster is the next width*height such digit runs, split by whitespace
+# and comments. Anything after the raster is ignored.
 
-_WS = b" \t\r\n\x0b\x0c"
-
-
-def _next_token(buf, pos):
-    """Skip whitespace and # comments, return (token, end_pos)."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos:pos + 1]
-        if c in _WS:
-            pos += 1
-        elif c == b"#":
-            nl = buf.find(b"\n", pos)
-            pos = n if nl < 0 else nl + 1
-        else:
-            break
-    if pos >= n:
-        raise InputError("PGM header ends prematurely")
-    end = pos
-    while end < n and buf[end:end + 1] not in _WS and buf[end:end + 1] != b"#":
-        end += 1
-    return buf[pos:end], end
+_HEADER = re.compile(
+    rb"P([25])" + 3 * rb"(?:\s|#[^\n]*\n)+(\d{1,9})" + rb"\s")
+_COMMENT = re.compile(rb"#[^\n]*")
 
 
 def read_pgm(path):
@@ -77,44 +67,37 @@ def read_pgm(path):
         buf = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read image {path}: {exc}") from exc
-    magic, pos = _next_token(buf, 0)
-    if magic not in (b"P2", b"P5"):
-        raise InputError(f"{path}: not a PGM file (magic {magic!r})")
-    fields = []
-    for name in ("width", "height", "maxval"):
-        tok, pos = _next_token(buf, pos)
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise InputError(f"{path}: non-numeric {name} {tok!r}") from None
-    width, height, maxval = fields
+    header = _HEADER.match(buf)
+    if header is None:
+        if buf[:2] not in (b"P2", b"P5"):
+            raise InputError(f"{path}: not a PGM file (magic {buf[:2]!r})")
+        raise InputError(f"{path}: malformed PGM header")
+    magic, width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise InputError(f"{path}: empty raster {width}x{height}")
     if not 1 <= maxval <= 255:
         raise InputError(
             f"{path}: only 8-bit PGM supported, maxval {maxval}")
     count = width * height
-    if magic == b"P5":
-        start = pos + 1  # exactly one whitespace byte after maxval
-        raster = buf[start:start + count]
-        if len(raster) < count:
-            raise InputError(f"{path}: raster truncated "
-                             f"({len(raster)} of {count} bytes)")
-        pixels = np.frombuffer(raster, dtype=np.uint8, count=count)
+    start = header.end()
+    if magic == 5:
+        got = len(buf) - start
+        if got < count:
+            raise InputError(
+                f"{path}: raster truncated ({got} of {count} bytes)")
+        pixels = np.frombuffer(buf, np.uint8, count=count, offset=start)
     else:
-        values = []
-        try:
-            for _ in range(count):
-                tok, pos = _next_token(buf, pos)
-                values.append(int(tok))
-        except InputError:
+        values = _COMMENT.sub(b" ", buf[start:]).split()[:count]
+        if len(values) < count:
             raise InputError(f"{path}: raster truncated "
-                             f"({len(values)} of {count} values)") from None
-        except ValueError:
-            raise InputError(f"{path}: non-numeric pixel value") from None
-        pixels = np.asarray(values, dtype=np.int64)
+                             f"({len(values)} of {count} values)")
+        # Bounded before int(), so no value can overflow int64.
+        if not b"".join(values).isdigit() or max(map(len, values)) > 9:
+            raise InputError(f"{path}: P2 pixel values must be runs of 1 "
+                             f"to 9 digits")
+        pixels = np.fromiter(map(int, values), np.int64, count)
     # A P5 byte cannot exceed 255; every other raster is checked.
-    if (magic == b"P2" or maxval < 255) and pixels.max(initial=0) > maxval:
+    if (magic == 2 or maxval < 255) and pixels.max(initial=0) > maxval:
         raise InputError(f"{path}: pixel value exceeds maxval {maxval}")
     return pixels.astype(np.uint8).reshape(height, width)
 

@@ -46,14 +46,10 @@ from ._binio import (
     check_payload_size,
     read_container_header,
     read_exact,
+    read_into,
     write_container_header,
 )
-from .errors import (
-    ConfigurationError,
-    FormatError,
-    InternalError,
-    TruncatedFileError,
-)
+from .errors import ConfigurationError, FormatError, InternalError
 from .layers import (
     DTYPE,
     Conv2d,
@@ -523,9 +519,7 @@ def load_checkpoint(path):
                 raise FormatError(
                     f"stored tensor at payload byte {offset} does not have "
                     f"the network's parameter shape {value.shape}")
-            if f.readinto(value) != value.nbytes:
-                raise TruncatedFileError(
-                    f"file ends inside the tensor at payload byte {offset}")
+            read_into(f, value, f"the tensor at payload byte {offset}")
             if sys.byteorder == "big":  # stored as little-endian float64
                 value.byteswap(inplace=True)
     return network.freeze(), header.get("metadata", {})

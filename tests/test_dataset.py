@@ -99,15 +99,148 @@ class TestPGM:
 
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
-        path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
-        with pytest.raises(InputError):
-            read_pgm(path)
+        for data, counts in [
+                (b"P5\n4 4\n255\n" + bytes(7), r"7 of 16 bytes"),
+                (b"P2\n3 1\n255\n1 2 # 3\n", r"2 of 3 values")]:
+            path.write_bytes(data)
+            with pytest.raises(InputError,
+                               match=rf"raster truncated \({counts}\)$"):
+                read_pgm(path)
 
     def test_p2_value_above_maxval_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P2\n2 1\n100\n50 101\n")
         with pytest.raises(InputError):
             read_pgm(path)
+
+    @pytest.mark.parametrize("data", [
+        b"P2\n1 1\n255\n-5\n",
+        b"P2\n1 1\n255\n+7\n",
+        b"P2\n1 1\n255\n1_0\n",
+        b"P5\n+2 1\n255\n\x01\x02",
+        b"P5\n2 1_0\n255\n" + bytes(20),
+        # A comment straight after maxval: its bytes are not the raster.
+        b"P5\n2 1\n255#x\n",
+        b"P2\n1 1\n255#x\n7\n",
+        b" P5\n1 1\n255\n\x01",
+    ], ids=["negative-value", "plus-value", "underscore-value",
+            "plus-width", "underscore-height", "P5-comment-after-maxval",
+            "P2-comment-after-maxval", "space-before-magic"])
+    def test_off_grammar_input_rejected(self, tmp_path, data):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(data)
+        with pytest.raises(InputError):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("digits", [10, 20, 5000])
+    @pytest.mark.parametrize("magic, field", [
+        (b"P5", 0), (b"P5", 1), (b"P5", 2),
+        (b"P2", 0), (b"P2", 1), (b"P2", 2), (b"P2", 3)])
+    def test_overlong_number_rejected(self, tmp_path, magic, field, digits):
+        # 20 digits overflow int64; 5000 pass int()'s default digit limit.
+        for lead in (b"0", b"9"):
+            fields = [b"1", b"1", b"255", b"7"]
+            fields[field] = lead * (digits - 1) + b"1"
+            if magic == b"P5":
+                fields[3] = b"\x07"
+            path = tmp_path / "img.pgm"
+            path.write_bytes(magic + b"\n" + b" ".join(fields) + b"\n")
+            with pytest.raises(InputError):
+                read_pgm(path)
+
+
+WHITESPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]
+
+
+@pytest.fixture(scope="module")
+def pgm_path(tmp_path_factory):
+    """One file that each example of a fuzz test overwrites."""
+    return tmp_path_factory.mktemp("pgm") / "img.pgm"
+
+
+def decoded(path, data):
+    """read_pgm of a file holding data; None where it raises InputError."""
+    path.write_bytes(data)
+    try:
+        raster = read_pgm(path)
+    except InputError:
+        return None
+    assert raster.dtype == np.uint8 and raster.ndim == 2
+    return raster
+
+
+def separators(min_size=1):
+    """Runs of whitespace bytes and of # comments ended by a newline."""
+    comment = st.binary(max_size=6).map(
+        lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+    return st.lists(st.sampled_from(WHITESPACE) | comment,
+                    min_size=min_size, max_size=4).map(b"".join)
+
+
+def decimal(value):
+    """value in ASCII digits, with leading zeros up to nine digits."""
+    text = str(value).encode()
+    return st.integers(0, 9 - len(text)).map(lambda n: b"0" * n + text)
+
+
+@st.composite
+def pgm_files(draw):
+    """(file bytes, raster) of a P2 or P5 file in the accepted grammar."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    maxval = draw(st.integers(1, 255))
+    raster = np.array(draw(st.lists(st.integers(0, maxval), min_size=h * w,
+                                    max_size=h * w)), np.uint8).reshape(h, w)
+    binary = draw(st.booleans())
+    parts = [b"P5" if binary else b"P2"]
+    for value in (w, h, maxval):
+        parts += [draw(separators()), draw(decimal(value))]
+    parts.append(draw(st.sampled_from(WHITESPACE)))
+    if binary:
+        parts.append(raster.tobytes())
+    else:
+        for i, value in enumerate(raster.flat):
+            parts += [draw(separators(min_size=int(i > 0))),
+                      draw(decimal(value))]
+        parts.append(draw(separators()))
+    parts.append(draw(st.binary(max_size=8)))  # ignored after the raster
+    return b"".join(parts), raster
+
+
+class TestPGMFuzz:
+    @EXAMPLES
+    @given(file=pgm_files())
+    def test_grammar_files_decode_to_their_raster(self, pgm_path, file):
+        data, raster = file
+        got = decoded(pgm_path, data)
+        assert got is not None and same_bytes(got, raster)
+
+    @EXAMPLES
+    @given(data=st.sampled_from([b"", b"P2", b"P5", b"P2 3 2 255\n",
+                                 b"P5 3 2 255\n"])
+           .flatmap(lambda head: st.binary(max_size=64)
+                    .map(lambda tail: head + tail)))
+    def test_arbitrary_bytes_decode_or_raise(self, pgm_path, data):
+        decoded(pgm_path, data)
+
+    @EXAMPLES
+    @given(file=pgm_files(), data=st.data())
+    def test_mutated_file_decodes_or_raises(self, pgm_path, file, data):
+        raw = bytearray(file[0])
+        inserts = st.sampled_from([b"-", b"+", b"_", b"#", b"\n", b" ", b"0",
+                                   b"\x00", b"\xff", b"9" * 5000])
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = data.draw(st.integers(0, len(raw)))
+            edit = data.draw(st.sampled_from(["flip", "insert", "delete",
+                                              "truncate"]))
+            if edit == "flip" and pos < len(raw):
+                raw[pos] ^= data.draw(st.integers(1, 255))
+            elif edit == "insert":
+                raw[pos:pos] = data.draw(inserts)
+            elif edit == "delete":
+                del raw[pos:pos + data.draw(st.integers(1, 4))]
+            else:
+                del raw[pos:]
+        decoded(pgm_path, bytes(raw))
 
 
 class TestBilinearResize:

@@ -1,6 +1,7 @@
 """Architecture geometry, initialization, feature taps, and checkpoints."""
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -486,6 +487,28 @@ class TestCheckpoint:
         whole = path.read_bytes()
         path.write_bytes(whole[:len(whole) - 100])
         with pytest.raises(TruncatedFileError):
+            load_checkpoint(path)
+
+    def test_tensor_cut_short_names_its_payload_byte(self, tmp_path,
+                                                     monkeypatch):
+        # The file loses its tail after load_checkpoint checked its size,
+        # so the read of the last tensor, the head's 4 biases, comes up
+        # 8 bytes short.
+        net = desk_network()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, net)
+        payload = sum(1 + 4 * value.ndim + value.nbytes
+                      for value, _ in net.parameters())
+        check = network.check_payload_size
+
+        def check_then_shrink(f, size, what):
+            check(f, size, what)
+            os.truncate(path, path.stat().st_size - 8)
+
+        monkeypatch.setattr(network, "check_payload_size", check_then_shrink)
+        with pytest.raises(TruncatedFileError, match=(
+                rf"^file ends inside the tensor at payload byte "
+                rf"{payload - 37}: wanted 32 bytes, got 24$")):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
