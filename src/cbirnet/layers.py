@@ -18,8 +18,12 @@ further, but the BLAS then blocks and orders its sums differently, and the
 float64 results drift from the one-sample pass at N of 7 or more.
 
 Train passes (train=True) take a batch of exactly one sample and cache
-what backward needs for it; backward passes accumulate into the grads
-(they never overwrite), so callers must zero_grads() between SGD steps.
+what backward needs for it. A backward pass adds into the grads, so a
+caller that wants one sample's grads calls zero_grads() first. The one
+exception is a layer whose grads void_grads() marked undefined: its next
+backward writes them outright (no fill, no add), and later passes add
+again. backward(g, input_grad=False) computes only the parameter grads
+and returns None; the first layer of an SGD step needs no input gradient.
 """
 
 from __future__ import annotations
@@ -71,14 +75,45 @@ class Layer:
         for _, grad in self.parameters():
             grad.fill(0.0)
 
+    def void_grads(self):
+        """Mark the grads undefined: the next backward writes, not adds."""
+
     def forward(self, x, train=False):
         raise NotImplementedError
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         raise NotImplementedError
 
 
-class Conv2d(Layer):
+class _Affine(Layer):
+    """Weights, biases and their grads; the next backward may overwrite."""
+
+    def __init__(self, weight_shape, bias_size):
+        self.weights = np.zeros(weight_shape, dtype=DTYPE)
+        self.biases = np.zeros(bias_size, dtype=DTYPE)
+        # Not zeros_like: np.zeros commits no page until training writes.
+        self.weight_grads = np.zeros(self.weights.shape, dtype=DTYPE)
+        self.bias_grads = np.zeros(self.biases.shape, dtype=DTYPE)
+        self._grads_void = False
+
+    def parameters(self):
+        return [(self.weights, self.weight_grads),
+                (self.biases, self.bias_grads)]
+
+    def zero_grads(self):
+        super().zero_grads()
+        self._grads_void = False
+
+    def void_grads(self):
+        self._grads_void = True
+
+    def _take_void(self):
+        """True once after void_grads(): this backward writes the grads."""
+        void, self._grads_void = self._grads_void, False
+        return void
+
+
+class Conv2d(_Affine):
     """2-D cross-correlation over (channels, height, width) samples.
 
     forward reads the output size off its strided window view, which
@@ -94,19 +129,11 @@ class Conv2d(Layer):
         self.kernel_w = kernel_w
         self.stride = stride
         self.padding = padding
-        self.weights = np.zeros(
-            (out_channels, in_channels, kernel_h, kernel_w), dtype=DTYPE)
-        self.biases = np.zeros(out_channels, dtype=DTYPE)
-        # Not zeros_like: np.zeros commits no page until training writes.
-        self.weight_grads = np.zeros(self.weights.shape, dtype=DTYPE)
-        self.bias_grads = np.zeros(self.biases.shape, dtype=DTYPE)
+        super().__init__((out_channels, in_channels, kernel_h, kernel_w),
+                         out_channels)
         self._cols = None
         self._in_shape = None
         self._out_shape = None
-
-    def parameters(self):
-        return [(self.weights, self.weight_grads),
-                (self.biases, self.bias_grads)]
 
     def _im2col(self, x):
         """(cols, out_h, out_w): patches of shape (N, c*kh*kw, out_h*out_w)."""
@@ -138,7 +165,7 @@ class Conv2d(Layer):
             self._out_shape = out.shape
         return out
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         if self._cols is None:
             raise InternalError("backward called before a train-mode forward")
         c, h, w = self._in_shape
@@ -149,8 +176,16 @@ class Conv2d(Layer):
                 f"forward output {self._out_shape}")
         _, oc, oh, ow = self._out_shape
         g2d = grad_out.reshape(oc, oh * ow)
-        self.bias_grads += g2d.sum(axis=1)
-        self.weight_grads += (g2d @ self._cols.T).reshape(self.weights.shape)
+        if self._take_void():
+            np.sum(g2d, axis=1, out=self.bias_grads)
+            np.matmul(g2d, self._cols.T,
+                      out=self.weight_grads.reshape(oc, -1))
+        else:
+            self.bias_grads += g2d.sum(axis=1)
+            self.weight_grads += (g2d @ self._cols.T).reshape(
+                self.weights.shape)
+        if not input_grad:
+            return None
         dcols = self.weights.reshape(oc, -1).T @ g2d
         dwin = dcols.reshape(c, kh, kw, oh, ow)
         dxp = np.zeros((1, c, h + 2 * p, w + 2 * p), dtype=DTYPE)
@@ -206,7 +241,7 @@ class MaxPool2d(Layer):
         self._in_shape = x.shape
         return np.take_along_axis(flat, arg[..., None], axis=3)[None, ..., 0]
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         if self._argmax is None:
             raise InternalError("backward called before a train-mode forward")
         expect = (1, *self._argmax.shape)
@@ -214,6 +249,8 @@ class MaxPool2d(Layer):
             raise InternalError(
                 f"upstream gradient shape {grad_out.shape} does not match "
                 f"pooled output {expect}")
+        if not input_grad:
+            return None
         dx = np.zeros(int(np.prod(self._in_shape)), dtype=DTYPE)
         np.add.at(dx, self._argmax.ravel(), grad_out.ravel())
         return dx.reshape(self._in_shape)
@@ -231,29 +268,23 @@ class ReLU(Layer):
             self._mask = x > 0
         return np.maximum(x, 0.0)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         if self._mask is None:
             raise InternalError("backward called before a train-mode forward")
+        if not input_grad:
+            return None
         return grad_out * self._mask
 
 
-class FullyConnected(Layer):
+class FullyConnected(_Affine):
     """Affine map y = W x + b on each sample's flattened input vector."""
 
     def __init__(self, in_features, out_features):
         self.in_features = in_features
         self.out_features = out_features
-        self.weights = np.zeros((out_features, in_features), dtype=DTYPE)
-        self.biases = np.zeros(out_features, dtype=DTYPE)
-        # Not zeros_like: np.zeros commits no page until training writes.
-        self.weight_grads = np.zeros(self.weights.shape, dtype=DTYPE)
-        self.bias_grads = np.zeros(self.biases.shape, dtype=DTYPE)
+        super().__init__((out_features, in_features), out_features)
         self._x = None
         self._in_shape = None
-
-    def parameters(self):
-        return [(self.weights, self.weight_grads),
-                (self.biases, self.bias_grads)]
 
     def forward(self, x, train=False):
         flat = x.reshape(len(x), -1)
@@ -266,7 +297,7 @@ class FullyConnected(Layer):
         out += self.biases
         return out
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         if self._x is None:
             raise InternalError("backward called before a train-mode forward")
         if grad_out.shape != (1, self.out_features):
@@ -274,8 +305,15 @@ class FullyConnected(Layer):
                 f"upstream gradient shape {grad_out.shape} does not match "
                 f"forward output {(1, self.out_features)}")
         g = grad_out[0]
-        self.weight_grads += np.outer(g, self._x)
-        self.bias_grads += g
+        if self._take_void():
+            # np.outer's own multiply, written straight into the grads.
+            np.multiply(g[:, None], self._x[None, :], out=self.weight_grads)
+            self.bias_grads[...] = g
+        else:
+            self.weight_grads += np.outer(g, self._x)
+            self.bias_grads += g
+        if not input_grad:
+            return None
         return (self.weights.T @ g).reshape(self._in_shape)
 
 
@@ -307,9 +345,11 @@ class Dropout(Layer):
         self._mask = self.rng.random(x.shape) < self.keep_prob
         return x * self._mask
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         if self._mask is None:
             raise InternalError("backward called before a train-mode forward")
+        if not input_grad:
+            return None
         return grad_out * self._mask
 
 
@@ -332,7 +372,9 @@ class LogSoftmax(Layer):
             self._probs = np.exp(out)
         return out
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         if self._probs is None:
             raise InternalError("backward called before a train-mode forward")
+        if not input_grad:
+            return None
         return grad_out - self._probs * grad_out.sum(axis=1, keepdims=True)

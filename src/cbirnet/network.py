@@ -335,8 +335,7 @@ class Network:
                 layer.weights[:] = rng.normal(
                     0.0, weight_std, size=layer.weights.shape)
                 layer.biases.fill(ls.bias_init)
-                layer.weight_grads.fill(0.0)
-                layer.bias_grads.fill(0.0)
+                layer.zero_grads()
 
     def seed_dropout(self, seed):
         """Point every dropout layer at one fresh generator (shared stream)."""
@@ -352,8 +351,15 @@ class Network:
         return out
 
     def zero_grads(self):
+        """Start a new sample's grads without filling them.
+
+        Each layer's grads are voided: they are undefined until the next
+        backward, which writes them outright, and later backwards add to
+        them. So after zero_grads() the grads of n backwards are their sum,
+        as if they had been filled with zeros.
+        """
         for layer in self.layers:
-            layer.zero_grads()
+            layer.void_grads()
 
     def _check_input(self, shape, what="input"):
         if tuple(shape) != self.spec.input_shape:
@@ -379,12 +385,18 @@ class Network:
         self._check_input(x.shape)
         return self._run(np.asarray(x, dtype=DTYPE)[None], train=train)[0]
 
-    def backward(self, grad_out):
-        """Gradient of one sample's loss with respect to its input."""
+    def backward(self, grad_out, input_grad=True):
+        """Gradient of one sample's loss with respect to its input.
+
+        Every layer's parameter grads get this sample's share (see
+        zero_grads). With input_grad=False the first layer computes its
+        parameter grads only, and the call returns None.
+        """
         g = np.asarray(grad_out)[None]
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             g = layer.backward(g)
-        return g[0]
+        g = self.layers[0].backward(g, input_grad=input_grad)
+        return None if g is None else g[0]
 
     def classify(self, images):
         """Eval-mode pass over a batch: (log_probs, predicted, features).

@@ -88,7 +88,14 @@ def sgd_step(net, sample, config):
     """One forward/backward/update cycle on a single sample.
 
     Returns the sample's loss before the update. Aborts with
-    TrainingDiverged on any non-finite loss or gradient.
+    TrainingDiverged on any non-finite loss or gradient. Each pass over
+    parameter-sized memory happens once: zero_grads only voids the grads,
+    backward writes them and skips the first layer's unused input
+    gradient, and the update scales each grad in place before subtracting
+    it. So after a step with a nonzero rate the grads hold lr * grad, not
+    grad. Every parameter ends bit-identical to value -= lr * grad on
+    zero-filled, added-to grads; only a zero grad's sign may differ, and
+    that reaches no parameter unless one is exactly -0.0.
     """
     net.zero_grads()
     log_probs = net.forward(sample.image, train=True)
@@ -96,14 +103,15 @@ def sgd_step(net, sample, config):
     if not np.isfinite(loss):
         raise TrainingDiverged(
             f"non-finite loss {loss} on sample {sample.source_id}")
-    net.backward(nll_grad(log_probs, sample.label))
+    net.backward(nll_grad(log_probs, sample.label), input_grad=False)
     lr = config.learning_rate
     for value, grad in net.parameters():
         if not np.isfinite(grad).all():
             raise TrainingDiverged(
                 f"non-finite gradient on sample {sample.source_id}")
         if lr != 0.0:
-            value -= lr * grad
+            np.multiply(grad, lr, out=grad)
+            np.subtract(value, grad, out=value)
     return loss
 
 

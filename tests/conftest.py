@@ -17,6 +17,7 @@ from cbirnet.layers import (
     MaxPool2d,
     ReLU,
 )
+from cbirnet.training import nll_grad, nll_loss
 
 DTYPE = np.float64
 
@@ -143,6 +144,24 @@ def eval_forward_reference(net, x):
         if i in taps:
             features[taps[i]] = out.reshape(-1).copy()
     return out, int(np.argmax(out)), features
+
+
+def sgd_step_reference(net, sample, learning_rate):
+    """The SGD step training.sgd_step replaced, as its oracle.
+
+    Every layer's grads are filled with zeros, a full backward (input
+    gradient included) adds into them, and each parameter takes
+    value -= lr * grad. Returns the sample's loss before the update.
+    """
+    for layer in net.layers:
+        layer.zero_grads()
+    log_probs = net.forward(sample.image, train=True)
+    loss = nll_loss(log_probs, sample.label)
+    net.backward(nll_grad(log_probs, sample.label))
+    for value, grad in net.parameters():
+        assert np.isfinite(grad).all()
+        value -= learning_rate * grad
+    return loss
 
 
 def bilinear_resize(image, out_h, out_w):

@@ -21,13 +21,15 @@ from cbirnet.data import Sample
 from cbirnet.layers import Conv2d, Dropout, FullyConnected
 from cbirnet.network import (
     CHECKPOINT_MAGIC,
+    FCSpec,
+    LogSoftmaxSpec,
     Network,
     NetworkSpec,
     build_architecture,
     load_checkpoint,
     save_checkpoint,
 )
-from cbirnet.training import TrainConfig, sgd_step
+from cbirnet.training import TrainConfig, nll_grad, sgd_step
 
 # Hand-computed stage-by-stage shapes for the full-size topology on a
 # 1x224x224 input, using out = (in + 2p - k) // s + 1 at every stage.
@@ -629,3 +631,63 @@ class TestDropoutSeeding:
         drops = [l for l in net.layers if isinstance(l, Dropout)]
         assert len(drops) == 2
         assert drops[0].rng is drops[1].rng
+
+
+def fc_first_network():
+    """The hand-traced step's topology, an FC head on the raw input."""
+    net = Network.from_spec(NetworkSpec(
+        input_shape=(1, 3, 3),
+        layers=(FCSpec(2), LogSoftmaxSpec(num_classes=2))))
+    net.initialize(0)
+    return net
+
+
+FIRST_LAYERS = {"conv": desk_network, "fc": fc_first_network}
+
+
+class TestBackwardGrads:
+    @pytest.fixture(params=sorted(FIRST_LAYERS))
+    def twins(self, request):
+        """Two networks with equal parameters and equal dropout streams."""
+        nets = [FIRST_LAYERS[request.param]() for _ in range(2)]
+        for net in nets:
+            net.seed_dropout(0)
+        return nets
+
+    @staticmethod
+    def backward_pass(net, x, input_grad=True):
+        log_probs = net.forward(x, train=True)
+        return net.backward(nll_grad(log_probs, 1), input_grad=input_grad)
+
+    @staticmethod
+    def images(net, n):
+        return np.random.default_rng(1).random((n, *net.spec.input_shape))
+
+    def test_backwards_after_zero_grads_add_up(self, twins):
+        voided, alone = twins
+        expect = None
+        for x in self.images(alone, 2):  # each pass into zero-filled grads
+            for layer in alone.layers:
+                layer.zero_grads()
+            self.backward_pass(alone, x)
+            grads = [grad.copy() for _, grad in alone.parameters()]
+            expect = grads if expect is None else [
+                e + g for e, g in zip(expect, grads)]
+        for _, grad in voided.parameters():
+            grad.fill(np.nan)  # zero_grads must leave nothing to read
+        voided.zero_grads()
+        for x in self.images(voided, 2):
+            self.backward_pass(voided, x)
+        for e, (_, grad) in zip(expect, voided.parameters()):
+            npt.assert_array_equal(grad, e)
+        assert any(e.any() for e in expect)
+
+    def test_no_input_grad_keeps_parameter_grads(self, twins):
+        skipped, full = twins
+        [x] = self.images(full, 1)
+        skipped.zero_grads()
+        full.zero_grads()
+        assert self.backward_pass(skipped, x, input_grad=False) is None
+        assert self.backward_pass(full, x).shape == full.spec.input_shape
+        for (_, a), (_, b) in zip(skipped.parameters(), full.parameters()):
+            npt.assert_array_equal(a, b)

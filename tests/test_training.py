@@ -1,5 +1,7 @@
 """Loss, SGD stepping, full training runs, and k-fold partitioning."""
 
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,6 +17,7 @@ from cbirnet.network import (
     Network,
     NetworkSpec,
     ReLUSpec,
+    build_architecture,
 )
 from cbirnet.training import (
     TrainConfig,
@@ -27,7 +30,7 @@ from cbirnet.training import (
     train,
 )
 
-from conftest import numeric_gradient, relative_error
+from conftest import numeric_gradient, relative_error, sgd_step_reference
 
 
 def tiny_spec(num_classes=3, size=16):
@@ -141,6 +144,67 @@ class TestSgdStep:
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingDiverged):
                 sgd_step(net, self.make_sample(), TrainConfig())
+
+    def test_nonfinite_gradient_aborts(self):
+        # The loss stays finite; only the head's weight grads turn inf.
+        net = Network.from_spec(tiny_spec())
+        net.initialize(0)
+        head = [l for l in net.layers if isinstance(l, FullyConnected)][-1]
+        backward = head.backward
+
+        def poisoned(grad_out, **kwargs):
+            out = backward(grad_out, **kwargs)
+            head.weight_grads[0, 0] = np.inf
+            return out
+
+        head.backward = poisoned
+        with pytest.raises(TrainingDiverged, match="gradient"):
+            sgd_step(net, self.make_sample(), TrainConfig())
+
+    def test_bit_identical_to_reference_steps(self):
+        # The desk network with dropout on, 40 steps from equal seeds.
+        samples, _ = tiny_corpus(num_classes=4, size=64, seed=5)
+        spec = build_architecture(input_shape=(1, 64, 64), num_classes=4,
+                                  keep_prob=0.5, scale=0.1)
+        fast, slow = (Network.from_spec(spec) for _ in range(2))
+        for net in (fast, slow):
+            net.initialize(11, weight_std=0.15)
+            net.seed_dropout(13)
+        start = [v.copy() for v, _ in fast.parameters()]
+        lr = 1e-3
+        for sample in samples:
+            assert (sgd_step(fast, sample, TrainConfig(learning_rate=lr))
+                    == sgd_step_reference(slow, sample, lr))
+        for (a, _), (b, _), old in zip(fast.parameters(), slow.parameters(),
+                                       start):
+            npt.assert_array_equal(a, b)
+            assert not np.array_equal(a, old)
+
+    def test_each_traced_call_runs_once_per_step(self):
+        # perfbench/tracing.py times a step's parts off these calls, each
+        # wrapped per instance; a part that never runs reads NaN there.
+        net = Network.from_spec(build_architecture(
+            input_shape=(1, 64, 64), num_classes=4, scale=0.1))
+        net.initialize(0)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name, kwargs.get("train")] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for method in ("zero_grads", "forward", "backward"):
+            setattr(net, method, counted(method, getattr(net, method)))
+        for i, layer in enumerate(net.layers):
+            layer.backward = counted(i, layer.backward)
+        sample = Sample(image=np.random.default_rng(0).random((1, 64, 64)),
+                        label=2, source_id="x")
+        sgd_step(net, sample, TrainConfig())
+        expect = {("zero_grads", None): 1, ("forward", True): 1,
+                  ("backward", None): 1}
+        expect.update({(i, None): 1 for i in range(len(net.layers))})
+        assert calls == expect
 
 
 class TestTrain:
