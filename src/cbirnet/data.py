@@ -64,7 +64,8 @@ _COMMENT = re.compile(rb"#[^\n]*")
 def read_pgm(path):
     """Decode a P2 (ASCII) or P5 (binary) PGM into a 2-D uint8 array."""
     try:
-        buf = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            buf = f.read()
     except OSError as exc:
         raise InputError(f"cannot read image {path}: {exc}") from exc
     header = _HEADER.match(buf)
@@ -239,9 +240,11 @@ def ingest_directory(root, out_size=224):
     skipped = 0
     for label, name in enumerate(class_names):
         class_dir = root / name
+        # str(class_dir / f) for each file, without a Path per file.
+        prefix = os.path.join(class_dir, "")
         loaded = 0
         for file_name in _listing(class_dir, "is_file"):
-            path = class_dir / file_name
+            path = prefix + file_name
             try:
                 raw = read_pgm(path)
                 _check_raster(raw.shape, out_size)

@@ -24,9 +24,21 @@ exception is a layer whose grads void_grads() marked undefined: its next
 backward writes them outright (no fill, no add), and later passes add
 again. backward(g, input_grad=False) computes only the parameter grads
 and returns None; the first layer of an SGD step needs no input gradient.
+
+The train path of MaxPool2d and the input gradient of Conv2d run through
+index tables of flat positions: one gather and one argmax per pool
+forward, one bincount per pool backward and per col2im. Each table is a
+cache keyed on the input shape: built the first time a train pass needs
+it at that shape, rebuilt when the shape changes, and never a second
+shape check. Eval passes neither build nor read one. A bincount starts
+each bin at +0.0 and adds its weights in array order, so every sum takes
+its terms in the order of the slice-by-slice adds it replaced, bit for
+bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,6 +74,17 @@ def _window_shape(input_shape, kernel_h, kernel_w, stride, padding=0):
             f"{padding}) cannot slide over a {h}x{w} input")
     return (c, *((n + 2 * padding - k) // stride + 1
                  for n, k in ((h, kernel_h), (w, kernel_w))))
+
+
+def _window_positions(shape, kernel_h, kernel_w, stride):
+    """Flat index into a (c, h, w) array of every element of every window.
+
+    Shaped (c, out_h, out_w, kernel_h, kernel_w): the window view of the
+    array's positions, laid out as the window view of its values is.
+    """
+    grid = np.arange(math.prod(shape), dtype=np.intp).reshape(shape)
+    return sliding_window_view(grid, (kernel_h, kernel_w),
+                               axis=(1, 2))[:, ::stride, ::stride]
 
 
 class Layer:
@@ -118,7 +141,13 @@ class Conv2d(_Affine):
 
     forward reads the output size off its strided window view, which
     follows the floor rule of _window_shape. The kernel is applied
-    unflipped (cross-correlation, the usual CNN convention).
+    unflipped (cross-correlation, the usual CNN convention). The input
+    gradient scatters dcols into the padded input with one bincount over
+    a table of the padded position of each dcols element, in dcols' own
+    (c, kh, kw, oh, ow) order, so each position sums its terms in (kh, kw)
+    order. The table is built by the first backward that asks for an
+    input gradient at a new input shape: the first layer of an SGD step
+    never asks, and never builds one.
     """
 
     def __init__(self, in_channels, out_channels, kernel_h, kernel_w,
@@ -134,6 +163,8 @@ class Conv2d(_Affine):
         self._cols = None
         self._in_shape = None
         self._out_shape = None
+        self._col2im = None  # padded position of each dcols element
+        self._col2im_shape = None  # the input shape _col2im was built for
 
     def _im2col(self, x):
         """(cols, out_h, out_w): patches of shape (N, c*kh*kw, out_h*out_w)."""
@@ -187,11 +218,13 @@ class Conv2d(_Affine):
         if not input_grad:
             return None
         dcols = self.weights.reshape(oc, -1).T @ g2d
-        dwin = dcols.reshape(c, kh, kw, oh, ow)
-        dxp = np.zeros((1, c, h + 2 * p, w + 2 * p), dtype=DTYPE)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[0, :, i:i + s * oh:s, j:j + s * ow:s] += dwin[:, i, j]
+        hp, wp = h + 2 * p, w + 2 * p
+        if self._col2im_shape != self._in_shape:
+            self._col2im = _window_positions((c, hp, wp), kh, kw, s).transpose(
+                0, 3, 4, 1, 2).ravel()
+            self._col2im_shape = self._in_shape
+        dxp = np.bincount(self._col2im, weights=dcols.ravel(),
+                          minlength=c * hp * wp).reshape(1, c, hp, wp)
         if p > 0:
             return dxp[:, :, p:-p, p:-p].copy()
         return dxp
@@ -200,24 +233,30 @@ class Conv2d(_Affine):
 class MaxPool2d(Layer):
     """Window-maximum downsampling; windows may overlap when stride < window.
 
-    The train-mode forward records the flat input index of each window's
-    winner (ties break toward the row-major first position); backward
-    routes each upstream element to that index, accumulating where windows
-    overlap. The eval forward needs no winners: it takes the running
-    maximum of the window's k*k strided slices, which picks the same value
-    bit for bit.
+    The train-mode forward gathers every window into one row of a
+    (c*oh*ow, k*k) array through a table of flat input positions, takes
+    each row's argmax (ties break toward the row-major first position) and
+    records the winners' positions; backward sums each upstream element
+    into its winner with one bincount, accumulating where windows overlap.
+    The table is built on the first train-mode forward of each input shape
+    and reused. The eval forward needs no winners and builds no table: it
+    takes the running maximum of the window's k*k strided slices, which
+    picks the same value bit for bit.
     """
 
     def __init__(self, window, stride):
         self.window = window
         self.stride = stride
-        self._argmax = None
-        self._in_shape = None
+        self._table = None  # flat input position of each window element
+        self._row_starts = None  # flat table index of each row's start
+        self._in_shape = None  # the input shape _table was built for
+        self._out_shape = None
+        self._winners = None
 
     def forward(self, x, train=False):
         k, s = self.window, self.stride
-        c, oh, ow = _window_shape(x.shape[1:], k, k, s)
         if not train:
+            c, oh, ow = _window_shape(x.shape[1:], k, k, s)
             rows, cols = s * (oh - 1) + 1, s * (ow - 1) + 1
             out = x[:, :, :rows:s, :cols:s].copy()
             for i in range(k):
@@ -230,29 +269,31 @@ class MaxPool2d(Layer):
                                    out=out)
             return out
         _check_train_batch(x)
-        _, h, w = x.shape[1:]
-        win = sliding_window_view(x[0], (k, k), axis=(1, 2))[:, ::s, ::s]
-        flat = win.reshape(c, oh, ow, k * k)
-        arg = flat.argmax(axis=3)
-        rows = (np.arange(oh) * s)[None, :, None] + arg // k
-        cols = (np.arange(ow) * s)[None, None, :] + arg % k
-        chan = np.arange(c)[:, None, None]
-        self._argmax = (chan * h + rows) * w + cols
-        self._in_shape = x.shape
-        return np.take_along_axis(flat, arg[..., None], axis=3)[None, ..., 0]
+        if self._in_shape != x.shape:
+            c, oh, ow = _window_shape(x.shape[1:], k, k, s)
+            # Rows in (c, oh, ow) order, each window's k*k row-major.
+            self._table = _window_positions(x.shape[1:], k, k, s).reshape(
+                -1, k * k)
+            self._row_starts = np.arange(0, self._table.size, k * k)
+            self._in_shape = x.shape
+            self._out_shape = (1, c, oh, ow)
+        flat = x.take(self._table)  # (c*oh*ow, k*k) window values
+        pick = flat.argmax(axis=1)
+        pick += self._row_starts
+        self._winners = self._table.take(pick)
+        return flat.take(pick).reshape(self._out_shape)
 
     def backward(self, grad_out, input_grad=True):
-        if self._argmax is None:
+        if self._winners is None:
             raise InternalError("backward called before a train-mode forward")
-        expect = (1, *self._argmax.shape)
-        if grad_out.shape != expect:
+        if grad_out.shape != self._out_shape:
             raise InternalError(
                 f"upstream gradient shape {grad_out.shape} does not match "
-                f"pooled output {expect}")
+                f"pooled output {self._out_shape}")
         if not input_grad:
             return None
-        dx = np.zeros(int(np.prod(self._in_shape)), dtype=DTYPE)
-        np.add.at(dx, self._argmax.ravel(), grad_out.ravel())
+        dx = np.bincount(self._winners, weights=grad_out.ravel(),
+                         minlength=math.prod(self._in_shape))
         return dx.reshape(self._in_shape)
 
 

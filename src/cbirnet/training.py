@@ -88,7 +88,9 @@ def sgd_step(net, sample, config):
     """One forward/backward/update cycle on a single sample.
 
     Returns the sample's loss before the update. Aborts with
-    TrainingDiverged on any non-finite loss or gradient. Each pass over
+    TrainingDiverged on any non-finite loss or gradient; every grad is
+    checked before any parameter moves, so a diverged step leaves the
+    parameters as the previous step left them. Each pass over
     parameter-sized memory happens once: zero_grads only voids the grads,
     backward writes them and skips the first layer's unused input
     gradient, and the update scales each grad in place before subtracting
@@ -104,12 +106,13 @@ def sgd_step(net, sample, config):
         raise TrainingDiverged(
             f"non-finite loss {loss} on sample {sample.source_id}")
     net.backward(nll_grad(log_probs, sample.label), input_grad=False)
+    params = net.parameters()
+    if not all(np.isfinite(grad).all() for _, grad in params):
+        raise TrainingDiverged(
+            f"non-finite gradient on sample {sample.source_id}")
     lr = config.learning_rate
-    for value, grad in net.parameters():
-        if not np.isfinite(grad).all():
-            raise TrainingDiverged(
-                f"non-finite gradient on sample {sample.source_id}")
-        if lr != 0.0:
+    if lr != 0.0:
+        for value, grad in params:
             np.multiply(grad, lr, out=grad)
             np.subtract(value, grad, out=value)
     return loss

@@ -1,6 +1,7 @@
 """Shared oracles: slow reference implementations the fast code must match."""
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -66,6 +67,51 @@ def maxpool2d_reference(x, window, stride):
     return out
 
 
+def maxpool_train_reference(x, window, stride):
+    """The window-view train forward MaxPool2d replaced, as its oracle.
+
+    One (c, h, w) sample: argmax over each flattened window of a
+    sliding_window_view, then take_along_axis. Returns (out, winners),
+    winners being each window's winning flat input index.
+    """
+    k, s = window, stride
+    c, h, w = x.shape
+    win = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
+    oh, ow = win.shape[1:3]
+    flat = win.reshape(c, oh, ow, k * k)
+    arg = flat.argmax(axis=3)
+    rows = (np.arange(oh) * s)[None, :, None] + arg // k
+    cols = (np.arange(ow) * s)[None, None, :] + arg % k
+    winners = (np.arange(c)[:, None, None] * h + rows) * w + cols
+    return np.take_along_axis(flat, arg[..., None], axis=3)[..., 0], winners
+
+
+def maxpool_backward_reference(winners, grad_out, in_shape):
+    """The np.add.at pool backward MaxPool2d replaced, as its oracle."""
+    dx = np.zeros(math.prod(in_shape), dtype=DTYPE)
+    np.add.at(dx, winners.ravel(), grad_out.ravel())
+    return dx.reshape(in_shape)
+
+
+def col2im_reference(dcols, in_shape, kernel_h, kernel_w, stride, padding):
+    """The slice-add col2im Conv2d.backward replaced, as its oracle.
+
+    dcols is (c*kh*kw, oh*ow) in im2col's order; each of the kh*kw window
+    offsets adds its strided slice into a zero-filled padded input, which
+    is then cropped to in_shape (c, h, w).
+    """
+    c, h, w = in_shape
+    kh, kw, s, p = kernel_h, kernel_w, stride, padding
+    oh = (h + 2 * p - kh) // s + 1
+    ow = (w + 2 * p - kw) // s + 1
+    dwin = dcols.reshape(c, kh, kw, oh, ow)
+    dxp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=DTYPE)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dwin[:, i, j]
+    return dxp[:, p:p + h, p:p + w]
+
+
 def numeric_gradient(f, x, step=1e-3):
     """Central-difference gradient of scalar f at x, elementwise."""
     grad = np.zeros_like(x, dtype=DTYPE)
@@ -105,13 +151,7 @@ def _conv_eval_reference(conv, x):
 
 
 def _pool_eval_reference(pool, x):
-    """One sample: argmax over each flattened window, then gather."""
-    k, s = pool.window, pool.stride
-    win = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
-    c, oh, ow = win.shape[:3]
-    flat = win.reshape(c, oh, ow, k * k)
-    arg = flat.argmax(axis=3)
-    return np.take_along_axis(flat, arg[..., None], axis=3)[..., 0]
+    return maxpool_train_reference(x, pool.window, pool.stride)[0]
 
 
 def _log_softmax_reference(x):

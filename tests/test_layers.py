@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbirnet.errors import ConfigurationError, InternalError
 from cbirnet.layers import (
@@ -15,8 +16,11 @@ from cbirnet.layers import (
 )
 
 from conftest import (
+    col2im_reference,
     conv2d_reference,
     maxpool2d_reference,
+    maxpool_backward_reference,
+    maxpool_train_reference,
     numeric_gradient,
     relative_error,
 )
@@ -24,6 +28,15 @@ from conftest import (
 RNG = np.random.default_rng(20240817)
 FD_STEP = 1e-3
 FD_TOL = 1e-4
+
+# Ties, signed zeros and NaN for the window maxima; +-1e16 against 1.0
+# makes a sum's value depend on the order of its terms.
+PALETTE = (0.0, -0.0, 1.0, -1.0, 3.0, 1e16, -1e16, np.nan)
+
+
+def palette_array(data, shape, palette=PALETTE):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(np.array(palette), size=shape)
 
 
 def check_gradients(layer, x, seed=0):
@@ -103,6 +116,30 @@ class TestConv2d:
         with pytest.raises(InternalError):
             Conv2d(1, 1, 2, 2).backward(np.zeros((1, 1, 1, 1)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), stride=st.sampled_from([1, 2, 4]),
+           padding=st.integers(0, 2), kh=st.integers(1, 4),
+           kw=st.integers(1, 4), c=st.integers(1, 3), oc=st.integers(1, 3))
+    def test_input_gradient_matches_slice_add_oracle(
+            self, data, stride, padding, kh, kw, c, oc):
+        conv = Conv2d(c, oc, kh, kw, stride=stride, padding=padding)
+        conv.weights[:] = palette_array(data, conv.weights.shape,
+                                        PALETTE[:-1])
+        # One instance fed two input shapes, and the first one again.
+        lo_h, lo_w = max(1, kh - 2 * padding), max(1, kw - 2 * padding)
+        first, second = data.draw(st.lists(
+            st.tuples(st.integers(lo_h, lo_h + 6),
+                      st.integers(lo_w, lo_w + 6)),
+            min_size=2, max_size=2, unique=True))
+        for h, w in (first, second, first):
+            x = palette_array(data, (1, c, h, w))
+            out = conv.forward(x, train=True)
+            g = palette_array(data, out.shape)
+            dcols = conv.weights.reshape(oc, -1).T @ g.reshape(oc, -1)
+            expect = col2im_reference(dcols, (c, h, w), kh, kw, stride,
+                                      padding)
+            assert conv.backward(g)[0].tobytes() == expect.tobytes()
+
     def test_eval_forward_stores_nothing(self):
         conv = Conv2d(1, 1, 2, 2)
         conv.forward(np.zeros((1, 1, 4, 4)), train=False)
@@ -166,6 +203,41 @@ class TestMaxPool2d:
         pool.forward(x, train=True)
         dx = pool.backward(np.ones((1, 1, 1, 1)))[0]
         npt.assert_array_equal(dx, [[[1.0, 0.0], [0.0, 0.0]]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), window=st.integers(1, 4), stride=st.integers(1, 5))
+    def test_train_path_matches_window_view_oracles(self, data, window,
+                                                    stride):
+        # stride < window overlaps windows, stride >= window does not;
+        # one instance is fed two input shapes, then the first again.
+        pool = MaxPool2d(window, stride)
+        side = st.integers(window, window + 7)
+        first, second = data.draw(st.lists(
+            st.tuples(st.integers(1, 3), side, side),
+            min_size=2, max_size=2, unique=True))
+        for shape in (first, second, first):
+            x = palette_array(data, shape)
+            out, winners = maxpool_train_reference(x, window, stride)
+            assert pool.forward(x[None], train=True)[0].tobytes() == \
+                out.tobytes()
+            g = palette_array(data, out.shape)
+            assert pool.backward(g[None])[0].tobytes() == \
+                maxpool_backward_reference(winners, g, shape).tobytes()
+
+    def test_backward_sums_in_window_order(self):
+        # The spike at (2, 2) wins all four overlapping 3x3 windows; the
+        # sum of 1e16, 1, -1e16, 1 reads 1.0 only in window order.
+        pool = MaxPool2d(3, 2)
+        x = np.zeros((1, 5, 5))
+        x[0, 2, 2] = 1.0
+        out, winners = maxpool_train_reference(x, 3, 2)
+        assert np.count_nonzero(winners == 12) == 4
+        pool.forward(x[None], train=True)
+        g = np.array([[[1e16, 1.0], [-1e16, 1.0]]])
+        dx = pool.backward(g[None])[0]
+        assert dx[0, 2, 2] == 1.0
+        assert dx.tobytes() == \
+            maxpool_backward_reference(winners, g, x.shape).tobytes()
 
     def test_gradients(self):
         pool = MaxPool2d(3, 2)

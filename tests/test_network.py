@@ -433,6 +433,29 @@ class TestFrozen:
         assert loaded.fingerprint() == net.fingerprint() != before
         assert loaded.freeze().fingerprint() == net.fingerprint()
 
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_eval_passes_write_no_layer_state(self, trained):
+        # No index table is built and no winner or cache is stored, so a
+        # frozen network stays safe to share.
+        net = desk_network(seed=2)
+        if trained:
+            net.seed_dropout(0)
+            sample = Sample(image=probe_images(1)[0], label=1, source_id="x")
+            sgd_step(net, sample, TrainConfig(learning_rate=0.01))
+        net.freeze()
+        before = [dict(vars(layer)) for layer in net.layers]
+        copies = [{k: v.copy() for k, v in state.items()
+                   if isinstance(v, np.ndarray)} for state in before]
+        images = probe_images(3, seed=4)
+        net.classify(images)
+        net.forward(images[0], train=False)
+        net.forward_classify(images[1])
+        for layer, state, arrays in zip(net.layers, before, copies):
+            assert vars(layer).keys() == state.keys()
+            assert all(vars(layer)[k] is v for k, v in state.items())
+            assert all(state[k].tobytes() == v.tobytes()
+                       for k, v in arrays.items())
+
     def test_in_memory_network_is_not_frozen(self):
         net = desk_network()
         assert all(value.flags.writeable for value, _ in net.parameters())

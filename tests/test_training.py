@@ -147,6 +147,8 @@ class TestSgdStep:
 
     def test_nonfinite_gradient_aborts(self):
         # The loss stays finite; only the head's weight grads turn inf.
+        # They are checked before the conv and fc1 parameters, which come
+        # first, are updated, so no parameter moves.
         net = Network.from_spec(tiny_spec())
         net.initialize(0)
         head = [l for l in net.layers if isinstance(l, FullyConnected)][-1]
@@ -158,8 +160,10 @@ class TestSgdStep:
             return out
 
         head.backward = poisoned
+        before = [value.tobytes() for value, _ in net.parameters()]
         with pytest.raises(TrainingDiverged, match="gradient"):
             sgd_step(net, self.make_sample(), TrainConfig())
+        assert [value.tobytes() for value, _ in net.parameters()] == before
 
     def test_bit_identical_to_reference_steps(self):
         # The desk network with dropout on, 40 steps from equal seeds.
