@@ -18,12 +18,13 @@ further, but the BLAS then blocks and orders its sums differently, and the
 float64 results drift from the one-sample pass at N of 7 or more.
 
 Train passes (train=True) take a batch of exactly one sample and cache
-what backward needs for it. A backward pass adds into the grads, so a
-caller that wants one sample's grads calls zero_grads() first. The one
-exception is a layer whose grads void_grads() marked undefined: its next
-backward writes them outright (no fill, no add), and later passes add
-again. backward(g, input_grad=False) computes only the parameter grads
-and returns None; the first layer of an SGD step needs no input gradient.
+what backward needs for it. A backward pass adds into the grads, except
+the first one after zero_grads(), which writes them outright (no fill, no
+add). So a caller that wants one sample's grads calls zero_grads() first,
+and the grads are defined only after a backward: zero_grads() itself
+writes nothing. backward(g, input_grad=False) computes only the parameter
+grads and returns None; the first layer of an SGD step needs no input
+gradient.
 
 The train path of MaxPool2d and the input gradient of Conv2d run through
 index tables of flat positions: one gather and one argmax per pool
@@ -95,11 +96,7 @@ class Layer:
         return []
 
     def zero_grads(self):
-        for _, grad in self.parameters():
-            grad.fill(0.0)
-
-    def void_grads(self):
-        """Mark the grads undefined: the next backward writes, not adds."""
+        """Reset the grads: the next backward writes them, later ones add."""
 
     def forward(self, x, train=False):
         raise NotImplementedError
@@ -117,23 +114,19 @@ class _Affine(Layer):
         # Not zeros_like: np.zeros commits no page until training writes.
         self.weight_grads = np.zeros(self.weights.shape, dtype=DTYPE)
         self.bias_grads = np.zeros(self.biases.shape, dtype=DTYPE)
-        self._grads_void = False
+        self._grads_reset = False
 
     def parameters(self):
         return [(self.weights, self.weight_grads),
                 (self.biases, self.bias_grads)]
 
     def zero_grads(self):
-        super().zero_grads()
-        self._grads_void = False
+        self._grads_reset = True
 
-    def void_grads(self):
-        self._grads_void = True
-
-    def _take_void(self):
-        """True once after void_grads(): this backward writes the grads."""
-        void, self._grads_void = self._grads_void, False
-        return void
+    def _take_reset(self):
+        """True once after zero_grads(): this backward writes the grads."""
+        reset, self._grads_reset = self._grads_reset, False
+        return reset
 
 
 class Conv2d(_Affine):
@@ -207,7 +200,7 @@ class Conv2d(_Affine):
                 f"forward output {self._out_shape}")
         _, oc, oh, ow = self._out_shape
         g2d = grad_out.reshape(oc, oh * ow)
-        if self._take_void():
+        if self._take_reset():
             np.sum(g2d, axis=1, out=self.bias_grads)
             np.matmul(g2d, self._cols.T,
                       out=self.weight_grads.reshape(oc, -1))
@@ -346,7 +339,7 @@ class FullyConnected(_Affine):
                 f"upstream gradient shape {grad_out.shape} does not match "
                 f"forward output {(1, self.out_features)}")
         g = grad_out[0]
-        if self._take_void():
+        if self._take_reset():
             # np.outer's own multiply, written straight into the grads.
             np.multiply(g[:, None], self._x[None, :], out=self.weight_grads)
             self.bias_grads[...] = g

@@ -324,7 +324,8 @@ class Network:
         give bit-identical parameters. The 0.01 default suits full-width
         networks; narrow width-scaled networks need a larger std, otherwise
         input signal decays to nothing against the constant-1 biases and
-        training stalls at chance.
+        training stalls at chance. The grads are left as they are; a step
+        defines them (see zero_grads).
         """
         if not weight_std > 0.0:
             raise ConfigurationError(
@@ -335,7 +336,6 @@ class Network:
                 layer.weights[:] = rng.normal(
                     0.0, weight_std, size=layer.weights.shape)
                 layer.biases.fill(ls.bias_init)
-                layer.zero_grads()
 
     def seed_dropout(self, seed):
         """Point every dropout layer at one fresh generator (shared stream)."""
@@ -353,13 +353,13 @@ class Network:
     def zero_grads(self):
         """Start a new sample's grads without filling them.
 
-        Each layer's grads are voided: they are undefined until the next
-        backward, which writes them outright, and later backwards add to
-        them. So after zero_grads() the grads of n backwards are their sum,
-        as if they had been filled with zeros.
+        The next backward writes every layer's grads outright, and later
+        backwards add to them. So after zero_grads() the grads of n
+        backwards are their sum, as if they had been filled with zeros;
+        read before the first backward, they hold their old values.
         """
         for layer in self.layers:
-            layer.void_grads()
+            layer.zero_grads()
 
     def _check_input(self, shape, what="input"):
         if tuple(shape) != self.spec.input_shape:

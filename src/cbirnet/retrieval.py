@@ -267,7 +267,7 @@ def _layer_matrix(index, layer, k):
 
 
 def _shortlists(matrix, norms, rows, queries, members, k):
-    """Yield (query position, the rows _rank must see) for each member.
+    """Yield (query position, index array of the rows _rank must see).
 
     rows is the range of searched rows. For a block of queries at a time,
     one GEMM over that slice of matrix gives every searched row's distance
@@ -278,8 +278,9 @@ def _shortlists(matrix, norms, rows, queries, members, k):
     # Rows that fit in one exact block are ranked whole: that one pass
     # costs less than a GEMM and then a pass over the shortlist.
     if n <= max(k, SCAN_BLOCK_BYTES // max(1, 8 * dim)):
+        every_row = np.arange(rows.start, rows.stop)
         for i in members:
-            yield i, rows
+            yield i, every_row
         return
     searched = matrix[rows.start:rows.stop]
     row_norms = norms[rows.start:rows.stop]
@@ -299,7 +300,7 @@ def _shortlists(matrix, norms, rows, queries, members, k):
             # "not >": a NaN or infinite cut keeps every row.
             keep = np.flatnonzero(
                 ~(gi > t + 2.0 * _error_bound(dim, max_norm, q_norm)))
-            yield i, rows if len(keep) == n else keep + rows.start
+            yield i, keep + rows.start
 
 
 _U = np.finfo(DTYPE).eps / 2  # unit roundoff
@@ -343,29 +344,21 @@ def _error_bound(dim, max_norm_sq, q_norm_sq):
 
 
 def _rank(index, matrix, q, rows, k):
-    """Exact top k among rows (a range, or listed rows), as RetrievedItems.
+    """Exact top k among the listed rows, as RetrievedItems.
 
-    The rows are streamed SCAN_BLOCK_BYTES at a time: a range through one
-    buffer, listed rows through each block's gathered copy (a second
-    block-sized allocation per call made the allocator return and fault
-    pages in again on every call). Each squared distance has the bits of
-    np.sum((x - q) ** 2).
+    The rows are streamed SCAN_BLOCK_BYTES at a time, each block through
+    its gathered copy, worked in place (a second block-sized allocation
+    made the allocator return and fault pages in again on every call). Each
+    squared distance has the bits of np.sum((x - q) ** 2).
     """
     sids, labels = index.source_ids, index.true_labels
     n, dim = len(rows), matrix.shape[1]
     block = max(1, SCAN_BLOCK_BYTES // max(1, 8 * dim))
-    is_range = isinstance(rows, range)
-    if is_range:
-        buf = np.empty((min(block, n), dim), dtype=DTYPE)
     sq = np.empty(n, dtype=DTYPE)
     for s in range(0, n, block):
         e = min(s + block, n)
-        if is_range:
-            part = buf[:e - s]
-            np.subtract(matrix[rows.start + s:rows.start + e], q, out=part)
-        else:
-            part = matrix[rows[s:e]]
-            np.subtract(part, q, out=part)
+        part = matrix[rows[s:e]]
+        np.subtract(part, q, out=part)
         np.square(part, out=part)
         np.sum(part, axis=1, out=sq[s:e])
     picked = np.arange(n)
@@ -373,7 +366,7 @@ def _rank(index, matrix, q, rows, k):
         # Keep every row not above the k-th smallest distance. Written as
         # "not >" so that a NaN query keeps all rows, as a full sort would.
         picked = np.flatnonzero(~(sq > np.partition(sq, k - 1)[k - 1]))
-    picked_rows = picked + rows.start if is_range else rows[picked]
+    picked_rows = rows[picked]
     # lexsort's last key is primary: distance, then source_id, then the
     # record number, so that equal ids never fall back on storage order.
     order = np.lexsort((index.positions[picked_rows], sids[picked_rows],

@@ -91,8 +91,8 @@ def sgd_step(net, sample, config):
     TrainingDiverged on any non-finite loss or gradient; every grad is
     checked before any parameter moves, so a diverged step leaves the
     parameters as the previous step left them. Each pass over
-    parameter-sized memory happens once: zero_grads only voids the grads,
-    backward writes them and skips the first layer's unused input
+    parameter-sized memory happens once: zero_grads writes no grad, the
+    backward writes them outright and skips the first layer's unused input
     gradient, and the update scales each grad in place before subtracting
     it. So after a step with a nonzero rate the grads hold lr * grad, not
     grad. Every parameter ends bit-identical to value -= lr * grad on

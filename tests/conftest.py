@@ -189,12 +189,13 @@ def eval_forward_reference(net, x):
 def sgd_step_reference(net, sample, learning_rate):
     """The SGD step training.sgd_step replaced, as its oracle.
 
-    Every layer's grads are filled with zeros, a full backward (input
-    gradient included) adds into them, and each parameter takes
-    value -= lr * grad. Returns the sample's loss before the update.
+    Every layer's grads are filled with zeros here, not through
+    zero_grads(), so a full backward (input gradient included) adds into
+    them; then each parameter takes value -= lr * grad. Returns the
+    sample's loss before the update.
     """
-    for layer in net.layers:
-        layer.zero_grads()
+    for _, grad in net.parameters():
+        grad.fill(0.0)
     log_probs = net.forward(sample.image, train=True)
     loss = nll_loss(log_probs, sample.label)
     net.backward(nll_grad(log_probs, sample.label))

@@ -108,9 +108,6 @@ class TestConv2d:
         conv.forward(x, train=True)
         conv.backward(g)
         npt.assert_allclose(conv.weight_grads, 2.0 * once, rtol=1e-12)
-        conv.zero_grads()
-        assert not conv.weight_grads.any()
-        assert not conv.bias_grads.any()
 
     def test_backward_without_forward_rejected(self):
         with pytest.raises(InternalError):
@@ -263,6 +260,30 @@ class TestReLU:
         relu.forward(np.array([[-2.0, 3.0]]), train=True)
         npt.assert_array_equal(relu.backward(np.array([[5.0, 5.0]])),
                                [[0.0, 5.0]])
+
+
+class TestZeroGrads:
+    @pytest.mark.parametrize("make, x_shape, g_shape", [
+        (lambda: Conv2d(2, 3, 2, 2), (2, 4, 5), (3, 3, 4)),
+        (lambda: FullyConnected(12, 3), (3, 2, 2), (3,)),
+    ], ids=["Conv2d", "FullyConnected"])
+    def test_next_backward_writes_the_grads(self, make, x_shape, g_shape):
+        # zero_grads() writes nothing: the grads are defined again only
+        # by the next backward, which must not read what they held.
+        layer = make()
+        for value, _ in layer.parameters():
+            value[:] = RNG.standard_normal(value.shape)
+        x = RNG.standard_normal(x_shape)[None]
+        g = RNG.standard_normal(g_shape)[None]
+        layer.forward(x, train=True)
+        layer.backward(g)  # into the zero-filled grads of a new layer
+        once = [grad.tobytes() for _, grad in layer.parameters()]
+        for _, grad in layer.parameters():
+            grad.fill(np.nan)
+        layer.zero_grads()
+        layer.forward(x, train=True)
+        layer.backward(g)
+        assert [grad.tobytes() for _, grad in layer.parameters()] == once
 
 
 class TestFullyConnected:

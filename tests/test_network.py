@@ -687,21 +687,21 @@ class TestBackwardGrads:
         return np.random.default_rng(1).random((n, *net.spec.input_shape))
 
     def test_backwards_after_zero_grads_add_up(self, twins):
-        voided, alone = twins
+        lazy, alone = twins
         expect = None
         for x in self.images(alone, 2):  # each pass into zero-filled grads
-            for layer in alone.layers:
-                layer.zero_grads()
+            for _, grad in alone.parameters():
+                grad.fill(0.0)
             self.backward_pass(alone, x)
             grads = [grad.copy() for _, grad in alone.parameters()]
             expect = grads if expect is None else [
                 e + g for e, g in zip(expect, grads)]
-        for _, grad in voided.parameters():
+        for _, grad in lazy.parameters():
             grad.fill(np.nan)  # zero_grads must leave nothing to read
-        voided.zero_grads()
-        for x in self.images(voided, 2):
-            self.backward_pass(voided, x)
-        for e, (_, grad) in zip(expect, voided.parameters()):
+        lazy.zero_grads()
+        for x in self.images(lazy, 2):
+            self.backward_pass(lazy, x)
+        for e, (_, grad) in zip(expect, lazy.parameters()):
             npt.assert_array_equal(grad, e)
         assert any(e.any() for e in expect)
 

@@ -8,11 +8,14 @@ last line must parse under a JSON parser that refuses NaN and Infinity,
 and every per-layer value must be finite.
 """
 
+import importlib.util
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
+
+from cbirnet.network import Network
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +40,14 @@ def test_traced_desk_run_reports_every_per_layer_metric():
     assert {name: value for name, value in values.items()
             if not isinstance(value, (int, float))
             or not math.isfinite(value)} == {}
+
+
+def test_tracer_wraps_only_defined_network_methods():
+    # The tracer wraps these by name; a missing one would surface only as
+    # a KeyError inside the traced run's subprocess above.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = (*tracing.NETWORK_METHODS, "from_spec")
+    assert [name for name in names if name not in vars(Network)] == []

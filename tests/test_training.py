@@ -184,6 +184,23 @@ class TestSgdStep:
             npt.assert_array_equal(a, b)
             assert not np.array_equal(a, old)
 
+    def test_initialize_leaves_grads_to_the_step(self):
+        spec = build_architecture(input_shape=(1, 64, 64), num_classes=4,
+                                  keep_prob=0.5, scale=0.1)
+        fast, slow = (Network.from_spec(spec) for _ in range(2))
+        for net in (fast, slow):
+            for _, grad in net.parameters():
+                grad.fill(np.nan)
+            net.initialize(11, weight_std=0.15)
+            net.seed_dropout(13)
+            assert all(np.isnan(grad).all() for _, grad in net.parameters())
+        sample = self.make_sample(size=64, label=2)
+        lr = 1e-3
+        assert (sgd_step(fast, sample, TrainConfig(learning_rate=lr))
+                == sgd_step_reference(slow, sample, lr))
+        for (a, _), (b, _) in zip(fast.parameters(), slow.parameters()):
+            npt.assert_array_equal(a, b)
+
     def test_each_traced_call_runs_once_per_step(self):
         # perfbench/tracing.py times a step's parts off these calls, each
         # wrapped per instance; a part that never runs reads NaN there.
