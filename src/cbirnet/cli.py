@@ -18,7 +18,7 @@ import argparse
 import json
 import logging
 import sys
-from collections import Counter
+import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -45,16 +45,16 @@ from .errors import (
     VersionMismatchError,
 )
 from .metrics import (
-    PRCurve,
     classification_report,
     confusion_matrix,
     emit_pr_plot_data,
     format_report,
-    mean_average_precision,
-    retrieval_pr,
+    mean_ap,
+    mean_pr_curve,
+    score_rankings,
 )
 from .network import Network, build_architecture, load_checkpoint, save_checkpoint
-from .retrieval import build_index, load_index, query, save_index, scan_batch
+from .retrieval import build_index, load_index, query, save_index, scan_columns
 from .training import TrainConfig, train
 
 log = logging.getLogger(__name__)
@@ -66,6 +66,8 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 
 FEATURE_LAYERS = ("fc1", "fc2", "fc3")
+# The stages evaluate times, in order, into timings.tsv.
+EVALUATE_STAGES = ("ingest", "classify", "scan", "score", "write")
 
 CHECKPOINT_NAME = "model.ckpt"
 INDEX_NAME = "features.idx"
@@ -323,67 +325,56 @@ def _confusion_tsv(cm):
     return "\n".join(lines) + "\n"
 
 
-def _mean_curve(curves):
-    """Macro-average PR points across queries at each rank cutoff.
-
-    Filtered queries can have ragged depths; cutoff j averages over the
-    queries that reached it.
-    """
-    depth = max(len(c.points) for c in curves)
-    points = []
-    for j in range(depth):
-        ps = [c.points[j] for c in curves if len(c.points) > j]
-        points.append((float(np.mean([p[0] for p in ps])),
-                       float(np.mean([p[1] for p in ps]))))
-    return PRCurve(points=tuple(points), valid=True)
-
-
 def cmd_evaluate(args):
     cfg = resolve_config(args)
     net, metadata, index = _load_pipeline_inputs(cfg, need_index=True)
+    out = Path(cfg.output_dir)
+    laps = [time.perf_counter()]
     split, class_names = _ingest_split(
         cfg, expected_class_names=metadata["class_names"])
-    out = Path(cfg.output_dir)
-
-    true_labels = [s.label for s in split.test]
+    laps.append(time.perf_counter())
     _, predicted_labels, test_features = net.classify(PreprocessedImages(
         [s.image for s in split.test], cfg.image_size))
+    laps.append(time.perf_counter())
+    settings = [(layer, use_filter) for layer in FEATURE_LAYERS
+                for use_filter in (False, True)]
+    tops = [scan_columns(index, test_features[layer], predicted_labels,
+                         layer, cfg.k, use_filter)
+            for layer, use_filter in settings]
+    laps.append(time.perf_counter())
+
+    true_labels = np.array([s.label for s in split.test], dtype=np.int64)
     cm = confusion_matrix(true_labels, predicted_labels,
                           len(class_names), class_names=class_names)
     report = classification_report(cm)
+    totals = np.bincount(index.true_labels,
+                         minlength=len(class_names))[true_labels]
+    map_rows = []
+    plot_curves = []
+    for (layer, use_filter), top in zip(settings, tops):
+        mode = "on" if use_filter else "off"
+        scores = score_rankings(index.true_labels[top.rows], top.counts,
+                                true_labels, totals)
+        map_rows.append((layer, mode, mean_ap(scores),
+                         int(scores.valid.sum())))
+        curve = mean_pr_curve(scores)
+        if curve is not None:
+            plot_curves.append((layer, mode, curve))
+    laps.append(time.perf_counter())
+
     (out / "confusion_matrix.tsv").write_text(_confusion_tsv(cm))
     (out / "classification_report.tsv").write_text(
         format_report(report, class_names))
-
-    db_label_counts = Counter(index.true_labels.tolist())
-
-    map_rows = []
-    plot_curves = []
-    for layer in FEATURE_LAYERS:
-        for use_filter in (False, True):
-            mode = "on" if use_filter else "off"
-            triples = []
-            curves = []
-            results = scan_batch(index, test_features[layer],
-                                 predicted_labels, layer, cfg.k, use_filter)
-            for s, result in zip(split.test, results):
-                ranked = [item.true_label for item in result.items]
-                total = db_label_counts.get(s.label, 0)
-                triples.append((ranked, s.label, total))
-                if total > 0 and ranked:
-                    curves.append(retrieval_pr(ranked, s.label, total))
-            map_value = mean_average_precision(triples)
-            valid = sum(1 for _, _, total in triples if total > 0)
-            map_rows.append((layer, mode, map_value, valid))
-            if curves:
-                plot_curves.append((layer, mode, _mean_curve(curves)))
-
     map_lines = ["layer\tfilter\tmap\tvalid_queries"]
     for layer, mode, value, valid in map_rows:
         map_lines.append(f"{layer}\t{mode}\t{value:.6f}\t{valid}")
     (out / "map_table.tsv").write_text("\n".join(map_lines) + "\n")
     emit_pr_plot_data(plot_curves, out / "pr_curves.csv")
     write_run_config(cfg)
+    laps.append(time.perf_counter())
+    (out / "timings.tsv").write_text("stage\tms\n" + "".join(
+        f"{stage}\t{(end - start) * 1e3:.3f}\n"
+        for stage, start, end in zip(EVALUATE_STAGES, laps, laps[1:])))
 
     print(f"test accuracy {report.accuracy:.6f} "
           f"({int(round(report.accuracy * cm.total))}/{cm.total})")

@@ -53,8 +53,9 @@ def confusion_matrix(true_labels, predicted_labels, num_classes,
         if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
             raise InputError(
                 f"{name} labels must lie in [0, {num_classes})")
-    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(counts, (true_labels, predicted_labels), 1)
+    counts = np.bincount(true_labels * num_classes + predicted_labels,
+                         minlength=num_classes * num_classes).reshape(
+                             num_classes, num_classes)
     if class_names is None:
         class_names = tuple(str(i) for i in range(num_classes))
     return ConfusionMatrix(counts=counts, class_names=tuple(class_names))
@@ -145,9 +146,72 @@ class PRCurve:
         return self.points[k - 1][0]
 
 
-def _relevance(ranked_labels, query_label):
-    return np.asarray([lbl == query_label for lbl in ranked_labels],
-                      dtype=np.float64)
+@dataclass(frozen=True)
+class RetrievalScores:
+    """Per-query retrieval scores of m ranked lists, one row per query.
+
+    precision and recall are (m, depth) values at each rank cutoff, 0 past
+    a query's count; recall is 0 for a query that is not valid, that is,
+    has no relevant item in the database. average_precision is 0 for such
+    a query, and for a valid one that returned nothing.
+    """
+
+    counts: np.ndarray
+    precision: np.ndarray
+    recall: np.ndarray
+    average_precision: np.ndarray
+    valid: np.ndarray
+
+
+def score_rankings(ranked_labels, counts, query_labels, total_relevant):
+    """Precision, recall and AP of m ranked result lists at once.
+
+    ranked_labels is (m, depth): row i holds the true labels of query i's
+    returned items, best first, of which the first counts[i] are results.
+    An item is relevant when its label equals query_labels[i];
+    total_relevant[i] counts relevant items in the whole database (the
+    recall denominator). AP is the mean precision over the ranks where
+    relevant items appear, over min(total_relevant, count): a query is
+    not penalized for relevant items that do not fit in its window, but
+    missing ones inside it do count. Each query's AP sums its precisions
+    at the relevant ranks as one 1-D array in rank order, so it has the
+    bits of the one-query formula at any depth.
+    """
+    ranked = np.asarray(ranked_labels)
+    counts = np.asarray(counts, dtype=np.intp)
+    totals = np.asarray(total_relevant, dtype=np.int64)
+    if (totals < 0).any():
+        raise InputError(f"total_relevant must be >= 0, got "
+                         f"{totals[totals < 0][0]}")
+    depth = ranked.shape[1]
+    inside = np.arange(depth) < counts[:, None]
+    rel = (ranked == np.asarray(query_labels)[:, None]) & inside
+    hits = np.cumsum(rel, axis=1, dtype=np.float64)
+    precision = np.divide(hits, np.arange(1, depth + 1, dtype=np.float64),
+                          out=np.zeros_like(hits), where=inside)
+    valid = totals > 0
+    recall = np.divide(hits, totals[:, None], out=np.zeros_like(hits),
+                       where=inside & valid[:, None])
+    # Cut after every query's last relevant rank: m parts and an empty one.
+    at_relevant = np.split(precision[rel], np.cumsum(rel.sum(axis=1)))
+    denom = np.minimum(totals, counts)
+    ap = np.divide([part.sum() for part in at_relevant[:-1]], denom,
+                   out=np.zeros(len(counts)), where=valid & (denom > 0))
+    return RetrievalScores(counts=counts, precision=precision, recall=recall,
+                           average_precision=ap, valid=valid)
+
+
+def _score_lists(queries):
+    """score_rankings over (ranked_labels, query_label, total_relevant)
+    triples whose ranked lists may differ in length."""
+    queries = list(queries)
+    counts = np.array([len(ranked) for ranked, _, _ in queries],
+                      dtype=np.intp)
+    ranked = np.zeros((len(queries), counts.max(initial=0)), dtype=np.int64)
+    ranked[np.arange(ranked.shape[1]) < counts[:, None]] = [
+        label for labels, _, _ in queries for label in labels]
+    return score_rankings(ranked, counts, [q for _, q, _ in queries],
+                          [total for _, _, total in queries])
 
 
 def retrieval_pr(ranked_labels, query_label, total_relevant):
@@ -156,40 +220,21 @@ def retrieval_pr(ranked_labels, query_label, total_relevant):
     ranked_labels are the true labels of the returned items, best first;
     an item is relevant when its label equals query_label. total_relevant
     counts relevant items in the whole database (the recall denominator).
+    The one-query case of score_rankings.
     """
-    if total_relevant < 0:
-        raise InputError(f"total_relevant must be >= 0, got {total_relevant}")
-    rel = _relevance(ranked_labels, query_label)
-    hits = np.cumsum(rel)
-    ks = np.arange(1, rel.size + 1, dtype=np.float64)
-    precision = hits / ks
-    if total_relevant == 0:
-        return PRCurve(points=tuple(
-            (0.0, float(p)) for p in precision), valid=False)
-    recall = hits / total_relevant
-    return PRCurve(points=tuple(
-        (float(r), float(p)) for r, p in zip(recall, precision)), valid=True)
+    scores = _score_lists([(ranked_labels, query_label, total_relevant)])
+    return PRCurve(points=tuple(zip(scores.recall[0].tolist(),
+                                    scores.precision[0].tolist())),
+                   valid=bool(scores.valid[0]))
 
 
 def average_precision(ranked_labels, query_label, total_relevant):
-    """Mean precision over the ranks where relevant items appear.
+    """AP of one ranked result list, as score_rankings defines it.
 
-    The denominator is min(total_relevant, depth): a query cannot be
-    penalized for relevant items that do not fit in the window, but
-    missing ones inside it do count. Returns (value, valid).
+    Returns (value, valid); valid is False when total_relevant is 0.
     """
-    if total_relevant < 0:
-        raise InputError(f"total_relevant must be >= 0, got {total_relevant}")
-    if total_relevant == 0:
-        return 0.0, False
-    rel = _relevance(ranked_labels, query_label)
-    if rel.size == 0:
-        return 0.0, True
-    hits = np.cumsum(rel)
-    ks = np.arange(1, rel.size + 1, dtype=np.float64)
-    at_relevant = (hits / ks)[rel > 0]
-    denom = min(total_relevant, rel.size)
-    return float(at_relevant.sum() / denom), True
+    scores = _score_lists([(ranked_labels, query_label, total_relevant)])
+    return float(scores.average_precision[0]), bool(scores.valid[0])
 
 
 def mean_average_precision(queries):
@@ -199,15 +244,36 @@ def mean_average_precision(queries):
     triples. Queries with total_relevant = 0 are skipped; if none remain,
     the mean is undefined and an InputError is raised.
     """
-    values = []
-    for ranked_labels, query_label, total_relevant in queries:
-        ap, valid = average_precision(ranked_labels, query_label,
-                                      total_relevant)
-        if valid:
-            values.append(ap)
-    if not values:
+    return mean_ap(_score_lists(queries))
+
+
+def mean_ap(scores):
+    """Mean average precision over the valid queries of RetrievalScores.
+
+    Raises InputError when no query is valid.
+    """
+    if not scores.valid.any():
         raise InputError("no query had any relevant item in the database")
-    return float(np.mean(values))
+    return float(np.mean(scores.average_precision[scores.valid]))
+
+
+def mean_pr_curve(scores):
+    """Macro-average (recall, precision) at each rank cutoff, or None.
+
+    Averages the valid queries of RetrievalScores that returned anything.
+    Their counts can be ragged (filtered queries with small partitions),
+    so cutoff j averages, with np.mean in query order, only the queries
+    that reached it. None when no valid query returned an item.
+    """
+    depth = int(scores.counts[scores.valid].max(initial=0))
+    if depth == 0:
+        return None
+    points = []
+    for j in range(depth):
+        reached = scores.valid & (scores.counts > j)
+        points.append((float(np.mean(scores.recall[reached, j])),
+                       float(np.mean(scores.precision[reached, j]))))
+    return PRCurve(points=tuple(points), valid=True)
 
 
 def emit_pr_plot_data(curves, path):

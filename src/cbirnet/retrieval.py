@@ -6,24 +6,27 @@ source id, label and record-number columns and each row's squared norm.
 Rows are stored grouped by predicted label, like the inverted lists of an
 IVF index probed once (Johnson et al., FAISS, arXiv 1702.08734): each
 class partition is a range of rows, so the class filter scans a slice of
-every matrix and never gathers a copy. scan_batch is the exact
-brute-force kernel over one layer, for an (m, dim) block of queries; scan
-is its m = 1 case and cmd_evaluate passes each layer's test features at
-once. It works in FAISS's split: a GEMM distance
-||x||^2 - 2 x.q + ||q||^2 over the searched range (every row, or the
-query's class partition) only picks a shortlist, every row within a
-rigorous floating-point error bound of the k-th smallest GEMM distance
-(_error_bound), and the GEMM values are never reported. The exact loop
-then streams the shortlisted rows a block of SCAN_BLOCK_BYTES at a time,
-so each squared distance has the bits of np.sum((row - q) ** 2).
-Ranking happens on squared distances (the square root is order-preserving
-and applied only to the returned top k): np.partition finds the k-th
-smallest, every row at or below it is a candidate, so ties at the cut all
-stay in, and only the candidates are lexsorted by distance, then
-ascending source_id, then record number, so no result depends on the
-storage order. Searched rows that fit in one exact block, or number at
-most k, skip the GEMM. No scan holds an (N, dim) temporary: GEMM
-distances are computed GEMM_BLOCK_BYTES at a time. query is the
+every matrix and never gathers a copy. scan_columns is the exact
+brute-force kernel over one layer, for an (m, dim) block of queries, and
+answers in columns as a FAISS search does: an (m, k) array of stored rows
+and one of distances, with a count per query (fewer than k where a
+partition is smaller). scan_batch turns the columns into RetrievalResults
+and scan is its m = 1 case; cmd_evaluate scores the columns directly.
+Queries that search the same rows (every row, or one class partition)
+are ranked together, in FAISS's split: a GEMM distance
+||x||^2 - 2 x.q + ||q||^2 over the searched range only picks a shortlist
+of (query, row) pairs, every row within a rigorous floating-point error
+bound of the query's k-th smallest GEMM distance (_error_bound), so ties
+at the cut all stay in, and the GEMM values are never reported. The exact
+pass then gathers the pairs' rows a block of SCAN_BLOCK_BYTES at a time,
+so each squared distance has the bits of np.sum((row - q) ** 2). One
+lexsort orders every pair by query, squared distance, ascending
+source_id, then record number, and each query's first k pairs are its
+result, so no result depends on the storage order; the square root is
+order-preserving and taken only for those. Searched rows that fit in one
+exact block, or number at most k, skip the GEMM and are paired whole. No
+scan holds an (N, dim) temporary: a block of queries takes as many
+GEMM distances, or pairs, as GEMM_BLOCK_BYTES holds. query is the
 fingerprint check (a hash only for an unfrozen network), one eval forward
 and scan. A built index is immutable, so concurrent scans need no
 locking. The index file keeps records in record order (see save_index);
@@ -220,40 +223,127 @@ def scan(index, q, predicted, layer, k, use_class_filter):
 def scan_batch(index, queries, predicted, layer, k, use_class_filter):
     """One scan result per row of the (m, dim) queries, in order.
 
-    predicted holds each query's class prediction. Queries that search
-    the same rows (all of them, or one class partition) share each GEMM;
-    every result equals that of scanning its query alone.
+    predicted holds each query's class prediction. The results are
+    scan_columns' columns as RetrievalResults; every result equals that of
+    scanning its query alone.
+    """
+    predicted = [int(p) for p in predicted]
+    top = scan_columns(index, queries, predicted, layer, k, use_class_filter)
+    sids = index.source_ids[top.rows].tolist()
+    labels = index.true_labels[top.rows].tolist()
+    distances = top.distances.tolist()
+    return [
+        RetrievalResult(
+            items=tuple(map(RetrievedItem, sids[i][:count],
+                            distances[i][:count], labels[i][:count])),
+            query_predicted_label=label, layer=layer,
+            class_filter_enabled=use_class_filter, status=status,
+            rows_scanned=scanned, rows_ranked=ranked)
+        for i, (label, count, status, scanned, ranked) in enumerate(zip(
+            predicted, top.counts.tolist(), top.statuses,
+            top.rows_scanned.tolist(), top.rows_ranked.tolist()))]
+
+
+@dataclass(frozen=True)
+class ScanColumns:
+    """The top k of m queries as columns, one row per query.
+
+    rows holds stored rows (index the FeatureIndex columns with it) and
+    distances their distances, best first; both are (m, min(k, N)) and
+    only the first counts[i] entries of row i are results, the rest 0.
+    A query gets fewer than k results when its partition is smaller.
+    statuses holds "ok" or "empty-class" per query; rows_scanned and
+    rows_ranked are RetrievalResult's work counts.
+    """
+
+    rows: np.ndarray
+    distances: np.ndarray
+    counts: np.ndarray
+    statuses: list
+    rows_scanned: np.ndarray
+    rows_ranked: np.ndarray
+
+
+def scan_columns(index, queries, predicted, layer, k, use_class_filter):
+    """Exact top k of each row of the (m, dim) queries at one layer.
+
+    predicted holds each query's class prediction. With the filter on, a
+    query searches its class partition, and an absent partition yields no
+    rows and status "empty-class"; with it off, every row. Queries that
+    search the same rows are ranked together, a block of them at a time:
+    _shortlist gives (query, row) pairs, _pair_distances their exact
+    squared distances, and one lexsort by query, distance, source_id and
+    record number orders every pair, so each query's first k pairs are
+    its result.
     """
     matrix = _layer_matrix(index, layer, k)
     queries = np.asarray(queries, dtype=DTYPE)
     predicted = [int(p) for p in predicted]
+    m = len(predicted)
     if (queries.ndim != 2 or queries.shape[1:] != matrix.shape[1:]
-            or len(predicted) != len(queries)):
+            or len(queries) != m):
         raise InputError(
-            f"queries have shape {queries.shape} with {len(predicted)} "
+            f"queries have shape {queries.shape} with {m} "
             f"predictions; layer {layer} needs (m, {matrix.shape[1]}) "
             f"and m predictions")
+    width = min(k, len(matrix))
+    rows_out = np.zeros((m, width), dtype=np.intp)
+    distances = np.zeros((m, width), dtype=DTYPE)
+    statuses = ["ok"] * m
+    scanned = np.zeros(m, dtype=np.intp)
+    ranked = np.zeros(m, dtype=np.intp)
+    cols = np.arange(width)
     groups = {}
     for i, label in enumerate(predicted):
         groups.setdefault(label if use_class_filter else None, []).append(i)
-    results = [None] * len(queries)
     for label, members in groups.items():
         rows = (range(len(matrix)) if label is None
                 else index.class_partitions.get(label))
         if rows is None:
             for i in members:
-                results[i] = RetrievalResult(
-                    items=(), query_predicted_label=label, layer=layer,
-                    class_filter_enabled=True, status="empty-class")
+                statuses[i] = "empty-class"
             continue
-        for i, shortlist in _shortlists(matrix, index.row_norms[layer], rows,
-                                         queries, members, k):
-            results[i] = RetrievalResult(
-                items=_rank(index, matrix, queries[i], shortlist, k),
-                query_predicted_label=predicted[i], layer=layer,
-                class_filter_enabled=use_class_filter, status="ok",
-                rows_scanned=len(rows), rows_ranked=len(shortlist))
-    return results
+        members = np.asarray(members)
+        scanned[members] = len(rows)
+        if not rows:
+            continue
+        per_block = max(1, GEMM_BLOCK_BYTES // (8 * len(rows)))
+        for b in range(0, len(members), per_block):
+            block = members[b:b + per_block]
+            block_queries = queries[block]
+            q, r = _shortlist(matrix, index.row_norms[layer], rows,
+                              block_queries, k)
+            sq = _pair_distances(matrix, block_queries, q, r)
+            # lexsort's last key is primary: query, distance, source_id,
+            # then the record number, so that equal ids never fall back
+            # on storage order. With more pairs than searched rows, the
+            # searched rows are ranked by source_id and record number
+            # once instead, so no id is copied per pair.
+            if len(r) > len(rows):
+                ties = (_tie_ranks(index, rows)[r - rows.start],)
+            else:
+                ties = (index.positions[r], index.source_ids[r])
+            order = np.lexsort((*ties, sq, q))
+            # The square root is order-preserving, so it is taken last.
+            if len(block) == 1:
+                # A lone query, as every scan call is: its first k pairs.
+                picked = order[:k]
+                rows_out[block[0], :len(picked)] = r[picked]
+                distances[block[0], :len(picked)] = np.sqrt(sq[picked])
+                ranked[block] = len(r)
+                continue
+            # Each query's pairs start at an offset into order; its
+            # first min(k, pairs) fill its output row, the rest stay 0.
+            pairs = np.bincount(q, minlength=len(block))
+            picked = order.take((np.cumsum(pairs) - pairs)[:, None] + cols,
+                                mode="clip")
+            taken = cols < pairs[:, None]
+            rows_out[block] = np.where(taken, r[picked], 0)
+            distances[block] = np.where(taken, np.sqrt(sq[picked]), 0.0)
+            ranked[block] = pairs
+    return ScanColumns(rows=rows_out, distances=distances,
+                       counts=np.minimum(ranked, width), statuses=statuses,
+                       rows_scanned=scanned, rows_ranked=ranked)
 
 
 def _layer_matrix(index, layer, k):
@@ -266,41 +356,67 @@ def _layer_matrix(index, layer, k):
     return index.features[layer]
 
 
-def _shortlists(matrix, norms, rows, queries, members, k):
-    """Yield (query position, index array of the rows _rank must see).
+def _shortlist(matrix, norms, rows, queries, k):
+    """(query, row) pairs of the rows the exact pass must see.
 
-    rows is the range of searched rows. For a block of queries at a time,
+    rows is the range of stored rows that each of the (m, dim) queries
+    searches. Returns flat arrays: each pair's position in queries,
+    ascending, and its stored row, ascending within a query. Rows that fit
+    in one exact block are paired whole with every query: that one pass
+    costs less than a GEMM and then a pass over the shortlist. Otherwise
     one GEMM over that slice of matrix gives every searched row's distance
-    g = ||x||^2 - 2 x.q + ||q||^2; a row is kept when g <= t + 2E, where
-    t is the k-th smallest g and E bounds |g - exact| (_error_bound).
+    g = ||x||^2 - 2 x.q + ||q||^2, and a row is kept when g <= t + 2E,
+    where t is the query's k-th smallest g and E bounds |g - exact|
+    (_error_bound).
     """
     n, dim = len(rows), matrix.shape[1]
-    # Rows that fit in one exact block are ranked whole: that one pass
-    # costs less than a GEMM and then a pass over the shortlist.
     if n <= max(k, SCAN_BLOCK_BYTES // max(1, 8 * dim)):
-        every_row = np.arange(rows.start, rows.stop)
-        for i in members:
-            yield i, every_row
-        return
+        q, r = np.divmod(np.arange(len(queries) * n), n)
+        return q, r + rows.start
     searched = matrix[rows.start:rows.stop]
     row_norms = norms[rows.start:rows.stop]
     max_norm = float(row_norms.max())
-    per_gemm = max(1, GEMM_BLOCK_BYTES // (8 * n))
-    for b in range(0, len(members), per_gemm):
-        block = members[b:b + per_gemm]
-        q = queries[block]
-        q_norms = np.einsum("ij,ij->i", q, q)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = q @ searched.T
-            g *= -2.0
-            g += row_norms
-            g += q_norms[:, None]
-        for i, gi, q_norm in zip(block, g, q_norms.tolist()):
-            t = float(np.partition(gi, k - 1)[k - 1])
-            # "not >": a NaN or infinite cut keeps every row.
-            keep = np.flatnonzero(
-                ~(gi > t + 2.0 * _error_bound(dim, max_norm, q_norm)))
-            yield i, keep + rows.start
+    q_norms = np.einsum("ij,ij->i", queries, queries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = queries @ searched.T
+        g *= -2.0
+        g += row_norms
+        g += q_norms[:, None]
+    cuts = [t + 2.0 * _error_bound(dim, max_norm, q_norm) for t, q_norm in
+            zip(np.partition(g, k - 1, axis=1)[:, k - 1].tolist(),
+                q_norms.tolist())]
+    # "not >": a NaN or infinite cut keeps every row.
+    q, r = np.nonzero(~(g > np.asarray(cuts)[:, None]))
+    return q, r + rows.start
+
+
+def _tie_ranks(index, rows):
+    """Rank of each row in the range rows by source_id, then record number."""
+    ranks = np.empty(len(rows), dtype=np.intp)
+    ranks[np.lexsort((index.positions[rows.start:rows.stop],
+                      index.source_ids[rows.start:rows.stop]))] = \
+        np.arange(len(rows))
+    return ranks
+
+
+def _pair_distances(matrix, queries, q, r):
+    """Squared distance of each (query, row) pair, as exact bits.
+
+    q and r are _shortlist's pairs. The rows are gathered SCAN_BLOCK_BYTES
+    at a time, each block with its pairs' queries, and worked in place, so
+    each value has the bits of np.sum((x - q) ** 2).
+    """
+    n, dim = len(r), matrix.shape[1]
+    block = max(1, SCAN_BLOCK_BYTES // max(1, 8 * dim))
+    sq = np.empty(n, dtype=DTYPE)
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        part = matrix[r[s:e]]
+        np.subtract(part, queries[q[s]] if q[s] == q[e - 1]
+                    else queries[q[s:e]], out=part)
+        np.square(part, out=part)
+        np.sum(part, axis=1, out=sq[s:e])
+    return sq
 
 
 _U = np.finfo(DTYPE).eps / 2  # unit roundoff
@@ -341,42 +457,6 @@ def _error_bound(dim, max_norm_sq, q_norm_sq):
     if not 4.0 * r2 < math.inf:
         return math.inf
     return 4.0 * (2.0 * gamma * r2 + 4.0 * j * _ETA)
-
-
-def _rank(index, matrix, q, rows, k):
-    """Exact top k among the listed rows, as RetrievedItems.
-
-    The rows are streamed SCAN_BLOCK_BYTES at a time, each block through
-    its gathered copy, worked in place (a second block-sized allocation
-    made the allocator return and fault pages in again on every call). Each
-    squared distance has the bits of np.sum((x - q) ** 2).
-    """
-    sids, labels = index.source_ids, index.true_labels
-    n, dim = len(rows), matrix.shape[1]
-    block = max(1, SCAN_BLOCK_BYTES // max(1, 8 * dim))
-    sq = np.empty(n, dtype=DTYPE)
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        part = matrix[rows[s:e]]
-        np.subtract(part, q, out=part)
-        np.square(part, out=part)
-        np.sum(part, axis=1, out=sq[s:e])
-    picked = np.arange(n)
-    if k < n:
-        # Keep every row not above the k-th smallest distance. Written as
-        # "not >" so that a NaN query keeps all rows, as a full sort would.
-        picked = np.flatnonzero(~(sq > np.partition(sq, k - 1)[k - 1]))
-    picked_rows = rows[picked]
-    # lexsort's last key is primary: distance, then source_id, then the
-    # record number, so that equal ids never fall back on storage order.
-    order = np.lexsort((index.positions[picked_rows], sids[picked_rows],
-                        sq[picked]))[:k]
-    top = picked_rows[order]
-    return tuple(
-        RetrievedItem(source_id=sid, distance=d, true_label=label)
-        for sid, d, label in zip(sids[top].tolist(),
-                                 np.sqrt(sq[picked[order]]).tolist(),
-                                 labels[top].tolist()))
 
 
 def query(index, net, query_image, layer, k, use_class_filter,

@@ -205,6 +205,82 @@ def sgd_step_reference(net, sample, learning_rate):
     return loss
 
 
+def reference_scan(index, q, predicted, layer, k, use_filter):
+    """Whole-matrix squared distances and a full lexsort, as exact bits.
+
+    Ties in distance rank by source_id, then by record number. Returns
+    (source_id, distance bytes, true label) per result.
+    """
+    rows = np.asarray(index.class_partitions[predicted] if use_filter
+                      else range(len(index)), dtype=np.intp)
+    sq = np.sum((index.features[layer][rows] - q) ** 2, axis=1)
+    ranks = np.lexsort((index.positions[rows], index.source_ids[rows],
+                        sq))[:k]
+    return [(str(index.source_ids[rows[i]]), np.sqrt(sq[i]).tobytes(),
+             int(index.true_labels[rows[i]])) for i in ranks]
+
+
+def _pr_points_reference(ranked_labels, query_label, total_relevant):
+    """The per-query PR points metrics.retrieval_pr computed before
+    score_rankings: float64 hits over float64 cutoffs, recall 0.0 when
+    total_relevant is 0."""
+    rel = np.asarray([lbl == query_label for lbl in ranked_labels],
+                     dtype=np.float64)
+    hits = np.cumsum(rel)
+    precision = hits / np.arange(1, rel.size + 1, dtype=np.float64)
+    if total_relevant == 0:
+        return [(0.0, float(p)) for p in precision]
+    recall = hits / total_relevant
+    return [(float(r), float(p)) for r, p in zip(recall, precision)]
+
+
+def _average_precision_reference(ranked_labels, query_label, total_relevant):
+    """The per-query AP metrics.average_precision computed before
+    score_rankings: a 1-D .sum() of the precisions at the relevant ranks
+    over min(total_relevant, depth). Returns (value, valid)."""
+    if total_relevant == 0:
+        return 0.0, False
+    rel = np.asarray([lbl == query_label for lbl in ranked_labels],
+                     dtype=np.float64)
+    if rel.size == 0:
+        return 0.0, True
+    hits = np.cumsum(rel)
+    at_relevant = (hits / np.arange(1, rel.size + 1,
+                                    dtype=np.float64))[rel > 0]
+    return float(at_relevant.sum() / min(total_relevant, rel.size)), True
+
+
+def evaluate_scores_reference(ranked_lists, query_labels, totals):
+    """The per-query scoring loop cli.cmd_evaluate ran, as its oracle.
+
+    ranked_lists holds each query's returned true labels, best first.
+    Returns (per-query PR points, per-query AP, per-query valid flag,
+    mAP or None when no query is valid, mean PR points or None when no
+    curve is averaged).
+    Each valid query that returned anything gives a curve; cutoff j of
+    the mean averages, with np.mean over a list in query order, the
+    curves that reach it.
+    """
+    per_query, aps, valid, curves = [], [], [], []
+    for ranked, label, total in zip(ranked_lists, query_labels, totals):
+        per_query.append(_pr_points_reference(ranked, label, total))
+        ap, ok = _average_precision_reference(ranked, label, total)
+        aps.append(ap)
+        valid.append(ok)
+        if total > 0 and len(ranked):
+            curves.append(per_query[-1])
+    values = [ap for ap, ok in zip(aps, valid) if ok]
+    mean = float(np.mean(values)) if values else None
+    points = None
+    if curves:
+        points = []
+        for j in range(max(len(c) for c in curves)):
+            ps = [c[j] for c in curves if len(c) > j]
+            points.append((float(np.mean([p[0] for p in ps])),
+                           float(np.mean([p[1] for p in ps]))))
+    return per_query, aps, valid, mean, points
+
+
 def bilinear_resize(image, out_h, out_w):
     """Resample a 2-D grid with half-pixel-center coordinate mapping.
 

@@ -2,14 +2,16 @@
 
 import csv
 import json
+import math
 import shutil
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import conftest
-from cbirnet import cli, data
+from cbirnet import cli, data, metrics, retrieval
 from cbirnet.cli import EXIT_CONFIG, EXIT_INPUT, RunConfig, main
 from cbirnet.data import preprocess_image, read_pgm
 from cbirnet.metrics import mean_average_precision
@@ -407,6 +409,57 @@ class TestEvaluate:
         code, _, _ = run(capsys, "evaluate", "--out", str(copy), "--k", "10")
         assert code == 0
         assert calls == {"fingerprint": 1, "forward_classify": 0, "query": 0}
+
+    def test_timings_cover_the_stages_within_the_wall_time(
+            self, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        started = time.perf_counter()
+        code, _, _ = run(capsys, "evaluate", "--out", str(copy), "--k", "10")
+        wall_ms = (time.perf_counter() - started) * 1e3
+        assert code == 0
+        rows = [line.split("\t") for line in
+                (copy / "timings.tsv").read_text().splitlines()]
+        assert rows[0] == ["stage", "ms"]
+        assert [stage for stage, _ in rows[1:]] == [
+            "ingest", "classify", "scan", "score", "write"]
+        values = [float(ms) for _, ms in rows[1:]]
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)
+        assert sum(values) <= wall_ms
+
+    def test_scores_without_per_item_objects(self, pipeline, tmp_path,
+                                             capsys, monkeypatch):
+        # evaluate ranks and scores in columns: no RetrievedItem is built
+        # and no query goes through the one-query retrieval_pr.
+        _, run_dir = pipeline
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        calls = {"RetrievedItem": 0, "retrieval_pr": 0}
+        init, pr = retrieval.RetrievedItem.__init__, metrics.retrieval_pr
+
+        def counted_init(item, *args, **kwargs):
+            calls["RetrievedItem"] += 1
+            init(item, *args, **kwargs)
+
+        def counted_pr(*args, **kwargs):
+            calls["retrieval_pr"] += 1
+            return pr(*args, **kwargs)
+
+        monkeypatch.setattr(retrieval.RetrievedItem, "__init__", counted_init)
+        monkeypatch.setattr(metrics, "retrieval_pr", counted_pr)
+        monkeypatch.setattr(cli, "retrieval_pr", counted_pr, raising=False)
+        code, _, _ = run(capsys, "evaluate", "--out", str(copy), "--k", "10")
+        assert code == 0
+        assert calls == {"RetrievedItem": 0, "retrieval_pr": 0}
+        # The counters do count: a query builds its items.
+        net, _ = load_checkpoint(copy / "model.ckpt")
+        index = load_index(copy / "features.idx")
+        image = np.zeros(net.spec.input_shape)
+        result = query(index, net, image, "fc1", 3, False)
+        metrics.retrieval_pr([i.true_label for i in result.items], 0, 1)
+        assert calls == {"RetrievedItem": len(result.items),
+                         "retrieval_pr": 1}
 
     def test_map_table_matches_per_image_queries(self, evaluated):
         cfg = cli.load_run_config(evaluated / "config.json")

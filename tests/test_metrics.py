@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import conftest
 from cbirnet.errors import InputError
 from cbirnet.metrics import (
     ConfusionMatrix,
@@ -14,8 +15,11 @@ from cbirnet.metrics import (
     confusion_matrix,
     emit_pr_plot_data,
     format_report,
+    mean_ap,
     mean_average_precision,
+    mean_pr_curve,
     retrieval_pr,
+    score_rankings,
 )
 
 
@@ -300,6 +304,72 @@ class TestMeanAveragePrecision:
             permuted.append(([perm[x] for x in labels], perm[q], total))
         assert mean_average_precision(queries) == pytest.approx(
             mean_average_precision(permuted), abs=1e-15)
+
+
+class TestScoreRankings:
+    """The columnar scorer against evaluate's former per-query loop."""
+
+    # 8 terms and up, numpy's pairwise sum groups a 1-D sum 8 ways, so
+    # depths on both sides of 8 tell a rank-order AP sum from others.
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 20, 33])
+    def test_matches_per_query_reference(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(60):
+            m = int(rng.integers(1, 30))
+            classes = int(rng.integers(1, 4))
+            ranked = rng.integers(0, classes, (m, k))
+            # Most queries fill k; the rest are ragged, 0 included.
+            counts = np.where(rng.random(m) < 0.6, k,
+                              rng.integers(0, k + 1, m))
+            labels = rng.integers(0, classes, m)
+            lists = [ranked[i, :counts[i]].tolist() for i in range(m)]
+            found = np.array([r.count(q) for r, q in zip(lists, labels)])
+            totals = np.where(rng.random(m) < 0.15, 0,
+                              found + rng.integers(0, 5, m))
+            per_query, aps, valid, mean, points = \
+                conftest.evaluate_scores_reference(lists, labels.tolist(),
+                                                   totals.tolist())
+            scores = score_rankings(ranked, counts, labels, totals)
+            npt.assert_array_equal(scores.average_precision, aps)
+            npt.assert_array_equal(scores.valid, valid)
+            for i, c in enumerate(counts):
+                assert list(zip(scores.recall[i, :c].tolist(),
+                                scores.precision[i, :c].tolist())) == \
+                    per_query[i]
+                assert not scores.recall[i, c:].any()
+                assert not scores.precision[i, c:].any()
+            if mean is None:
+                with pytest.raises(InputError):
+                    mean_ap(scores)
+            else:
+                assert repr(mean_ap(scores)) == repr(mean)
+            curve = mean_pr_curve(scores)
+            assert (curve is None) == (points is None)
+            if curve is not None:
+                assert curve.valid
+                assert repr(curve.points) == repr(tuple(points))
+
+    def test_one_query_functions_are_its_rows(self):
+        rng = np.random.default_rng(3)
+        ranked = rng.integers(0, 2, (5, 12))
+        counts, labels = [12, 9, 0, 12, 3], [0, 1, 1, 0, 0]
+        totals = [7, 0, 4, 12, 2]
+        scores = score_rankings(ranked, counts, labels, totals)
+        triples = [(ranked[i, :c].tolist(), q, t)
+                   for i, (c, q, t) in enumerate(zip(counts, labels, totals))]
+        for i, triple in enumerate(triples):
+            curve = retrieval_pr(*triple)
+            c = counts[i]
+            assert curve.points == tuple(zip(scores.recall[i, :c].tolist(),
+                                             scores.precision[i, :c].tolist()))
+            assert curve.valid == scores.valid[i]
+            assert average_precision(*triple) == (
+                scores.average_precision[i], scores.valid[i])
+        assert mean_average_precision(triples) == mean_ap(scores)
+
+    def test_negative_total_rejected(self):
+        with pytest.raises(InputError):
+            score_rankings(np.zeros((2, 3)), [3, 3], [0, 0], [1, -1])
 
 
 class TestEmitPRPlotData:

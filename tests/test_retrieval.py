@@ -48,6 +48,7 @@ from cbirnet.retrieval import (
     save_index,
     scan,
     scan_batch,
+    scan_columns,
 )
 
 RNG = np.random.default_rng(2718)
@@ -453,18 +454,7 @@ def tie_heavy_index():
          "fc2": rng.standard_normal((n, 410))}, "fp")
 
 
-def reference_scan(index, q, predicted, layer, k, use_filter):
-    """Whole-matrix squared distances and a full lexsort, as exact bits.
-
-    Ties in distance rank by source_id, then by record number.
-    """
-    rows = np.asarray(index.class_partitions[predicted] if use_filter
-                      else range(len(index)), dtype=np.intp)
-    sq = np.sum((index.features[layer][rows] - q) ** 2, axis=1)
-    ranks = np.lexsort((index.positions[rows], index.source_ids[rows],
-                        sq))[:k]
-    return [(str(index.source_ids[rows[i]]), np.sqrt(sq[i]).tobytes(),
-             int(index.true_labels[rows[i]])) for i in ranks]
+reference_scan = conftest.reference_scan
 
 
 def item_bits(result):
@@ -733,6 +723,68 @@ class TestShortlist:
             with pytest.raises(InputError):
                 scan_batch(index, queries, predicted, "fc1", 1, False)
         assert scan_batch(index, np.ones((0, 3)), [], "fc1", 1, False) == []
+
+
+class TestScanColumns:
+    """scan_columns' columns give each query the reference's bits."""
+
+    @EXAMPLES
+    @given(n=st.integers(0, 40), dim=st.integers(0, 9),
+           classes=st.integers(1, 4), m=st.integers(1, 7),
+           per_gemm=st.sampled_from([1, 2, None]),
+           scan_rows=st.sampled_from([1, 3]),
+           layout=st.sampled_from(["contiguous", "loaded"]),
+           values=st.sampled_from(["normal", "integers", "near-ties"]),
+           special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+           use_filter=st.booleans(), extra_k=st.integers(0, 45),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference(self, n, dim, classes, m, per_gemm,
+                               scan_rows, layout, values, special,
+                               use_filter, extra_k, seed):
+        rng = np.random.default_rng(seed)
+        if values == "near-ties":
+            # Rows 1e-16 to 1e-13 apart around one point.
+            spread = 10.0 ** rng.integers(-16, -12, (n + m, 1))
+            matrix = (rng.standard_normal(dim)
+                      + spread * rng.standard_normal((n + m, dim)))
+        elif values == "integers":
+            matrix = rng.integers(-2, 3, (n + m, dim)) * 1.0
+        else:
+            matrix = rng.standard_normal((n + m, dim))
+        # Labels are drawn, so some classes may have no rows; predicting
+        # class `classes` asks for one the index never holds.
+        index = columnar_index(matrix[:n], rng.integers(0, classes, n),
+                               layout)
+        queries = matrix[rng.integers(0, n + m, m)]
+        if special is not None and dim:
+            queries[rng.integers(0, m), rng.integers(0, dim):] = special
+        predicted = rng.integers(0, classes + 1, m)
+        k = 1 + extra_k % (n + 5)
+        # One or three rows per exact block, so pairs straddle blocks.
+        with mock.patch.object(retrieval, "SCAN_BLOCK_BYTES",
+                               8 * scan_rows * dim), \
+                mock.patch.object(retrieval, "GEMM_BLOCK_BYTES",
+                                  8 * n * (per_gemm or m)), \
+                np.errstate(invalid="ignore", over="ignore"):
+            top = scan_columns(index, queries, predicted, "fc1", k,
+                               use_filter)
+            assert top.rows.shape == top.distances.shape == (m, min(k, n))
+            for i, (q, label) in enumerate(zip(queries, predicted)):
+                count = top.counts[i]
+                assert not top.rows[i, count:].any()
+                assert not top.distances[i, count:].any()
+                if use_filter and label not in index.class_partitions:
+                    assert (top.statuses[i], count, top.rows_scanned[i],
+                            top.rows_ranked[i]) == ("empty-class", 0, 0, 0)
+                    continue
+                assert top.statuses[i] == "ok"
+                rows = top.rows[i, :count]
+                assert [(str(index.source_ids[r]), d.tobytes(),
+                         int(index.true_labels[r])) for r, d in zip(
+                             rows, top.distances[i, :count])] == \
+                    reference_scan(index, q, label, "fc1", k, use_filter)
+                scanned = top.rows_scanned[i]
+                assert min(k, scanned) <= top.rows_ranked[i] <= scanned
 
 
 class TestFrozenQuery:
