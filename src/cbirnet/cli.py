@@ -29,6 +29,7 @@ from .data import (
     PreprocessedImages,
     generate_synthetic_corpus,
     ingest_directory,
+    list_directory,
     preprocess_image,
     read_pgm,
     split_dataset,
@@ -194,23 +195,32 @@ def _load_pipeline_inputs(cfg, need_index=False):
     return net, metadata, index
 
 
-def _ingest_split(cfg, expected_class_names=None):
-    """Split of the configured corpus; each sample's image is its raster."""
+def _ingest_split(cfg, side, expected_class_names=None):
+    """One side ("train" or "test") of the configured corpus's split.
+
+    The split is made from the listing of file names, so it does not
+    depend on which files decode; then only the side's files are
+    decoded, each sample's image being its raster. Returns (samples,
+    class_names).
+    """
     if cfg.data_dir is None:
         raise ConfigurationError("data_dir is not set; pass --data-dir or a config")
-    samples, class_names, skipped = ingest_directory(
-        cfg.data_dir, out_size=cfg.image_size)
-    if skipped:
-        print(f"warning: skipped {skipped} undecodable file(s)",
-              file=sys.stderr)
+    listed, class_names = list_directory(cfg.data_dir)
     if (expected_class_names is not None
             and list(class_names) != list(expected_class_names)):
         raise StaleIndexError(
             f"checkpoint was trained on classes {list(expected_class_names)} "
             f"but {cfg.data_dir} contains {list(class_names)}")
-    return split_dataset(samples, class_names,
-                         train_fraction=cfg.train_fraction,
-                         rng_seed=cfg.split_seed), class_names
+    split = split_dataset(listed, class_names,
+                          train_fraction=cfg.train_fraction,
+                          rng_seed=cfg.split_seed)
+    samples, _, skipped = ingest_directory(
+        cfg.data_dir, out_size=cfg.image_size,
+        listing=(getattr(split, side), class_names))
+    if skipped:
+        print(f"warning: skipped {skipped} undecodable file(s)",
+              file=sys.stderr)
+    return samples, class_names
 
 
 def cmd_prepare(args):
@@ -233,7 +243,7 @@ def cmd_prepare(args):
 
 def cmd_train(args):
     cfg = resolve_config(args)
-    split, class_names = _ingest_split(cfg)
+    train_set, class_names = _ingest_split(cfg, "train")
     spec = build_architecture(
         input_shape=(1, cfg.image_size, cfg.image_size),
         num_classes=len(class_names),
@@ -243,7 +253,7 @@ def cmd_train(args):
     net.initialize(cfg.init_seed, weight_std=cfg.init_std)
     train_samples = [
         replace(s, image=preprocess_image(s.image, out_size=cfg.image_size))
-        for s in split.train]
+        for s in train_set]
     train_config = TrainConfig(
         learning_rate=cfg.learning_rate,
         max_epochs=cfg.max_epochs,
@@ -261,7 +271,7 @@ def cmd_train(args):
     })
     (out / "train_report.tsv").write_text(report.to_tsv())
     write_run_config(cfg)
-    print(f"trained {cfg.max_epochs} epochs on {len(split.train)} samples; "
+    print(f"trained {cfg.max_epochs} epochs on {len(train_set)} samples; "
           f"final mean loss {report.epoch_losses[-1]:.6f}, "
           f"train error {report.final_train_error:.4f}")
     print(f"checkpoint written to {out / CHECKPOINT_NAME}")
@@ -271,9 +281,10 @@ def cmd_train(args):
 def cmd_index(args):
     cfg = resolve_config(args)
     net, metadata, _ = _load_pipeline_inputs(cfg)
-    split, _ = _ingest_split(cfg, expected_class_names=metadata["class_names"])
-    index = build_index(net, split.train, PreprocessedImages(
-        [s.image for s in split.train], cfg.image_size))
+    train_set, _ = _ingest_split(
+        cfg, "train", expected_class_names=metadata["class_names"])
+    index = build_index(net, train_set, PreprocessedImages(
+        [s.image for s in train_set], cfg.image_size))
     out = Path(cfg.output_dir)
     save_index(index, out / INDEX_NAME)
     write_run_config(cfg)
@@ -330,11 +341,11 @@ def cmd_evaluate(args):
     net, metadata, index = _load_pipeline_inputs(cfg, need_index=True)
     out = Path(cfg.output_dir)
     laps = [time.perf_counter()]
-    split, class_names = _ingest_split(
-        cfg, expected_class_names=metadata["class_names"])
+    test_set, class_names = _ingest_split(
+        cfg, "test", expected_class_names=metadata["class_names"])
     laps.append(time.perf_counter())
     _, predicted_labels, test_features = net.classify(PreprocessedImages(
-        [s.image for s in split.test], cfg.image_size))
+        [s.image for s in test_set], cfg.image_size))
     laps.append(time.perf_counter())
     settings = [(layer, use_filter) for layer in FEATURE_LAYERS
                 for use_filter in (False, True)]
@@ -343,7 +354,7 @@ def cmd_evaluate(args):
             for layer, use_filter in settings]
     laps.append(time.perf_counter())
 
-    true_labels = np.array([s.label for s in split.test], dtype=np.int64)
+    true_labels = np.array([s.label for s in test_set], dtype=np.int64)
     cm = confusion_matrix(true_labels, predicted_labels,
                           len(class_names), class_names=class_names)
     report = classification_report(cm)

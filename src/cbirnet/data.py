@@ -2,12 +2,19 @@
 
 On-disk corpora are directory-per-class trees of 8-bit PGM files (P2 or P5,
 decoded here without any imaging dependency); class ids come from sorted
-directory names so every filesystem yields the same labeling. Ingest keeps
-each file as its decoded uint8 raster (4 KB at 64 px). The network reads
-(1, H, W) float64 tensors in [0, 1], which preprocess_image makes from a
-stack of equal-size rasters at once; PreprocessedImages hands rasters to
-Network.classify so that they are preprocessed one chunk at a time, and
-only the rasters a command uses are preprocessed at all.
+directory names so every filesystem yields the same labeling.
+list_directory lists a tree without decoding it, and split_dataset splits
+that listing, so membership of each side follows the sorted file names,
+not which files decode: every file takes a slot in its class's shuffle,
+and a file that fails to decode drops out of its own side only.
+ingest_directory then decodes the listed files a command uses (one side,
+or the whole listing) and keeps each as its uint8 raster (4 KB at 64 px).
+
+The network reads (1, H, W) float64 tensors in [0, 1], which
+preprocess_image makes from a stack of equal-size rasters at once;
+PreprocessedImages hands rasters to Network.classify so that they are
+preprocessed one chunk at a time, and only the rasters a command uses are
+preprocessed at all.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ SYNTHETIC_FAMILIES = ("grating", "polygon", "blobs", "checker")
 
 @dataclass
 class Sample:
-    image: np.ndarray  # (1, H, W) in [0, 1], or a 2-D uint8 raster as ingested
+    # (1, H, W) in [0, 1], a 2-D uint8 raster as ingested, or None as listed
+    image: np.ndarray
     label: int
     source_id: str
 
@@ -221,14 +229,15 @@ class PreprocessedImages:
 # ---------------------------------------------------------------------------
 # Ingestion and splitting
 
-def ingest_directory(root, out_size=224):
-    """Load a directory-per-class PGM tree.
+def list_directory(root):
+    """List a directory-per-class tree without decoding any file.
 
-    Returns (samples, class_names, skipped) where skipped counts files
-    that failed to decode or that preprocess_image would refuse at
-    out_size; each failure is logged and the file skipped. Each sample's
-    image is its decoded 2-D uint8 raster. Samples are ordered by (class,
-    sorted filename) and source_id is the path relative to root.
+    Returns (samples, class_names): one image-less Sample per file,
+    ordered by (class, sorted filename), with source_id the path relative
+    to root. Every file is listed, whatever it holds, so the listing (and
+    the split made from it) does not depend on which files decode. A
+    missing root, a root without class directories and a class directory
+    without files are an InputError.
     """
     root = Path(root)
     if not root.is_dir():
@@ -237,26 +246,48 @@ def ingest_directory(root, out_size=224):
     if not class_names:
         raise InputError(f"{root} contains no class directories")
     samples = []
-    skipped = 0
     for label, name in enumerate(class_names):
-        class_dir = root / name
-        # str(class_dir / f) for each file, without a Path per file.
-        prefix = os.path.join(class_dir, "")
-        loaded = 0
-        for file_name in _listing(class_dir, "is_file"):
-            path = prefix + file_name
-            try:
-                raw = read_pgm(path)
-                _check_raster(raw.shape, out_size)
-            except InputError as exc:
-                log.warning("skipping %s: %s", path, exc)
-                skipped += 1
-                continue
-            samples.append(Sample(image=raw, label=label,
-                                  source_id=f"{name}/{file_name}"))
-            loaded += 1
-        if loaded == 0:
-            raise InputError(f"class directory {class_dir} has no usable images")
+        files = _listing(root / name, "is_file")
+        if not files:
+            raise InputError(f"class directory {root / name} has no files")
+        samples.extend(Sample(image=None, label=label,
+                              source_id=f"{name}/{file_name}")
+                       for file_name in files)
+    return samples, class_names
+
+
+def ingest_directory(root, out_size=224, listing=None):
+    """Decode listed files of a directory-per-class PGM tree.
+
+    listing is (samples, class_names) as list_directory returns them,
+    with samples narrowed to the ones to decode (say, one side of
+    split_dataset); None lists root and decodes every file. Returns
+    (samples, class_names, skipped): the samples that decoded, in listing
+    order, each holding its 2-D uint8 raster, and the count of files that
+    failed to decode or that preprocess_image would refuse at out_size;
+    each failure is logged and the file skipped. A class whose listed
+    files all fail is an InputError naming its directory.
+    """
+    root = Path(root)
+    listed, class_names = list_directory(root) if listing is None else listing
+    samples = []
+    skipped = 0
+    for s in listed:
+        path = os.path.join(root, s.source_id)
+        try:
+            raw = read_pgm(path)
+            _check_raster(raw.shape, out_size)
+        except InputError as exc:
+            log.warning("skipping %s: %s", path, exc)
+            skipped += 1
+            continue
+        samples.append(Sample(image=raw, label=s.label, source_id=s.source_id))
+    empty = {s.label for s in listed} - {s.label for s in samples}
+    if empty:
+        label = min(empty)
+        count = sum(s.label == label for s in listed)
+        raise InputError(f"class directory {root / class_names[label]} has "
+                         f"no usable image among the {count} listed")
     if skipped:
         log.warning("ingest skipped %d undecodable file(s)", skipped)
     return samples, class_names, skipped

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import shutil
 import time
 import tracemalloc
@@ -343,8 +344,8 @@ class TestPreprocessOnUse:
                                                ("evaluate", "test")])
     def test_preprocesses_only_its_split(self, run_copy, capsys, monkeypatch,
                                          command, side):
-        split, _ = cli._ingest_split(cli.load_run_config(
-            run_copy / "config.json"))
+        samples, _ = cli._ingest_split(cli.load_run_config(
+            run_copy / "config.json"), side)
         counted = []
 
         def counting(fn):
@@ -359,7 +360,7 @@ class TestPreprocessOnUse:
                                 counting(preprocess_image))
         code, _, _ = run(capsys, command, "--out", str(run_copy))
         assert code == 0
-        assert sum(counted) == len(getattr(split, side)) > 0
+        assert sum(counted) == len(samples) > 0
 
     def test_traced_peak_holds_no_corpus_of_float_images(self, run_copy,
                                                          corpus, capsys):
@@ -386,6 +387,108 @@ class TestPreprocessOnUse:
                                + 4 * chunk_bytes), (command, peak)
         finally:
             tracemalloc.stop()
+
+
+class TestSplitByListing:
+    """The split comes from the file names; a command decodes only its side."""
+
+    EVALUATE_OUTPUTS = ("confusion_matrix.tsv", "classification_report.tsv",
+                        "map_table.tsv", "pr_curves.csv")
+
+    @pytest.fixture
+    def copies(self, pipeline, tmp_path):
+        """A corpus and an evaluated run dir, both private to the test."""
+        corpus, run_dir = tmp_path / "data", tmp_path / "run"
+        shutil.copytree(pipeline[0], corpus)
+        shutil.copytree(pipeline[1], run_dir)
+        assert main(["evaluate", "--out", str(run_dir),
+                     "--data-dir", str(corpus)]) == 0
+        return corpus, run_dir
+
+    @staticmethod
+    def sides(run_dir):
+        cfg = cli.load_run_config(run_dir / "config.json")
+        return data.split_dataset(*data.list_directory(cfg.data_dir),
+                                  train_fraction=cfg.train_fraction,
+                                  rng_seed=cfg.split_seed)
+
+    def test_a_broken_file_moves_no_other_file_across_the_split(
+            self, copies, capsys):
+        corpus, run_dir = copies
+        split = self.sides(run_dir)
+        def outputs(names):
+            return {name: (run_dir / name).read_bytes() for name in names}
+
+        evaluated, indexed = outputs(self.EVALUATE_OUTPUTS), outputs(
+            [cli.INDEX_NAME])
+        train_file = corpus / split.train[0].source_id
+        saved = train_file.read_bytes()
+        train_file.write_bytes(b"not a pgm")
+        code, _, stderr = run(capsys, "evaluate", "--out", str(run_dir))
+        assert code == 0
+        assert "skipped" not in stderr  # the broken file was not decoded
+        assert outputs(self.EVALUATE_OUTPUTS) == evaluated
+        train_file.write_bytes(saved)
+        (corpus / split.test[0].source_id).write_bytes(b"not a pgm")
+        code, _, stderr = run(capsys, "index", "--out", str(run_dir))
+        assert code == 0
+        assert "skipped" not in stderr
+        assert outputs([cli.INDEX_NAME]) == indexed
+
+    def test_each_command_reads_exactly_its_side(self, copies, capsys,
+                                                 monkeypatch):
+        corpus, run_dir = copies
+        split = self.sides(run_dir)
+        read = []
+
+        def counting(path):
+            read.append(os.path.relpath(path, corpus).replace(os.sep, "/"))
+            return read_pgm(path)
+
+        monkeypatch.setattr(data, "read_pgm", counting)
+        for command, side in (("train", split.train), ("index", split.train),
+                              ("evaluate", split.test)):
+            read.clear()
+            extra = ["--data-dir", str(corpus), *DESK] if command == "train" \
+                else []
+            assert run(capsys, command, "--out", str(run_dir), *extra)[0] == 0
+            assert sorted(read) == sorted(s.source_id for s in side), command
+
+    def test_skip_warning_counts_only_the_decoded_side(self, copies, capsys):
+        corpus, run_dir = copies
+        split = self.sides(run_dir)
+        for s in (*split.train[:1], *split.test[:2]):
+            (corpus / s.source_id).write_bytes(b"not a pgm")
+        for command, skipped in (("index", 1), ("evaluate", 2)):
+            code, _, stderr = run(capsys, command, "--out", str(run_dir))
+            assert code == 0
+            assert f"warning: skipped {skipped} undecodable file(s)" in stderr
+
+    def test_class_without_a_usable_file_on_its_side_is_input_error(
+            self, copies, capsys):
+        corpus, run_dir = copies
+        split = self.sides(run_dir)
+        for s in split.test:
+            if s.label == 1:
+                (corpus / s.source_id).write_bytes(b"not a pgm")
+        code, _, stderr = run(capsys, "evaluate", "--out", str(run_dir))
+        assert code == EXIT_INPUT
+        assert str(corpus / split.class_names[1]) in stderr
+        # The train side of that class is intact.
+        assert run(capsys, "index", "--out", str(run_dir))[0] == 0
+
+    def test_empty_class_dir_is_refused_before_any_decode(
+            self, copies, capsys, monkeypatch):
+        corpus, run_dir = copies
+        (corpus / "empty").mkdir()
+        read = []
+        monkeypatch.setattr(data, "read_pgm",
+                            lambda path: read.append(path) or read_pgm(path))
+        code, _, stderr = run(capsys, "train", "--data-dir", str(corpus),
+                              "--out", str(run_dir), *DESK)
+        assert code == EXIT_INPUT
+        assert str(corpus / "empty") in stderr
+        assert read == []
 
 
 class TestEvaluate:
@@ -465,7 +568,7 @@ class TestEvaluate:
         cfg = cli.load_run_config(evaluated / "config.json")
         net, _ = load_checkpoint(evaluated / "model.ckpt")
         index = load_index(evaluated / "features.idx")
-        split, _ = cli._ingest_split(cfg)
+        test_set, _ = cli._ingest_split(cfg, "test")
         totals = {}
         for label in index.true_labels.tolist():
             totals[label] = totals.get(label, 0) + 1
@@ -473,7 +576,7 @@ class TestEvaluate:
         for layer in ("fc1", "fc2", "fc3"):
             for use_filter in (False, True):
                 triples = []
-                for s in split.test:
+                for s in test_set:
                     image = preprocess_image(s.image, out_size=cfg.image_size)
                     result = query(index, net, image, layer, 10, use_filter)
                     triples.append(([i.true_label for i in result.items],

@@ -1,5 +1,7 @@
 """PGM codec, preprocessing geometry, splits, and synthetic corpus checks."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,6 +15,7 @@ from cbirnet.data import (
     Sample,
     generate_synthetic_corpus,
     ingest_directory,
+    list_directory,
     preprocess_image,
     read_pgm,
     split_dataset,
@@ -604,13 +607,73 @@ class TestCorpusRoundTrip:
                     == [s.source_id for s in getattr(
                         split_dataset(want[0], want[1], rng_seed=3), side)])
 
+    def test_listing_decodes_nothing_and_keeps_every_file(self, tmp_path,
+                                                          monkeypatch):
+        samples, names = generate_synthetic_corpus(2, 10, 16, rng_seed=1)
+        write_corpus(samples, names, tmp_path)
+        (tmp_path / names[0] / "notes.txt").write_text("not an image")
+        read = []
+        monkeypatch.setattr(cbirnet.data, "read_pgm",
+                            lambda path: read.append(path) or read_pgm(path))
+        listed, listed_names = list_directory(tmp_path)
+        assert read == []
+        assert listed_names == names
+        assert all(s.image is None for s in listed)
+        # A non-image file takes its slot in the listing, and so in the
+        # split; ingest then drops it.
+        ids = [(s.source_id, s.label) for s in listed]
+        assert (f"{names[0]}/notes.txt", 0) in ids
+        loaded, _, skipped = ingest_directory(tmp_path, out_size=16)
+        assert skipped == 1
+        assert [(s.source_id, s.label) for s in loaded] == [
+            i for i in ids if not i[0].endswith("notes.txt")]
+
+    def test_broken_file_drops_out_of_its_side_only(self, tmp_path):
+        samples, names = generate_synthetic_corpus(2, 10, 16, rng_seed=1)
+        write_corpus(samples, names, tmp_path / "clean")
+        write_corpus(samples, names, tmp_path / "dirty")
+        splits = {
+            tree: split_dataset(*list_directory(tmp_path / tree), rng_seed=4)
+            for tree in ("clean", "dirty")}
+        broken = splits["dirty"].train[3].source_id
+        (tmp_path / "dirty" / broken).write_bytes(b"not a pgm")
+        for side in ("train", "test"):
+            got = {}
+            for tree, split in splits.items():
+                loaded, _, skipped = ingest_directory(
+                    tmp_path / tree, out_size=16,
+                    listing=(getattr(split, side), names))
+                got[tree] = ([s.source_id for s in loaded], skipped)
+            clean_ids = got["clean"][0]
+            assert got["dirty"] == (
+                [i for i in clean_ids if i != broken],
+                int(broken in clean_ids))
+            assert clean_ids == [s.source_id
+                                 for s in getattr(splits["clean"], side)]
+
+    def test_listed_class_without_usable_file_rejected(self, tmp_path):
+        samples, names = generate_synthetic_corpus(2, 10, 16, rng_seed=1)
+        write_corpus(samples, names, tmp_path)
+        split = split_dataset(*list_directory(tmp_path), rng_seed=4)
+        for s in split.test:
+            if s.label == 1:
+                (tmp_path / s.source_id).write_bytes(b"not a pgm")
+        assert len(ingest_directory(tmp_path, out_size=16,
+                                    listing=(split.train, names))[0]) == 14
+        with pytest.raises(InputError,
+                           match=re.escape(str(tmp_path / names[1]))):
+            ingest_directory(tmp_path, out_size=16,
+                             listing=(split.test, names))
+
     def test_empty_class_dir_rejected(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         write_pgm(tmp_path / "a" / "x.pgm",
                   np.zeros((8, 8), dtype=np.uint8))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=re.escape(str(tmp_path / "b"))):
             ingest_directory(tmp_path, out_size=8)
+        with pytest.raises(InputError, match=re.escape(str(tmp_path / "b"))):
+            list_directory(tmp_path)
 
     def test_no_class_dirs_rejected(self, tmp_path):
         with pytest.raises(InputError):
