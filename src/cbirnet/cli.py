@@ -54,7 +54,13 @@ from .metrics import (
     mean_pr_curve,
     score_rankings,
 )
-from .network import Network, build_architecture, load_checkpoint, save_checkpoint
+from .network import (
+    Network,
+    build_architecture,
+    check_field_types,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .retrieval import build_index, load_index, query, save_index, scan_columns
 from .training import TrainConfig, train
 
@@ -79,7 +85,7 @@ CONFIG_NAME = "config.json"
 class RunConfig:
     """Every knob of the pipeline, with defaults materialized."""
 
-    data_dir: str = None
+    data_dir: str | None = None
     output_dir: str = "run_output"
     image_size: int = 224
     train_fraction: float = 0.7
@@ -98,6 +104,7 @@ class RunConfig:
     use_class_filter: bool = True
 
     def __post_init__(self):
+        check_field_types(RunConfig, vars(self), "config")
         if self.layer not in FEATURE_LAYERS:
             raise ConfigurationError(
                 f"layer must be one of {FEATURE_LAYERS}, got {self.layer!r}")

@@ -139,12 +139,6 @@ class PRCurve:
     points: tuple
     valid: bool = True
 
-    def precision_at(self, k):
-        return self.points[k - 1][1]
-
-    def recall_at(self, k):
-        return self.points[k - 1][0]
-
 
 @dataclass(frozen=True)
 class RetrievalScores:

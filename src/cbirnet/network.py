@@ -127,6 +127,28 @@ def _spec_to_dict(spec):
     return d
 
 
+# The types JSON decodes a value of each annotated field type to.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
+               "str": (str,), "None": (type(None),)}
+
+
+def check_field_types(cls, values, what):
+    """ConfigurationError for the first value not of its field's JSON type.
+
+    values maps field names of the dataclass cls to values; what names
+    their owner in the message. Each field's annotation is a string, "T"
+    or "T | None" (null also passes). JSON decodes to exact types, so
+    true and false never pass for an int, and an int field takes no
+    float; a float field takes any number.
+    """
+    for f in fields(cls):
+        if f.name in values and type(values[f.name]) not in [
+                t for part in f.type.split(" | ") for t in _JSON_TYPES[part]]:
+            raise ConfigurationError(
+                f"{what} field {f.name!r} must be {f.type}, "
+                f"got {values[f.name]!r}")
+
+
 def _spec_from_dict(d):
     if not isinstance(d, dict):
         raise ConfigurationError(f"layer description {d!r} is not an object")
@@ -135,14 +157,7 @@ def _spec_from_dict(d):
     if cls is None:
         raise ConfigurationError(f"unknown layer type {kind!r}")
     kwargs = {k: v for k, v in d.items() if k != "type"}
-    for f in fields(cls):
-        # f.type is the annotation string. JSON decodes to exact types,
-        # so true and false never pass for an int.
-        allowed = (int, float) if f.type == "float" else (int,)
-        if f.name in kwargs and type(kwargs[f.name]) not in allowed:
-            raise ConfigurationError(
-                f"layer {kind!r} field {f.name!r} must be {f.type}, "
-                f"got {kwargs[f.name]!r}")
+    check_field_types(cls, kwargs, f"layer {kind!r}")
     try:
         return cls(**kwargs)
     except TypeError as exc:

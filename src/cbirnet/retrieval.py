@@ -2,7 +2,8 @@
 
 The index is columnar, like a flat FAISS index: one (N, dim) float64
 matrix per hidden-FC tap is the only copy of the features, next to the
-source id, label and record-number columns and each row's squared norm.
+source id, label and record-number columns, each row's tie rank (its
+rank by source id, then record number) and each row's squared norm.
 Rows are stored grouped by predicted label, like the inverted lists of an
 IVF index probed once (Johnson et al., FAISS, arXiv 1702.08734): each
 class partition is a range of rows, so the class filter scans a slice of
@@ -10,19 +11,19 @@ every matrix and never gathers a copy. scan_columns is the exact
 brute-force kernel over one layer, for an (m, dim) block of queries, and
 answers in columns as a FAISS search does: an (m, k) array of stored rows
 and one of distances, with a count per query (fewer than k where a
-partition is smaller). scan_batch turns the columns into RetrievalResults
-and scan is its m = 1 case; cmd_evaluate scores the columns directly.
-Queries that search the same rows (every row, or one class partition)
-are ranked together, in FAISS's split: a GEMM distance
-||x||^2 - 2 x.q + ||q||^2 over the searched range only picks a shortlist
-of (query, row) pairs, every row within a rigorous floating-point error
-bound of the query's k-th smallest GEMM distance (_error_bound), so ties
-at the cut all stay in, and the GEMM values are never reported. The exact
-pass then gathers the pairs' rows a block of SCAN_BLOCK_BYTES at a time,
-so each squared distance has the bits of np.sum((row - q) ** 2). One
-lexsort orders every pair by query, squared distance, ascending
-source_id, then record number, and each query's first k pairs are its
-result, so no result depends on the storage order; the square root is
+partition is smaller). It reads numeric columns only. scan runs it for
+one query and builds that query's RetrievalResult; cmd_evaluate scores
+the columns directly. Queries that search the same rows (every row, or
+one class partition) are ranked together, in FAISS's split: a GEMM
+distance ||x||^2 - 2 x.q + ||q||^2 over the searched range only picks a
+shortlist of (query, row) pairs, every row within a rigorous
+floating-point error bound of the query's k-th smallest GEMM distance
+(_error_bound), so ties at the cut all stay in, and the GEMM values are
+never reported. The exact pass then gathers the pairs' rows a block of
+SCAN_BLOCK_BYTES at a time, so each squared distance has the bits of
+np.sum((row - q) ** 2). One lexsort orders every pair by query, squared
+distance, then tie rank, and each query's first k pairs are its result,
+so no result depends on the storage order; the square root is
 order-preserving and taken only for those. Searched rows that fit in one
 exact block, or number at most k, skip the GEMM and are paired whole. No
 scan holds an (N, dim) temporary: a block of queries takes as many
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,11 +92,13 @@ class FeatureIndex:
     The constructor takes records in record order and stores every column
     and every layer matrix grouped by predicted label, in ascending label
     order; the sort is stable, so each class keeps record order. positions
-    holds the record number of each stored row, and class_partitions maps
-    each predicted label to its range of rows. features maps each layer
-    name, in index order, to an (N, dim) matrix; a float64 matrix whose
-    records are already grouped is kept, not copied. row_norms maps each
-    layer name to its rows' squared L2 norms.
+    holds the record number of each stored row, tie_ranks each stored
+    row's rank by source_id and then record number (the order in which
+    scans break distance ties; see its docstring), and class_partitions
+    maps each predicted label to its range of rows. features maps each
+    layer name, in index order, to an (N, dim) matrix; a float64 matrix
+    whose records are already grouped is kept, not copied. row_norms maps
+    each layer name to its rows' squared L2 norms.
     """
 
     def __init__(self, source_ids, true_labels, predicted_labels, features,
@@ -162,6 +166,17 @@ class FeatureIndex:
                 self.predicted_labels[[0, *cuts]].tolist() if n else [],
                 [0, *cuts], [*cuts, n])}
 
+    @cached_property
+    def tie_ranks(self):
+        """Each stored row's rank by source_id, then record number.
+
+        Ranked on the first scan and kept; threads racing on that scan
+        rank alike. Ranking in _fill instead left glibc's heap holding two
+        freed (10 000, 410) layer buffers after a catalog index command,
+        which never scans: +67 MB of peak RSS.
+        """
+        return _stored_rows(np.lexsort((self.positions, self.source_ids)))
+
     def __len__(self):
         return len(self.source_ids)
 
@@ -209,39 +224,27 @@ def scan(index, q, predicted, layer, k, use_class_filter):
 
     predicted is the query's class prediction. With the filter on, only
     that class's partition is scanned; an absent partition yields an
-    empty result marked "empty-class" rather than an error. This is the
-    one-query case of scan_batch.
+    empty result marked "empty-class" rather than an error. The ranking
+    is scan_columns' for the one query.
     """
     matrix = _layer_matrix(index, layer, k)
     if np.shape(q) != matrix.shape[1:]:
         raise InputError(f"query vector has shape {np.shape(q)}, layer "
                          f"{layer} holds {matrix.shape[1]}-dim features")
-    return scan_batch(index, np.asarray(q, dtype=DTYPE)[None], [predicted],
-                      layer, k, use_class_filter)[0]
-
-
-def scan_batch(index, queries, predicted, layer, k, use_class_filter):
-    """One scan result per row of the (m, dim) queries, in order.
-
-    predicted holds each query's class prediction. The results are
-    scan_columns' columns as RetrievalResults; every result equals that of
-    scanning its query alone.
-    """
-    predicted = [int(p) for p in predicted]
-    top = scan_columns(index, queries, predicted, layer, k, use_class_filter)
-    sids = index.source_ids[top.rows].tolist()
-    labels = index.true_labels[top.rows].tolist()
-    distances = top.distances.tolist()
-    return [
-        RetrievalResult(
-            items=tuple(map(RetrievedItem, sids[i][:count],
-                            distances[i][:count], labels[i][:count])),
-            query_predicted_label=label, layer=layer,
-            class_filter_enabled=use_class_filter, status=status,
-            rows_scanned=scanned, rows_ranked=ranked)
-        for i, (label, count, status, scanned, ranked) in enumerate(zip(
-            predicted, top.counts.tolist(), top.statuses,
-            top.rows_scanned.tolist(), top.rows_ranked.tolist()))]
+    top = scan_columns(index, np.asarray(q, dtype=DTYPE)[None], [predicted],
+                       layer, k, use_class_filter)
+    rows = top.rows[0, :top.counts[0]]
+    scanned = int(top.rows_scanned[0])
+    # Every partition the index holds has a row, so a filtered scan of
+    # none found no partition.
+    return RetrievalResult(
+        items=tuple(map(RetrievedItem, index.source_ids[rows].tolist(),
+                        top.distances[0, :len(rows)].tolist(),
+                        index.true_labels[rows].tolist())),
+        query_predicted_label=int(predicted), layer=layer,
+        class_filter_enabled=use_class_filter,
+        status="empty-class" if use_class_filter and not scanned else "ok",
+        rows_scanned=scanned, rows_ranked=int(top.rows_ranked[0]))
 
 
 @dataclass(frozen=True)
@@ -251,15 +254,14 @@ class ScanColumns:
     rows holds stored rows (index the FeatureIndex columns with it) and
     distances their distances, best first; both are (m, min(k, N)) and
     only the first counts[i] entries of row i are results, the rest 0.
-    A query gets fewer than k results when its partition is smaller.
-    statuses holds "ok" or "empty-class" per query; rows_scanned and
-    rows_ranked are RetrievalResult's work counts.
+    A query gets fewer than k results when its partition is smaller, and
+    none when the filter is on and its class has no partition.
+    rows_scanned and rows_ranked are RetrievalResult's work counts.
     """
 
     rows: np.ndarray
     distances: np.ndarray
     counts: np.ndarray
-    statuses: list
     rows_scanned: np.ndarray
     rows_ranked: np.ndarray
 
@@ -269,12 +271,11 @@ def scan_columns(index, queries, predicted, layer, k, use_class_filter):
 
     predicted holds each query's class prediction. With the filter on, a
     query searches its class partition, and an absent partition yields no
-    rows and status "empty-class"; with it off, every row. Queries that
-    search the same rows are ranked together, a block of them at a time:
-    _shortlist gives (query, row) pairs, _pair_distances their exact
-    squared distances, and one lexsort by query, distance, source_id and
-    record number orders every pair, so each query's first k pairs are
-    its result.
+    rows; with it off, every row. Queries that search the same rows are
+    ranked together, a block of them at a time: _shortlist gives (query,
+    row) pairs, _pair_distances their exact squared distances, and one
+    lexsort by query, distance and the index's tie_ranks orders every
+    pair, so each query's first k pairs are its result.
     """
     matrix = _layer_matrix(index, layer, k)
     queries = np.asarray(queries, dtype=DTYPE)
@@ -289,7 +290,6 @@ def scan_columns(index, queries, predicted, layer, k, use_class_filter):
     width = min(k, len(matrix))
     rows_out = np.zeros((m, width), dtype=np.intp)
     distances = np.zeros((m, width), dtype=DTYPE)
-    statuses = ["ok"] * m
     scanned = np.zeros(m, dtype=np.intp)
     ranked = np.zeros(m, dtype=np.intp)
     cols = np.arange(width)
@@ -298,15 +298,11 @@ def scan_columns(index, queries, predicted, layer, k, use_class_filter):
         groups.setdefault(label if use_class_filter else None, []).append(i)
     for label, members in groups.items():
         rows = (range(len(matrix)) if label is None
-                else index.class_partitions.get(label))
-        if rows is None:
-            for i in members:
-                statuses[i] = "empty-class"
+                else index.class_partitions.get(label, range(0)))
+        if not rows:
             continue
         members = np.asarray(members)
         scanned[members] = len(rows)
-        if not rows:
-            continue
         per_block = max(1, GEMM_BLOCK_BYTES // (8 * len(rows)))
         for b in range(0, len(members), per_block):
             block = members[b:b + per_block]
@@ -314,16 +310,9 @@ def scan_columns(index, queries, predicted, layer, k, use_class_filter):
             q, r = _shortlist(matrix, index.row_norms[layer], rows,
                               block_queries, k)
             sq = _pair_distances(matrix, block_queries, q, r)
-            # lexsort's last key is primary: query, distance, source_id,
-            # then the record number, so that equal ids never fall back
-            # on storage order. With more pairs than searched rows, the
-            # searched rows are ranked by source_id and record number
-            # once instead, so no id is copied per pair.
-            if len(r) > len(rows):
-                ties = (_tie_ranks(index, rows)[r - rows.start],)
-            else:
-                ties = (index.positions[r], index.source_ids[r])
-            order = np.lexsort((*ties, sq, q))
+            # lexsort's last key is primary: query, distance, then tie
+            # rank, so that no result depends on the storage order.
+            order = np.lexsort((index.tie_ranks[r], sq, q))
             # The square root is order-preserving, so it is taken last.
             if len(block) == 1:
                 # A lone query, as every scan call is: its first k pairs.
@@ -342,7 +331,7 @@ def scan_columns(index, queries, predicted, layer, k, use_class_filter):
             distances[block] = np.where(taken, np.sqrt(sq[picked]), 0.0)
             ranked[block] = pairs
     return ScanColumns(rows=rows_out, distances=distances,
-                       counts=np.minimum(ranked, width), statuses=statuses,
+                       counts=np.minimum(ranked, width),
                        rows_scanned=scanned, rows_ranked=ranked)
 
 
@@ -388,15 +377,6 @@ def _shortlist(matrix, norms, rows, queries, k):
     # "not >": a NaN or infinite cut keeps every row.
     q, r = np.nonzero(~(g > np.asarray(cuts)[:, None]))
     return q, r + rows.start
-
-
-def _tie_ranks(index, rows):
-    """Rank of each row in the range rows by source_id, then record number."""
-    ranks = np.empty(len(rows), dtype=np.intp)
-    ranks[np.lexsort((index.positions[rows.start:rows.stop],
-                      index.source_ids[rows.start:rows.stop]))] = \
-        np.arange(len(rows))
-    return ranks
 
 
 def _pair_distances(matrix, queries, q, r):
@@ -522,7 +502,7 @@ def save_index(index, path):
 
 
 def _stored_rows(positions):
-    """The stored row of each record: the inverse of positions."""
+    """The inverse of a permutation; of positions, each record's row."""
     stored = np.empty(len(positions), dtype=np.intp)
     stored[positions] = np.arange(len(positions))
     return stored

@@ -468,13 +468,14 @@ def test_metric_identities():
             prev_recall = 0.0
             for k in range(1, depth + 1):
                 hits += int(ranked[k - 1] == 1)
-                if curve.precision_at(k) != hits / k:
+                recall, precision = curve.points[k - 1]
+                if precision != hits / k:
                     pr_failures += 1
-                if curve.recall_at(k) != hits / total_relevant:
+                if recall != hits / total_relevant:
                     pr_failures += 1
-                if curve.recall_at(k) < prev_recall:
+                if recall < prev_recall:
                     pr_failures += 1
-                prev_recall = curve.recall_at(k)
+                prev_recall = recall
         pr_ok = pr_failures == 0
 
         ok = hand_ok and f1_ok and pr_ok

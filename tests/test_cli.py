@@ -127,6 +127,34 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "no_such_knob" in stderr
 
+    @pytest.mark.parametrize("name", sorted(RunConfig.field_names()))
+    def test_wrong_typed_config_field_is_config_error(self, name, tmp_path,
+                                                      capsys):
+        # A JSON value of the wrong type for each field; an int field
+        # takes no true, false or float.
+        wrong = {"data_dir": 5, "output_dir": 5, "image_size": "64",
+                 "train_fraction": "0.7", "split_seed": 1.5, "scale": "0.1",
+                 "keep_prob": None, "init_seed": True, "init_std": [0.01],
+                 "learning_rate": False, "max_epochs": 3.0,
+                 "train_seed": "0", "shuffle_each_epoch": 1,
+                 "log_interval": 0.5, "layer": 1, "k": True,
+                 "use_class_filter": "yes"}[name]
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = json.loads(RunConfig(data_dir=str(tmp_path)).to_json())
+        cfg[name] = wrong
+        (out / "config.json").write_text(json.dumps(cfg))
+        for argv in (["train"], ["index"], ["query", "--image", "x.pgm"],
+                     ["evaluate"]):
+            code, _, stderr = run(capsys, *argv, "--out", str(out))
+            assert code == EXIT_CONFIG
+            assert f"configuration error: config field {name!r}" in stderr
+            assert "Traceback" not in stderr
+
+    def test_config_numbers_and_null_data_dir_accepted(self):
+        cfg = RunConfig(data_dir=None, scale=1, learning_rate=0.01)
+        assert (cfg.data_dir, cfg.scale) == (None, 1)
+
     def test_invalid_learning_rate_is_config_error(self, pipeline, tmp_path,
                                                    capsys):
         data, _ = pipeline

@@ -192,10 +192,10 @@ class TestRetrievalPR:
     def test_hand_pattern(self):
         # relevant, miss, relevant with 2 relevant in the database
         curve = retrieval_pr([1, 0, 1], 1, total_relevant=2)
-        assert curve.precision_at(3) == pytest.approx(2 / 3)
-        assert curve.recall_at(3) == 1.0
-        assert curve.precision_at(1) == 1.0
-        assert curve.recall_at(1) == 0.5
+        assert curve.points[2][1] == pytest.approx(2 / 3)
+        assert curve.points[2][0] == 1.0
+        assert curve.points[0][1] == 1.0
+        assert curve.points[0][0] == 0.5
 
     def test_no_relevant_in_db_flagged(self):
         curve = retrieval_pr([0, 0], 1, total_relevant=0)
@@ -214,7 +214,7 @@ class TestRetrievalPR:
             recalls = [r for r, _ in curve.points]
             assert all(b >= a - 1e-15 for a, b in zip(recalls, recalls[1:]))
             for k in range(1, depth + 1):
-                hits = curve.precision_at(k) * k
+                hits = curve.points[k - 1][1] * k
                 assert abs(hits - round(hits)) < 1e-9
 
     def test_matches_counting_oracle(self):
@@ -227,8 +227,9 @@ class TestRetrievalPR:
             curve = retrieval_pr(labels, 7, total)
             for k in range(1, depth + 1):
                 p, r = pr_at_k_oracle(flags, total, k)
-                assert curve.precision_at(k) == pytest.approx(p, abs=1e-12)
-                assert curve.recall_at(k) == pytest.approx(r, abs=1e-12)
+                recall, precision = curve.points[k - 1]
+                assert precision == pytest.approx(p, abs=1e-12)
+                assert recall == pytest.approx(r, abs=1e-12)
 
     def test_negative_total_rejected(self):
         with pytest.raises(InputError):

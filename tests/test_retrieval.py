@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import conftest
 from cbirnet.data import Sample, generate_synthetic_corpus
@@ -47,7 +47,6 @@ from cbirnet.retrieval import (
     query,
     save_index,
     scan,
-    scan_batch,
     scan_columns,
 )
 
@@ -552,23 +551,28 @@ def columnar_index(matrix, labels, layout, ids=None):
 
 def batch_matches_reference(index, queries, predicted, k, use_filter,
                             scan_rows=1):
-    """scan_batch and scan give each query the reference's bits.
+    """scan_columns and scan give each query the reference's bits.
 
     The exact scan block is patched to scan_rows rows, so that any
     partition of more than k rows goes through the shortlist (None keeps
     SCAN_BLOCK_BYTES, under which a partition that fits in one block is
-    ranked whole).
+    ranked whole). Returns scan's result for each query.
     """
     patch = contextlib.nullcontext() if scan_rows is None else \
         mock.patch.object(retrieval, "SCAN_BLOCK_BYTES",
                           8 * scan_rows * index.features["fc1"].shape[1])
     with patch:
-        results = scan_batch(index, queries, predicted, "fc1", k, use_filter)
-        alone = [scan(index, q, label, "fc1", k, use_filter)
-                 for q, label in zip(queries, predicted)]
-    assert len(results) == len(queries)
-    for q, label, res, one in zip(queries, predicted, results, alone):
-        assert (one.status, item_bits(one)) == (res.status, item_bits(res))
+        top = scan_columns(index, queries, predicted, "fc1", k, use_filter)
+        results = [scan(index, q, label, "fc1", k, use_filter)
+                   for q, label in zip(queries, predicted)]
+    assert len(top.counts) == len(results) == len(queries)
+    for i, (q, label, res) in enumerate(zip(queries, predicted, results)):
+        rows = top.rows[i, :top.counts[i]]
+        assert [(str(index.source_ids[r]), d.tobytes(),
+                 int(index.true_labels[r]))
+                for r, d in zip(rows, top.distances[i])] == item_bits(res)
+        assert (top.rows_scanned[i], top.rows_ranked[i]) == \
+            (res.rows_scanned, res.rows_ranked)
         if use_filter and label not in index.class_partitions:
             assert (res.status, res.items) == ("empty-class", ())
             continue
@@ -721,8 +725,10 @@ class TestShortlist:
         for queries, predicted in ((np.ones(3), [0]), (np.ones((2, 4)), [0, 0]),
                                    (np.ones((2, 3)), [0])):
             with pytest.raises(InputError):
-                scan_batch(index, queries, predicted, "fc1", 1, False)
-        assert scan_batch(index, np.ones((0, 3)), [], "fc1", 1, False) == []
+                scan_columns(index, queries, predicted, "fc1", 1, False)
+        top = scan_columns(index, np.ones((0, 3)), [], "fc1", 1, False)
+        assert top.rows.shape == top.distances.shape == (0, 1)
+        assert len(top.counts) == len(top.rows_scanned) == 0
 
 
 class TestScanColumns:
@@ -773,11 +779,12 @@ class TestScanColumns:
                 count = top.counts[i]
                 assert not top.rows[i, count:].any()
                 assert not top.distances[i, count:].any()
+                status = scan(index, q, label, "fc1", k, use_filter).status
                 if use_filter and label not in index.class_partitions:
-                    assert (top.statuses[i], count, top.rows_scanned[i],
+                    assert (status, count, top.rows_scanned[i],
                             top.rows_ranked[i]) == ("empty-class", 0, 0, 0)
                     continue
-                assert top.statuses[i] == "ok"
+                assert status == "ok"
                 rows = top.rows[i, :count]
                 assert [(str(index.source_ids[r]), d.tobytes(),
                          int(index.true_labels[r])) for r, d in zip(
@@ -868,9 +875,11 @@ class TestConcurrentScans:
                 return bits(query(loaded, frozen, images[i], layer, 5,
                                   use_filter))
             layer, use_filter = task
-            return [bits(r) for r in scan_batch(loaded, feats[layer],
-                                                predicted, layer, 5,
-                                                use_filter)]
+            top = scan_columns(loaded, feats[layer], predicted, layer, 5,
+                               use_filter)
+            return (top.rows.tobytes(), top.distances.tobytes(),
+                    top.counts.tobytes(), top.rows_scanned.tobytes(),
+                    top.rows_ranked.tobytes())
 
         work = (tasks + batches) * 4
         interval = sys.getswitchinterval()
@@ -903,6 +912,10 @@ class TestGroupedLayout:
            dims=st.lists(st.integers(0, 4), min_size=1, max_size=3),
            values=st.sampled_from(["normal", "integers"]),
            seed=st.integers(0, 2 ** 32 - 1))
+    # Two records of one id, the later one predicted into the earlier
+    # partition: ranking ties by stored row would put it first.
+    @example(raw_labels=[1, 0], classes=2, dims=[1], values="integers",
+             seed=0)
     def test_round_trips_and_scans(self, raw_labels, classes, dims, values,
                                    seed):
         rng = np.random.default_rng(seed)
@@ -932,11 +945,16 @@ class TestGroupedLayout:
             save_index(load_index(out), out)
             assert out.read_bytes() == want
         order = np.argsort(labels, kind="stable")
+        # Each stored row's rank by id, then record number.
+        tie_ranks = np.empty(n, dtype=np.intp)
+        tie_ranks[np.lexsort((order, np.asarray(ids, dtype=str)[order]))] = \
+            np.arange(n)
         queries = draw[values]((4, dims[0]))
         queries[:min(n, 2)] = features["fc1"][:2]  # indexed rows
         predicted = list(range(4))  # absent classes among them
         for index in indexes:
             npt.assert_array_equal(index.positions, order)
+            npt.assert_array_equal(index.tie_ranks, tie_ranks)
             assert index.class_partitions == {
                 label: range(labels_before(labels, label),
                              labels_before(labels, label + 1))
