@@ -173,7 +173,11 @@ def write_run_config(cfg):
 
 
 def _load_pipeline_inputs(cfg, need_index=False):
-    """Checkpoint (and optionally index) from the configured output dir."""
+    """Checkpoint (and optionally index) from the configured output dir.
+
+    The configured image_size must be the one the checkpoint was trained
+    at, so every command preprocesses at cfg.image_size.
+    """
     out = Path(cfg.output_dir)
     ckpt_path = out / CHECKPOINT_NAME
     if not ckpt_path.is_file():
@@ -188,6 +192,10 @@ def _load_pipeline_inputs(cfg, need_index=False):
         raise FormatError(
             f"{what} (image_size {image_size}, {len(class_names)} class "
             f"names) does not fit network shapes {shapes[0]} -> {shapes[-1]}")
+    if cfg.image_size != image_size:
+        raise ConfigurationError(
+            f"image_size {cfg.image_size} differs from the checkpoint's "
+            f"image_size {image_size} in {ckpt_path}")
     index = None
     if need_index:
         idx_path = out / INDEX_NAME
@@ -250,6 +258,12 @@ def cmd_prepare(args):
 
 def cmd_train(args):
     cfg = resolve_config(args)
+    train_config = TrainConfig(
+        learning_rate=cfg.learning_rate,
+        max_epochs=cfg.max_epochs,
+        rng_seed=cfg.train_seed,
+        shuffle_each_epoch=cfg.shuffle_each_epoch,
+        log_interval=cfg.log_interval)
     train_set, class_names = _ingest_split(cfg, "train")
     spec = build_architecture(
         input_shape=(1, cfg.image_size, cfg.image_size),
@@ -261,12 +275,6 @@ def cmd_train(args):
     train_samples = [
         replace(s, image=preprocess_image(s.image, out_size=cfg.image_size))
         for s in train_set]
-    train_config = TrainConfig(
-        learning_rate=cfg.learning_rate,
-        max_epochs=cfg.max_epochs,
-        rng_seed=cfg.train_seed,
-        shuffle_each_epoch=cfg.shuffle_each_epoch,
-        log_interval=cfg.log_interval)
     report = train(net, train_samples, train_config)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -305,7 +313,7 @@ def cmd_query(args):
     cfg = resolve_config(args)
     net, metadata, index = _load_pipeline_inputs(cfg, need_index=True)
     raw = read_pgm(args.image)
-    image = preprocess_image(raw, out_size=metadata["image_size"])
+    image = preprocess_image(raw, out_size=cfg.image_size)
     timings = {} if args.json_lines else None
     result = query(index, net, image, cfg.layer, cfg.k,
                    use_class_filter=cfg.use_class_filter, timings=timings)

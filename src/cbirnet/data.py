@@ -265,7 +265,7 @@ def ingest_directory(root, out_size=224, listing=None):
     (samples, class_names, skipped): the samples that decoded, in listing
     order, each holding its 2-D uint8 raster, and the count of files that
     failed to decode or that preprocess_image would refuse at out_size;
-    each failure is logged and the file skipped. A class whose listed
+    each failure is logged once, naming its file, and the file skipped. A class whose listed
     files all fail is an InputError naming its directory.
     """
     root = Path(root)
@@ -278,7 +278,10 @@ def ingest_directory(root, out_size=224, listing=None):
             raw = read_pgm(path)
             _check_raster(raw.shape, out_size)
         except InputError as exc:
-            log.warning("skipping %s: %s", path, exc)
+            # read_pgm's messages name the file; _check_raster's do not.
+            reason = str(exc)
+            log.warning("skipping %s", reason if path in reason
+                        else f"{path}: {reason}")
             skipped += 1
             continue
         samples.append(Sample(image=raw, label=s.label, source_id=s.source_id))
@@ -288,8 +291,6 @@ def ingest_directory(root, out_size=224, listing=None):
         count = sum(s.label == label for s in listed)
         raise InputError(f"class directory {root / class_names[label]} has "
                          f"no usable image among the {count} listed")
-    if skipped:
-        log.warning("ingest skipped %d undecodable file(s)", skipped)
     return samples, class_names, skipped
 
 

@@ -1,5 +1,8 @@
 """Classification and retrieval evaluation quantities.
 
+Classification scores come from a confusion matrix. Retrieval scores come
+from score_rankings, which scores a block of ranked result lists, one row
+per query, at once; mean_ap and mean_pr_curve average its rows.
 Everything here is a pure function over counts. Degenerate divisions
 (a class never predicted, a query with no relevant items) yield 0 plus an
 explicit flag instead of NaN, so macro averages stay finite and the
@@ -129,18 +132,6 @@ def format_report(report, class_names):
 
 
 @dataclass(frozen=True)
-class PRCurve:
-    """(recall, precision) per rank cutoff k = 1..depth for one query.
-
-    valid is False when the query had no relevant items in the database;
-    such queries carry no usable recall and are skipped by averages.
-    """
-
-    points: tuple
-    valid: bool = True
-
-
-@dataclass(frozen=True)
 class RetrievalScores:
     """Per-query retrieval scores of m ranked lists, one row per query.
 
@@ -169,7 +160,7 @@ def score_rankings(ranked_labels, counts, query_labels, total_relevant):
     not penalized for relevant items that do not fit in its window, but
     missing ones inside it do count. Each query's AP sums its precisions
     at the relevant ranks as one 1-D array in rank order, so it has the
-    bits of the one-query formula at any depth.
+    bits of a per-query loop at any depth.
     """
     ranked = np.asarray(ranked_labels)
     counts = np.asarray(counts, dtype=np.intp)
@@ -195,52 +186,6 @@ def score_rankings(ranked_labels, counts, query_labels, total_relevant):
                            average_precision=ap, valid=valid)
 
 
-def _score_lists(queries):
-    """score_rankings over (ranked_labels, query_label, total_relevant)
-    triples whose ranked lists may differ in length."""
-    queries = list(queries)
-    counts = np.array([len(ranked) for ranked, _, _ in queries],
-                      dtype=np.intp)
-    ranked = np.zeros((len(queries), counts.max(initial=0)), dtype=np.int64)
-    ranked[np.arange(ranked.shape[1]) < counts[:, None]] = [
-        label for labels, _, _ in queries for label in labels]
-    return score_rankings(ranked, counts, [q for _, q, _ in queries],
-                          [total for _, _, total in queries])
-
-
-def retrieval_pr(ranked_labels, query_label, total_relevant):
-    """Precision and recall at every cutoff of one ranked result list.
-
-    ranked_labels are the true labels of the returned items, best first;
-    an item is relevant when its label equals query_label. total_relevant
-    counts relevant items in the whole database (the recall denominator).
-    The one-query case of score_rankings.
-    """
-    scores = _score_lists([(ranked_labels, query_label, total_relevant)])
-    return PRCurve(points=tuple(zip(scores.recall[0].tolist(),
-                                    scores.precision[0].tolist())),
-                   valid=bool(scores.valid[0]))
-
-
-def average_precision(ranked_labels, query_label, total_relevant):
-    """AP of one ranked result list, as score_rankings defines it.
-
-    Returns (value, valid); valid is False when total_relevant is 0.
-    """
-    scores = _score_lists([(ranked_labels, query_label, total_relevant)])
-    return float(scores.average_precision[0]), bool(scores.valid[0])
-
-
-def mean_average_precision(queries):
-    """Mean per-query average precision over all valid queries.
-
-    queries is a sequence of (ranked_labels, query_label, total_relevant)
-    triples. Queries with total_relevant = 0 are skipped; if none remain,
-    the mean is undefined and an InputError is raised.
-    """
-    return mean_ap(_score_lists(queries))
-
-
 def mean_ap(scores):
     """Mean average precision over the valid queries of RetrievalScores.
 
@@ -252,12 +197,13 @@ def mean_ap(scores):
 
 
 def mean_pr_curve(scores):
-    """Macro-average (recall, precision) at each rank cutoff, or None.
+    """Macro-average (recall, precision) points, one per rank cutoff.
 
     Averages the valid queries of RetrievalScores that returned anything.
     Their counts can be ragged (filtered queries with small partitions),
     so cutoff j averages, with np.mean in query order, only the queries
-    that reached it. None when no valid query returned an item.
+    that reached it. Returns a tuple of (recall, precision) pairs, or
+    None when no valid query returned an item.
     """
     depth = int(scores.counts[scores.valid].max(initial=0))
     if depth == 0:
@@ -267,14 +213,15 @@ def mean_pr_curve(scores):
         reached = scores.valid & (scores.counts > j)
         points.append((float(np.mean(scores.recall[reached, j])),
                        float(np.mean(scores.precision[reached, j]))))
-    return PRCurve(points=tuple(points), valid=True)
+    return tuple(points)
 
 
 def emit_pr_plot_data(curves, path):
     """Write labeled precision-recall points as CSV.
 
-    curves is a sequence of (layer, filter_mode, PRCurve); one output row
-    per point, ready for any plotting tool.
+    curves is a sequence of (layer, filter_mode, points), points being
+    (recall, precision) pairs as mean_pr_curve returns them; one output
+    row per point, ready for any plotting tool.
     """
     curves = list(curves)
     if not curves:
@@ -282,7 +229,7 @@ def emit_pr_plot_data(curves, path):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["layer", "filter_mode", "recall", "precision"])
-        for layer, filter_mode, curve in curves:
-            for recall, precision in curve.points:
+        for layer, filter_mode, points in curves:
+            for recall, precision in points:
                 writer.writerow(
                     [layer, filter_mode, repr(recall), repr(precision)])

@@ -49,7 +49,7 @@ from ._binio import (
     read_into,
     write_container_header,
 )
-from .errors import ConfigurationError, FormatError, InternalError
+from .errors import ConfigurationError, FormatError
 from .layers import (
     DTYPE,
     Conv2d,

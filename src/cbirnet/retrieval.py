@@ -96,8 +96,7 @@ class FeatureIndex:
     row's rank by source_id and then record number (the order in which
     scans break distance ties; see its docstring), and class_partitions
     maps each predicted label to its range of rows. features maps each
-    layer name, in index order, to an (N, dim) matrix; a float64 matrix
-    whose records are already grouped is kept, not copied. row_norms maps
+    layer name, in index order, to an (N, dim) matrix. row_norms maps
     each layer name to its rows' squared L2 norms.
     """
 
@@ -117,9 +116,9 @@ class FeatureIndex:
             if m.ndim != 2 or len(m) != n:
                 raise InputError(f"layer {name} features have shape "
                                  f"{m.shape}, not ({n}, dim)")
-        order = _group_order(columns[2])
-        self._fill(*(_take(c, order) for c in columns), order,
-                   {name: _take(m, order) for name, m in features.items()},
+        order = np.argsort(columns[2], kind="stable")
+        self._fill(*(c[order] for c in columns), order,
+                   {name: m[order] for name, m in features.items()},
                    network_fingerprint)
 
     @classmethod
@@ -127,7 +126,7 @@ class FeatureIndex:
                  features, network_fingerprint):
         """An index over columns and matrices already grouped by order.
 
-        order is what _group_order gave for the records' predicted labels.
+        order is the stable argsort of the records' predicted labels.
         """
         index = cls.__new__(cls)
         index._fill(source_ids, true_labels, predicted_labels, order,
@@ -140,7 +139,7 @@ class FeatureIndex:
         self.true_labels = np.asarray(true_labels, dtype=np.int64)
         self.predicted_labels = np.asarray(predicted_labels, dtype=np.int64)
         n = len(self.source_ids)
-        self.positions = np.arange(n) if order is None else order
+        self.positions = order
         self.features = features
         self.feature_layers = tuple(features)
         self.network_fingerprint = network_fingerprint
@@ -181,21 +180,6 @@ class FeatureIndex:
         return len(self.source_ids)
 
 
-def _group_order(predicted):
-    """Stable order that groups records by ascending predicted label.
-
-    None when the records are grouped already, so their arrays are kept.
-    """
-    if (predicted[1:] >= predicted[:-1]).all():
-        return None
-    return np.argsort(predicted, kind="stable")
-
-
-def _take(array, order):
-    """array's rows in _group_order's order."""
-    return array if order is None else array[order]
-
-
 def build_index(net, samples, images=None):
     """Index all samples from the tap arrays of one classify pass.
 
@@ -203,20 +187,19 @@ def build_index(net, samples, images=None):
     data.PreprocessedImages over their rasters); by default each sample's
     image. Records are partitioned by the *predicted* label (the
     retrieval-time filter can only see predictions); true labels ride
-    along solely for evaluation. Taps whose records are grouped already
-    are kept; otherwise each is regrouped and dropped before the next, so
-    at most one layer is held twice.
+    along solely for evaluation. Each tap is regrouped and dropped before
+    the next, so at most one layer is held twice.
     """
     samples = list(samples)
     if images is None:
         images = [s.image for s in samples]
     _, predicted, taps = net.classify(images)
-    order = _group_order(predicted)
-    features = {name: _take(taps.pop(name), order) for name in list(taps)}
+    order = np.argsort(predicted, kind="stable")
+    features = {name: taps.pop(name)[order] for name in list(taps)}
     return FeatureIndex._grouped(
-        _take(np.asarray([s.source_id for s in samples], dtype=str), order),
-        _take(np.asarray([s.label for s in samples], dtype=np.int64), order),
-        _take(predicted, order), order, features, net.fingerprint())
+        np.asarray([s.source_id for s in samples], dtype=str)[order],
+        np.asarray([s.label for s in samples], dtype=np.int64)[order],
+        predicted[order], order, features, net.fingerprint())
 
 
 def scan(index, q, predicted, layer, k, use_class_filter):
@@ -563,8 +546,8 @@ def load_index(path, expected_fingerprint=None):
         n, bounds = len(metas), np.cumsum([0, *widths]).tolist()
         check_payload_size(f, 8 * n * bounds[-1], "feature payload")
         pred = np.asarray(pred, dtype=np.int64)
-        order = _group_order(pred)
-        stored = _stored_rows(np.arange(n) if order is None else order)
+        order = np.argsort(pred, kind="stable")
+        stored = _stored_rows(order)
         store = np.empty(n * bounds[-1], dtype=DTYPE)
         matrices = [store[n * a:n * b].reshape(n, b - a)
                     for a, b in zip(bounds, bounds[1:])]
@@ -577,6 +560,6 @@ def load_index(path, expected_fingerprint=None):
             for m, a, b in zip(matrices, bounds, bounds[1:]):
                 m[put] = block[:, a:b]
     return FeatureIndex._grouped(
-        _take(np.asarray(sids, dtype=str), order),
-        _take(np.asarray(true, dtype=np.int64), order), _take(pred, order),
-        order, dict(zip(layers, matrices)), fingerprint)
+        np.asarray(sids, dtype=str)[order],
+        np.asarray(true, dtype=np.int64)[order], pred[order], order,
+        dict(zip(layers, matrices)), fingerprint)

@@ -1,4 +1,4 @@
-"""Per-sample SGD on negative log-likelihood, plus k-fold cross-validation.
+"""Per-sample SGD on negative log-likelihood.
 
 Training is deliberately plain: batch size 1, constant learning rate, no
 momentum, no decay. One seed drives two independent streams (epoch shuffle
@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError, TrainingDiverged
-from .metrics import classification_report, confusion_matrix
-from .network import LogSoftmaxSpec, Network
 
 log = logging.getLogger(__name__)
 
@@ -162,55 +160,3 @@ def train(net, train_split, config):
         epoch_seconds=tuple(epoch_seconds),
     )
 
-
-def stratified_folds(labels, k, rng_seed):
-    """Partition sample indices into k folds, stratified by label.
-
-    Within each class the (seeded) shuffled indices are dealt into k
-    nearly equal chunks. Returns a list of k index arrays that are
-    disjoint and exhaustive. Every class must have at least k samples.
-    """
-    if k < 2:
-        raise InputError(f"k must be >= 2, got {k}")
-    labels = np.asarray(labels)
-    rng = np.random.default_rng(rng_seed)
-    folds = [[] for _ in range(k)]
-    for label in np.unique(labels):
-        idx = np.flatnonzero(labels == label)
-        if idx.size < k:
-            raise InputError(
-                f"class {label} has {idx.size} samples, fewer than k={k}")
-        shuffled = idx[rng.permutation(idx.size)]
-        for f, chunk in enumerate(np.array_split(shuffled, k)):
-            folds[f].extend(chunk.tolist())
-    return [np.asarray(sorted(f)) for f in folds]
-
-
-def k_fold_cross_validate(samples, network_spec, config, k=10, init_seed=0):
-    """Train k fresh networks, each validated on its held-out fold.
-
-    Folds are stratified by true label. Every fold's network starts from
-    the same seeded initialization; its training shuffle/dropout seed is
-    offset by the fold number so folds stay independent yet reproducible.
-    Returns one ClassificationReport per fold.
-    """
-    samples = list(samples)
-    num_classes = next(
-        ls.num_classes for ls in reversed(network_spec.layers)
-        if isinstance(ls, LogSoftmaxSpec))
-    folds = stratified_folds([s.label for s in samples], k, config.rng_seed)
-    reports = []
-    for f, held_out in enumerate(folds):
-        held_set = set(held_out.tolist())
-        train_samples = [s for i, s in enumerate(samples)
-                         if i not in held_set]
-        net = Network.from_spec(network_spec)
-        net.initialize(init_seed)
-        fold_config = replace(config, rng_seed=config.rng_seed + f + 1)
-        train(net, train_samples, fold_config)
-        true = [samples[i].label for i in held_out]
-        predicted = net.classify([samples[i].image for i in held_out])[1]
-        cm = confusion_matrix(true, predicted, num_classes)
-        reports.append(classification_report(cm))
-        log.info("fold %d/%d: accuracy %.4f", f + 1, k, reports[-1].accuracy)
-    return reports

@@ -18,6 +18,7 @@ from cbirnet.layers import (
     MaxPool2d,
     ReLU,
 )
+from cbirnet.metrics import score_rankings
 from cbirnet.training import nll_grad, nll_loss
 
 DTYPE = np.float64
@@ -279,6 +280,28 @@ def evaluate_scores_reference(ranked_lists, query_labels, totals):
             points.append((float(np.mean([p[0] for p in ps])),
                            float(np.mean([p[1] for p in ps]))))
     return per_query, aps, valid, mean, points
+
+
+def score_lists(queries):
+    """metrics.score_rankings over (ranked_labels, query_label,
+    total_relevant) triples whose ranked lists may differ in length: each
+    list is one row of a zero-padded block, its length the row's count."""
+    queries = list(queries)
+    counts = np.array([len(ranked) for ranked, _, _ in queries],
+                      dtype=np.intp)
+    ranked = np.zeros((len(queries), counts.max(initial=0)), dtype=np.int64)
+    ranked[np.arange(ranked.shape[1]) < counts[:, None]] = [
+        label for labels, _, _ in queries for label in labels]
+    return score_rankings(ranked, counts, [q for _, q, _ in queries],
+                          [total for _, _, total in queries])
+
+
+def pr_points(scores, i=0):
+    """Row i of RetrievalScores as (recall, precision) points, one per
+    returned item."""
+    c = scores.counts[i]
+    return tuple(zip(scores.recall[i, :c].tolist(),
+                     scores.precision[i, :c].tolist()))
 
 
 def bilinear_resize(image, out_h, out_w):

@@ -12,7 +12,6 @@ bit-level determinism of artifacts, and the dropout convention.
 import time
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 import conftest
@@ -29,8 +28,8 @@ from cbirnet.layers import (
 from cbirnet.metrics import (
     classification_report,
     confusion_matrix,
-    mean_average_precision,
-    retrieval_pr,
+    mean_ap,
+    score_rankings,
 )
 from cbirnet.network import (
     Network,
@@ -396,7 +395,8 @@ def test_class_filter_effect(desk_split, trained):
                     ranked = [item.true_label for item in result.items]
                     triples.append((ranked, s.label,
                                     db_counts.get(s.label, 0)))
-                maps[layer, use_filter] = mean_average_precision(triples)
+                maps[layer, use_filter] = mean_ap(
+                    conftest.score_lists(triples))
         direction_ok = all(maps[layer, True] >= maps[layer, False]
                            for layer in ("fc1", "fc2", "fc3"))
 
@@ -463,12 +463,13 @@ def test_metric_identities():
             total_relevant = int(rel.sum()) + extra
             if total_relevant == 0:
                 total_relevant = 1
-            curve = retrieval_pr(ranked, 1, total_relevant)
+            scores = score_rankings([ranked], [depth], [1], [total_relevant])
             hits = 0
             prev_recall = 0.0
             for k in range(1, depth + 1):
                 hits += int(ranked[k - 1] == 1)
-                recall, precision = curve.points[k - 1]
+                recall = scores.recall[0, k - 1]
+                precision = scores.precision[0, k - 1]
                 if precision != hits / k:
                     pr_failures += 1
                 if recall != hits / total_relevant:

@@ -15,7 +15,7 @@ import conftest
 from cbirnet import cli, data, metrics, retrieval
 from cbirnet.cli import EXIT_CONFIG, EXIT_INPUT, RunConfig, main
 from cbirnet.data import preprocess_image, read_pgm
-from cbirnet.metrics import mean_average_precision
+from cbirnet.metrics import mean_ap
 from cbirnet.network import CHUNK_BYTES, Network, load_checkpoint
 from cbirnet.retrieval import load_index, query
 
@@ -186,6 +186,14 @@ class TestTrain:
                          "--out", str(tmp_path / "o"), *DESK)
         assert code == EXIT_INPUT
 
+    def test_training_settings_checked_before_the_corpus(self, tmp_path,
+                                                         capsys):
+        code, _, stderr = run(capsys, "train", "--epochs", "0",
+                              "--data-dir", str(tmp_path / "nope"),
+                              "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        assert "configuration error: max_epochs" in stderr
+
 
 class TestIndex:
     def test_counts_match_training_split(self, pipeline):
@@ -343,6 +351,28 @@ class TestQuery:
         assert stderr.startswith("input error: ")
 
 
+@pytest.mark.parametrize("command", ["index", "query", "evaluate"])
+def test_image_size_unlike_the_checkpoint_is_config_error(
+        pipeline, tmp_path, capsys, monkeypatch, command):
+    # The checkpoint was trained at 64 px: a 32 px run fails before any
+    # corpus is listed, naming both sizes.
+    _, run_dir = pipeline
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+
+    def unlisted(*args, **kwargs):
+        raise AssertionError("the corpus was listed")
+
+    monkeypatch.setattr(cli, "list_directory", unlisted)
+    extra = ["--image", "x.pgm"] if command == "query" else []
+    code, _, stderr = run(capsys, command, "--out", str(copy),
+                          "--image-size", "32", *extra)
+    assert code == EXIT_CONFIG
+    assert ("configuration error: image_size 32 differs from the "
+            "checkpoint's image_size 64") in stderr
+    assert "Traceback" not in stderr
+
+
 @pytest.fixture(scope="module")
 def evaluated(pipeline):
     _, run_dir = pipeline
@@ -482,15 +512,24 @@ class TestSplitByListing:
             assert run(capsys, command, "--out", str(run_dir), *extra)[0] == 0
             assert sorted(read) == sorted(s.source_id for s in side), command
 
-    def test_skip_warning_counts_only_the_decoded_side(self, copies, capsys):
+    def test_skip_warning_counts_only_the_decoded_side(self, copies, capsys,
+                                                        caplog):
         corpus, run_dir = copies
         split = self.sides(run_dir)
         for s in (*split.train[:1], *split.test[:2]):
             (corpus / s.source_id).write_bytes(b"not a pgm")
-        for command, skipped in (("index", 1), ("evaluate", 2)):
+        for command, broken in (("index", split.train[:1]),
+                                ("evaluate", split.test[:2])):
+            caplog.clear()
             code, _, stderr = run(capsys, command, "--out", str(run_dir))
             assert code == 0
-            assert f"warning: skipped {skipped} undecodable file(s)" in stderr
+            # One line per broken file, naming it once, and one summary.
+            text = caplog.text + stderr
+            for s in broken:
+                assert text.count(s.source_id) == 1
+            assert text.count("undecodable file(s)") == 1
+            assert (f"warning: skipped {len(broken)} undecodable file(s)"
+                    in stderr)
 
     def test_class_without_a_usable_file_on_its_side_is_input_error(
             self, copies, capsys):
@@ -562,35 +601,38 @@ class TestEvaluate:
     def test_scores_without_per_item_objects(self, pipeline, tmp_path,
                                              capsys, monkeypatch):
         # evaluate ranks and scores in columns: no RetrievedItem is built
-        # and no query goes through the one-query retrieval_pr.
+        # and score_rankings runs once per (layer, filter) setting, not
+        # once per query.
         _, run_dir = pipeline
         copy = tmp_path / "run"
         shutil.copytree(run_dir, copy)
-        calls = {"RetrievedItem": 0, "retrieval_pr": 0}
-        init, pr = retrieval.RetrievedItem.__init__, metrics.retrieval_pr
+        calls = {"RetrievedItem": 0, "score_rankings": 0}
+        init, score = retrieval.RetrievedItem.__init__, metrics.score_rankings
 
         def counted_init(item, *args, **kwargs):
             calls["RetrievedItem"] += 1
             init(item, *args, **kwargs)
 
-        def counted_pr(*args, **kwargs):
-            calls["retrieval_pr"] += 1
-            return pr(*args, **kwargs)
+        def counted_score(*args, **kwargs):
+            calls["score_rankings"] += 1
+            return score(*args, **kwargs)
 
         monkeypatch.setattr(retrieval.RetrievedItem, "__init__", counted_init)
-        monkeypatch.setattr(metrics, "retrieval_pr", counted_pr)
-        monkeypatch.setattr(cli, "retrieval_pr", counted_pr, raising=False)
+        monkeypatch.setattr(metrics, "score_rankings", counted_score)
+        monkeypatch.setattr(cli, "score_rankings", counted_score)
         code, _, _ = run(capsys, "evaluate", "--out", str(copy), "--k", "10")
         assert code == 0
-        assert calls == {"RetrievedItem": 0, "retrieval_pr": 0}
+        settings = 2 * len(cli.FEATURE_LAYERS)
+        assert calls == {"RetrievedItem": 0, "score_rankings": settings}
         # The counters do count: a query builds its items.
         net, _ = load_checkpoint(copy / "model.ckpt")
         index = load_index(copy / "features.idx")
         image = np.zeros(net.spec.input_shape)
         result = query(index, net, image, "fc1", 3, False)
-        metrics.retrieval_pr([i.true_label for i in result.items], 0, 1)
+        metrics.score_rankings([[i.true_label for i in result.items]],
+                               [len(result.items)], [0], [1])
         assert calls == {"RetrievedItem": len(result.items),
-                         "retrieval_pr": 1}
+                         "score_rankings": settings + 1}
 
     def test_map_table_matches_per_image_queries(self, evaluated):
         cfg = cli.load_run_config(evaluated / "config.json")
@@ -611,7 +653,8 @@ class TestEvaluate:
                                     s.label, totals.get(s.label, 0)))
                 valid = sum(1 for _, _, total in triples if total > 0)
                 want.append(f"{layer}\t{'on' if use_filter else 'off'}\t"
-                            f"{mean_average_precision(triples):.6f}\t{valid}")
+                            f"{mean_ap(conftest.score_lists(triples)):.6f}"
+                            f"\t{valid}")
         assert (evaluated / "map_table.tsv").read_text() == \
             "\n".join(want) + "\n"
 

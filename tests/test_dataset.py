@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import cbirnet.data
 import conftest
 from cbirnet.data import (
-    DatasetSplit,
     PreprocessedImages,
     Sample,
     generate_synthetic_corpus,

@@ -10,17 +10,26 @@ import conftest
 from cbirnet.errors import InputError
 from cbirnet.metrics import (
     ConfusionMatrix,
-    average_precision,
     classification_report,
     confusion_matrix,
     emit_pr_plot_data,
     format_report,
     mean_ap,
-    mean_average_precision,
     mean_pr_curve,
-    retrieval_pr,
     score_rankings,
 )
+
+
+def one_query(ranked_labels, query_label, total_relevant):
+    """One ranked list scored as the single row of a score_rankings block."""
+    return conftest.score_lists([(ranked_labels, query_label,
+                                  total_relevant)])
+
+
+def ap_of(ranked_labels, query_label, total_relevant):
+    """(AP, valid) of one ranked list, read off its score_rankings row."""
+    scores = one_query(ranked_labels, query_label, total_relevant)
+    return float(scores.average_precision[0]), bool(scores.valid[0])
 
 
 def pr_at_k_oracle(flags, total_relevant, k):
@@ -185,21 +194,22 @@ class TestClassificationReport:
 
 
 class TestRetrievalPR:
+    """Precision and recall at every cutoff of one score_rankings row."""
+
     def test_all_relevant_precision_one(self):
-        curve = retrieval_pr([3, 3, 3, 3], 3, total_relevant=10)
-        assert all(p == 1.0 for _, p in curve.points)
+        points = conftest.pr_points(one_query([3, 3, 3, 3], 3, 10))
+        assert all(p == 1.0 for _, p in points)
 
     def test_hand_pattern(self):
         # relevant, miss, relevant with 2 relevant in the database
-        curve = retrieval_pr([1, 0, 1], 1, total_relevant=2)
-        assert curve.points[2][1] == pytest.approx(2 / 3)
-        assert curve.points[2][0] == 1.0
-        assert curve.points[0][1] == 1.0
-        assert curve.points[0][0] == 0.5
+        points = conftest.pr_points(one_query([1, 0, 1], 1, 2))
+        assert points[2][1] == pytest.approx(2 / 3)
+        assert points[2][0] == 1.0
+        assert points[0][1] == 1.0
+        assert points[0][0] == 0.5
 
     def test_no_relevant_in_db_flagged(self):
-        curve = retrieval_pr([0, 0], 1, total_relevant=0)
-        assert not curve.valid
+        assert not one_query([0, 0], 1, 0).valid[0]
 
     def test_recall_monotone_precision_k_integral(self):
         rng = np.random.default_rng(5)
@@ -210,11 +220,11 @@ class TestRetrievalPR:
                 rng.integers(0, 5))
             if total == 0:
                 continue
-            curve = retrieval_pr(labels, 0, total)
-            recalls = [r for r, _ in curve.points]
+            points = conftest.pr_points(one_query(labels, 0, total))
+            recalls = [r for r, _ in points]
             assert all(b >= a - 1e-15 for a, b in zip(recalls, recalls[1:]))
             for k in range(1, depth + 1):
-                hits = curve.points[k - 1][1] * k
+                hits = points[k - 1][1] * k
                 assert abs(hits - round(hits)) < 1e-9
 
     def test_matches_counting_oracle(self):
@@ -224,40 +234,40 @@ class TestRetrievalPR:
             flags = rng.integers(0, 2, size=depth).tolist()
             total = int(sum(flags)) + int(rng.integers(0, 4)) + 1
             labels = [7 if f else 8 for f in flags]
-            curve = retrieval_pr(labels, 7, total)
+            points = conftest.pr_points(one_query(labels, 7, total))
             for k in range(1, depth + 1):
                 p, r = pr_at_k_oracle(flags, total, k)
-                recall, precision = curve.points[k - 1]
+                recall, precision = points[k - 1]
                 assert precision == pytest.approx(p, abs=1e-12)
                 assert recall == pytest.approx(r, abs=1e-12)
 
     def test_negative_total_rejected(self):
         with pytest.raises(InputError):
-            retrieval_pr([0], 0, total_relevant=-1)
+            one_query([0], 0, -1)
 
 
 class TestAveragePrecision:
     def test_hand_pattern_three(self):
-        ap, valid = average_precision([1, 0, 1], 1, total_relevant=2)
+        ap, valid = ap_of([1, 0, 1], 1, total_relevant=2)
         assert valid
         assert ap == pytest.approx(5 / 6)
 
     def test_hand_pattern_four(self):
-        ap, valid = average_precision([1, 0, 1, 0], 1, total_relevant=2)
+        ap, valid = ap_of([1, 0, 1, 0], 1, total_relevant=2)
         assert valid
         assert ap == pytest.approx(5 / 6)
 
     def test_all_relevant_is_one(self):
-        ap, _ = average_precision([2] * 9, 2, total_relevant=9)
+        ap, _ = ap_of([2] * 9, 2, total_relevant=9)
         assert ap == 1.0
 
     def test_depth_caps_denominator(self):
         # 3 relevant in db but only depth 2 shown, both relevant.
-        ap, _ = average_precision([4, 4], 4, total_relevant=3)
+        ap, _ = ap_of([4, 4], 4, total_relevant=3)
         assert ap == 1.0
 
     def test_no_relevant_invalid(self):
-        ap, valid = average_precision([0, 0], 1, total_relevant=0)
+        ap, valid = ap_of([0, 0], 1, total_relevant=0)
         assert not valid
 
     def test_matches_counting_oracle(self):
@@ -269,7 +279,7 @@ class TestAveragePrecision:
             if total == 0:
                 continue
             labels = [1 if f else 0 for f in flags]
-            ap, valid = average_precision(labels, 1, total)
+            ap, valid = ap_of(labels, 1, total)
             assert valid
             assert ap == pytest.approx(ap_oracle(flags, total), abs=1e-12)
 
@@ -277,20 +287,20 @@ class TestAveragePrecision:
 class TestMeanAveragePrecision:
     def test_all_relevant_queries(self):
         queries = [([1, 1], 1, 2), ([2, 2, 2], 2, 3)]
-        assert mean_average_precision(queries) == 1.0
+        assert mean_ap(conftest.score_lists(queries)) == 1.0
 
     def test_mixes_queries(self):
         queries = [([1, 0, 1], 1, 2), ([1, 1], 1, 2)]
-        assert mean_average_precision(queries) == pytest.approx(
+        assert mean_ap(conftest.score_lists(queries)) == pytest.approx(
             (5 / 6 + 1.0) / 2)
 
     def test_invalid_queries_skipped(self):
         queries = [([0, 0], 1, 0), ([1], 1, 1)]
-        assert mean_average_precision(queries) == 1.0
+        assert mean_ap(conftest.score_lists(queries)) == 1.0
 
     def test_no_valid_queries_rejected(self):
         with pytest.raises(InputError):
-            mean_average_precision([([0], 1, 0)])
+            mean_ap(conftest.score_lists([([0], 1, 0)]))
 
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(8)
@@ -303,8 +313,8 @@ class TestMeanAveragePrecision:
             total = labels.count(q) + 1
             queries.append((labels, q, total))
             permuted.append(([perm[x] for x in labels], perm[q], total))
-        assert mean_average_precision(queries) == pytest.approx(
-            mean_average_precision(permuted), abs=1e-15)
+        assert mean_ap(conftest.score_lists(queries)) == pytest.approx(
+            mean_ap(conftest.score_lists(permuted)), abs=1e-15)
 
 
 class TestScoreRankings:
@@ -347,10 +357,12 @@ class TestScoreRankings:
             curve = mean_pr_curve(scores)
             assert (curve is None) == (points is None)
             if curve is not None:
-                assert curve.valid
-                assert repr(curve.points) == repr(tuple(points))
+                assert type(curve) is tuple
+                assert repr(curve) == repr(tuple(points))
 
     def test_one_query_functions_are_its_rows(self):
+        # Each row of a padded block scores as the one-query oracles do,
+        # and as the same list packed into a ragged block.
         rng = np.random.default_rng(3)
         ranked = rng.integers(0, 2, (5, 12))
         counts, labels = [12, 9, 0, 12, 3], [0, 1, 1, 0, 0]
@@ -359,14 +371,11 @@ class TestScoreRankings:
         triples = [(ranked[i, :c].tolist(), q, t)
                    for i, (c, q, t) in enumerate(zip(counts, labels, totals))]
         for i, triple in enumerate(triples):
-            curve = retrieval_pr(*triple)
-            c = counts[i]
-            assert curve.points == tuple(zip(scores.recall[i, :c].tolist(),
-                                             scores.precision[i, :c].tolist()))
-            assert curve.valid == scores.valid[i]
-            assert average_precision(*triple) == (
+            assert tuple(conftest._pr_points_reference(*triple)) == \
+                conftest.pr_points(scores, i)
+            assert conftest._average_precision_reference(*triple) == (
                 scores.average_precision[i], scores.valid[i])
-        assert mean_average_precision(triples) == mean_ap(scores)
+        assert mean_ap(conftest.score_lists(triples)) == mean_ap(scores)
 
     def test_negative_total_rejected(self):
         with pytest.raises(InputError):
@@ -375,7 +384,7 @@ class TestScoreRankings:
 
 class TestEmitPRPlotData:
     def test_rows_and_header(self, tmp_path):
-        curve = retrieval_pr([1, 0, 1], 1, 2)
+        curve = mean_pr_curve(one_query([1, 0, 1], 1, 2))
         path = tmp_path / "pr.csv"
         emit_pr_plot_data([("fc1", "on", curve)], path)
         rows = list(csv.reader(path.open()))
@@ -383,15 +392,15 @@ class TestEmitPRPlotData:
         assert len(rows) == 4
 
     def test_round_trip_exact(self, tmp_path):
-        curve = retrieval_pr([1, 0, 1, 1, 0], 1, 3)
+        curve = mean_pr_curve(one_query([1, 0, 1, 1, 0], 1, 3))
         path = tmp_path / "pr.csv"
         emit_pr_plot_data([("fc2", "off", curve)], path)
         rows = list(csv.reader(path.open()))[1:]
         got = [(float(r), float(p)) for _, _, r, p in rows]
-        assert got == list(curve.points)
+        assert got == list(curve)
 
     def test_six_series(self, tmp_path):
-        curve = retrieval_pr([1], 1, 1)
+        curve = mean_pr_curve(one_query([1], 1, 1))
         curves = [(layer, mode, curve)
                   for layer in ("fc1", "fc2", "fc3")
                   for mode in ("on", "off")]

@@ -222,9 +222,8 @@ class TestBuildIndex:
                 assert index.predicted_labels[i] == label
 
     def test_keeps_classify_taps_without_copy(self, net_and_index):
-        # Taps whose records come grouped are kept; others are regrouped.
-        net, samples, built = net_and_index
-        grouped = [samples[i] for i in built.positions]
+        # Each tap is regrouped by predicted label into a contiguous copy.
+        net, samples, _ = net_and_index
         taps = {}
         classify = net.classify
 
@@ -236,13 +235,10 @@ class TestBuildIndex:
 
         net.classify = spy
         try:
-            index = build_index(net, grouped)
-            assert index.feature_layers == tuple(taps)
-            for name in index.feature_layers:
-                assert index.features[name] is taps[name]
             index = build_index(net, samples)
         finally:
             del net.classify
+        assert index.feature_layers == tuple(taps)
         for name in index.feature_layers:
             assert index.features[name].flags.c_contiguous
             assert (index.features[name].tobytes()

@@ -1,4 +1,4 @@
-"""Loss, SGD stepping, full training runs, and k-fold partitioning."""
+"""Loss, SGD stepping and full training runs."""
 
 from collections import Counter
 
@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cbirnet.data import Sample, generate_synthetic_corpus, split_dataset
+from cbirnet.data import Sample, generate_synthetic_corpus
 from cbirnet.errors import ConfigurationError, InputError, TrainingDiverged
 from cbirnet.network import (
     ConvSpec,
@@ -21,16 +21,13 @@ from cbirnet.network import (
 )
 from cbirnet.training import (
     TrainConfig,
-    TrainReport,
-    k_fold_cross_validate,
     nll_grad,
     nll_loss,
     sgd_step,
-    stratified_folds,
     train,
 )
 
-from conftest import numeric_gradient, relative_error, sgd_step_reference
+from conftest import sgd_step_reference
 
 
 def tiny_spec(num_classes=3, size=16):
@@ -321,61 +318,3 @@ class TestEndToEndGradient:
                 worst = max(worst, abs(grad[idx] - numeric) / denom)
         assert worst < 1e-4
 
-
-class TestStratifiedFolds:
-    def test_partition_identity(self):
-        labels = np.repeat(np.arange(4), 10)
-        folds = stratified_folds(labels, 2, rng_seed=0)
-        assert len(folds) == 2
-        for fold in folds:
-            for c in range(4):
-                assert np.sum(labels[fold] == c) == 5
-        merged = np.sort(np.concatenate(folds))
-        npt.assert_array_equal(merged, np.arange(40))
-
-    def test_many_class_fold_sizes(self):
-        labels = np.repeat(np.arange(24), 300)
-        folds = stratified_folds(labels, 10, rng_seed=0)
-        for fold in folds:
-            assert fold.size == 24 * 30
-            for c in range(24):
-                assert np.sum(labels[fold] == c) == 30
-
-    def test_uneven_classes_spread(self):
-        labels = np.array([0] * 7 + [1] * 5)
-        folds = stratified_folds(labels, 3, rng_seed=1)
-        sizes = sorted(np.sum(labels[f] == 0) for f in folds)
-        assert sizes == [2, 2, 3]
-
-    def test_small_class_rejected(self):
-        with pytest.raises(InputError):
-            stratified_folds([0, 0, 1], 3, rng_seed=0)
-
-    def test_k_below_two_rejected(self):
-        with pytest.raises(InputError):
-            stratified_folds([0, 0, 1, 1], 1, rng_seed=0)
-
-
-class TestKFold:
-    def test_reports_and_stability(self):
-        samples, names = tiny_corpus(num_classes=3, per_class=12)
-        cfg = TrainConfig(learning_rate=0.05, max_epochs=4, rng_seed=0)
-        reports = k_fold_cross_validate(samples, tiny_spec(), cfg, k=3)
-        assert len(reports) == 3
-        fold_mean = np.mean([r.accuracy for r in reports])
-
-        split = split_dataset(samples, names, train_fraction=0.7, rng_seed=0)
-        net = Network.from_spec(tiny_spec())
-        net.initialize(0)
-        train(net, split.train, cfg)
-        hits = sum(1 for s in split.test
-                   if net.forward_classify(s.image)[1] == s.label)
-        single = hits / len(split.test)
-        assert fold_mean >= single - 0.05
-
-    def test_undersized_class_rejected(self):
-        samples = [Sample(np.zeros((1, 16, 16)), 0, f"a/{i}") for i in
-                   range(3)] + [Sample(np.zeros((1, 16, 16)), 1, "b/0")]
-        with pytest.raises(InputError):
-            k_fold_cross_validate(samples, tiny_spec(num_classes=2),
-                                  TrainConfig(), k=2)
