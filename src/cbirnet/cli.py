@@ -8,6 +8,12 @@ canonical config reproduces it byte for byte. Commands downstream of
 train read {output_dir}/config.json automatically unless --config points
 elsewhere, so one training run anchors the whole pipeline.
 
+A command that reads the corpus lists it and splits the listing first,
+then decodes only the side it uses. train builds and initializes its
+network in between, and index and evaluate check their checkpoint
+before they list, so every configuration error comes before the first
+image is decoded.
+
 Exit codes: 0 success, 2 input data error, 3 configuration error,
 4 numerical abort during training, 5 I/O failure.
 """
@@ -97,7 +103,6 @@ class RunConfig:
     learning_rate: float = 1e-4
     max_epochs: int = 30
     train_seed: int = 0
-    shuffle_each_epoch: bool = True
     log_interval: int = 0
     layer: str = "fc1"
     k: int = 20
@@ -210,13 +215,12 @@ def _load_pipeline_inputs(cfg, need_index=False):
     return net, metadata, index
 
 
-def _ingest_split(cfg, side, expected_class_names=None):
-    """One side ("train" or "test") of the configured corpus's split.
+def _split_corpus(cfg, expected_class_names=None):
+    """The configured corpus's train/test split, made from its listing.
 
-    The split is made from the listing of file names, so it does not
-    depend on which files decode; then only the side's files are
-    decoded, each sample's image being its raster. Returns (samples,
-    class_names).
+    The split follows the file names, so it does not depend on which
+    files decode; nothing is decoded here. Returns a DatasetSplit of
+    image-less samples.
     """
     if cfg.data_dir is None:
         raise ConfigurationError("data_dir is not set; pass --data-dir or a config")
@@ -226,16 +230,18 @@ def _ingest_split(cfg, side, expected_class_names=None):
         raise StaleIndexError(
             f"checkpoint was trained on classes {list(expected_class_names)} "
             f"but {cfg.data_dir} contains {list(class_names)}")
-    split = split_dataset(listed, class_names,
-                          train_fraction=cfg.train_fraction,
-                          rng_seed=cfg.split_seed)
-    samples, _, skipped = ingest_directory(
-        cfg.data_dir, out_size=cfg.image_size,
-        listing=(getattr(split, side), class_names))
+    return split_dataset(listed, class_names,
+                         train_fraction=cfg.train_fraction,
+                         rng_seed=cfg.split_seed)
+
+
+def _decode_side(cfg, side):
+    """The samples of one side of _split_corpus that decode, as rasters."""
+    samples, skipped = ingest_directory(cfg.data_dir, side)
     if skipped:
         print(f"warning: skipped {skipped} undecodable file(s)",
               file=sys.stderr)
-    return samples, class_names
+    return samples
 
 
 def cmd_prepare(args):
@@ -262,16 +268,17 @@ def cmd_train(args):
         learning_rate=cfg.learning_rate,
         max_epochs=cfg.max_epochs,
         rng_seed=cfg.train_seed,
-        shuffle_each_epoch=cfg.shuffle_each_epoch,
         log_interval=cfg.log_interval)
-    train_set, class_names = _ingest_split(cfg, "train")
+    split = _split_corpus(cfg)
+    # Every shape the network cannot take is refused before any decode.
     spec = build_architecture(
         input_shape=(1, cfg.image_size, cfg.image_size),
-        num_classes=len(class_names),
+        num_classes=len(split.class_names),
         keep_prob=cfg.keep_prob,
         scale=cfg.scale)
     net = Network.from_spec(spec)
     net.initialize(cfg.init_seed, weight_std=cfg.init_std)
+    train_set = _decode_side(cfg, split.train)
     train_samples = [
         replace(s, image=preprocess_image(s.image, out_size=cfg.image_size))
         for s in train_set]
@@ -279,7 +286,7 @@ def cmd_train(args):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / CHECKPOINT_NAME, net, metadata={
-        "class_names": list(class_names),
+        "class_names": list(split.class_names),
         "image_size": cfg.image_size,
         "scale": cfg.scale,
         "final_train_error": report.final_train_error,
@@ -296,8 +303,8 @@ def cmd_train(args):
 def cmd_index(args):
     cfg = resolve_config(args)
     net, metadata, _ = _load_pipeline_inputs(cfg)
-    train_set, _ = _ingest_split(
-        cfg, "train", expected_class_names=metadata["class_names"])
+    train_set = _decode_side(cfg, _split_corpus(
+        cfg, expected_class_names=metadata["class_names"]).train)
     index = build_index(net, train_set, PreprocessedImages(
         [s.image for s in train_set], cfg.image_size))
     out = Path(cfg.output_dir)
@@ -321,7 +328,7 @@ def cmd_query(args):
     predicted_name = class_names[result.query_predicted_label]
     if args.json_lines:
         meta = {"query": str(args.image), "predicted_class": predicted_name,
-                "layer": result.layer, "filter": result.class_filter_enabled,
+                "layer": cfg.layer, "filter": cfg.use_class_filter,
                 "status": result.status, "rows_scanned": result.rows_scanned,
                 "rows_ranked": result.rows_ranked, **timings}
         print(json.dumps(meta, sort_keys=True))
@@ -332,8 +339,8 @@ def cmd_query(args):
                 "true_class": class_names[item.true_label]}, sort_keys=True))
     else:
         print(f"query {args.image}: predicted class {predicted_name} "
-              f"(layer {result.layer}, filter "
-              f"{'on' if result.class_filter_enabled else 'off'})")
+              f"(layer {cfg.layer}, filter "
+              f"{'on' if cfg.use_class_filter else 'off'})")
         if result.status == "empty-class":
             print("no indexed images share the predicted class")
         for rank, item in enumerate(result.items, start=1):
@@ -356,8 +363,8 @@ def cmd_evaluate(args):
     net, metadata, index = _load_pipeline_inputs(cfg, need_index=True)
     out = Path(cfg.output_dir)
     laps = [time.perf_counter()]
-    test_set, class_names = _ingest_split(
-        cfg, "test", expected_class_names=metadata["class_names"])
+    split = _split_corpus(cfg, expected_class_names=metadata["class_names"])
+    test_set, class_names = _decode_side(cfg, split.test), split.class_names
     laps.append(time.perf_counter())
     _, predicted_labels, test_features = net.classify(PreprocessedImages(
         [s.image for s in test_set], cfg.image_size))

@@ -7,8 +7,8 @@ list_directory lists a tree without decoding it, and split_dataset splits
 that listing, so membership of each side follows the sorted file names,
 not which files decode: every file takes a slot in its class's shuffle,
 and a file that fails to decode drops out of its own side only.
-ingest_directory then decodes the listed files a command uses (one side,
-or the whole listing) and keeps each as its uint8 raster (4 KB at 64 px).
+ingest_directory then decodes exactly the listed files it is handed (the
+side a command uses) and keeps each as its uint8 raster (4 KB at 64 px).
 
 The network reads (1, H, W) float64 tensors in [0, 1], which
 preprocess_image makes from a stack of equal-size rasters at once;
@@ -133,13 +133,11 @@ def write_pgm(path, image, binary=True):
 # ---------------------------------------------------------------------------
 # Preprocessing
 
-def _check_raster(shape, out_size):
-    """Raise InputError unless preprocess_image accepts a raster of shape."""
+def _check_raster(shape):
+    """Raise InputError unless shape is 2-D and at least 2x2."""
     if len(shape) != 2 or shape[0] < 2 or shape[1] < 2:
         raise InputError(
             f"raw image must be 2-D and at least 2x2, got shape {tuple(shape)}")
-    if out_size < 1:
-        raise InputError(f"out_size must be >= 1, got {out_size}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -178,7 +176,9 @@ def preprocess_image(raw, out_size=224):
     row-interpolated neighbours, then divided by 255.
     """
     raw = np.asarray(raw)
-    _check_raster(raw.shape[1:] if raw.ndim == 3 else raw.shape, out_size)
+    _check_raster(raw.shape[1:] if raw.ndim == 3 else raw.shape)
+    if out_size < 1:
+        raise InputError(f"out_size must be >= 1, got {out_size}")
     stack = raw.reshape(-1, *raw.shape[-2:])
     (y0, y1, vy, wy), (x0, x1, vx, wx) = _resize_plan(*raw.shape[-2:],
                                                        out_size)
@@ -256,27 +256,24 @@ def list_directory(root):
     return samples, class_names
 
 
-def ingest_directory(root, out_size=224, listing=None):
-    """Decode listed files of a directory-per-class PGM tree.
+def ingest_directory(root, listed):
+    """Decode the listed files of a directory-per-class PGM tree.
 
-    listing is (samples, class_names) as list_directory returns them,
-    with samples narrowed to the ones to decode (say, one side of
-    split_dataset); None lists root and decodes every file. Returns
-    (samples, class_names, skipped): the samples that decoded, in listing
-    order, each holding its 2-D uint8 raster, and the count of files that
-    failed to decode or that preprocess_image would refuse at out_size;
-    each failure is logged once, naming its file, and the file skipped. A class whose listed
-    files all fail is an InputError naming its directory.
+    listed holds samples as list_directory lists them, narrowed to the
+    ones to decode (say, one side of split_dataset). Returns (samples,
+    skipped): the samples that decoded, in listing order, each holding
+    its 2-D uint8 raster, and the count of files that failed to decode or
+    are not 2-D and at least 2x2; each failure is logged once, naming its
+    file, and the file skipped. A class whose listed files all fail is an
+    InputError naming its directory.
     """
-    root = Path(root)
-    listed, class_names = list_directory(root) if listing is None else listing
     samples = []
     skipped = 0
     for s in listed:
         path = os.path.join(root, s.source_id)
         try:
             raw = read_pgm(path)
-            _check_raster(raw.shape, out_size)
+            _check_raster(raw.shape)
         except InputError as exc:
             # read_pgm's messages name the file; _check_raster's do not.
             reason = str(exc)
@@ -288,10 +285,12 @@ def ingest_directory(root, out_size=224, listing=None):
     empty = {s.label for s in listed} - {s.label for s in samples}
     if empty:
         label = min(empty)
-        count = sum(s.label == label for s in listed)
-        raise InputError(f"class directory {root / class_names[label]} has "
-                         f"no usable image among the {count} listed")
-    return samples, class_names, skipped
+        ids = [s.source_id for s in listed if s.label == label]
+        # A class's directory is the first part of each of its source ids.
+        raise InputError(
+            f"class directory {Path(root) / ids[0].split('/')[0]} has no "
+            f"usable image among the {len(ids)} listed")
+    return samples, skipped
 
 
 def _listing(directory, kind):

@@ -31,7 +31,9 @@ GEMM distances, or pairs, as GEMM_BLOCK_BYTES holds. query is the
 fingerprint check (a hash only for an unfrozen network), one eval forward
 and scan. A built index is immutable, so concurrent scans need no
 locking. The index file keeps records in record order (see save_index);
-only memory is grouped.
+only memory is grouped. build_index and load_index are the two ways to
+an index: each takes the stable argsort of the predicted labels and
+hands FeatureIndex columns and matrices already grouped by it.
 """
 
 from __future__ import annotations
@@ -77,8 +79,6 @@ class RetrievedItem:
 class RetrievalResult:
     items: tuple
     query_predicted_label: int
-    layer: str
-    class_filter_enabled: bool
     status: str  # "ok", or "empty-class" when the filtered partition is empty
     # Work done, not part of the result: the rows of the searched
     # partition, and how many of them were given exact distances.
@@ -89,57 +89,26 @@ class RetrievalResult:
 class FeatureIndex:
     """Immutable columns of N records, grouped by predicted label.
 
-    The constructor takes records in record order and stores every column
-    and every layer matrix grouped by predicted label, in ascending label
-    order; the sort is stable, so each class keeps record order. positions
-    holds the record number of each stored row, tie_ranks each stored
+    Every column and every layer matrix is given grouped by predicted
+    label, in ascending label order: positions is the stable argsort of
+    the records' predicted labels, and stored row i holds record
+    positions[i], so each class keeps record order. build_index and
+    load_index take that argsort themselves. tie_ranks holds each stored
     row's rank by source_id and then record number (the order in which
     scans break distance ties; see its docstring), and class_partitions
     maps each predicted label to its range of rows. features maps each
     layer name, in index order, to an (N, dim) matrix. row_norms maps
-    each layer name to its rows' squared L2 norms.
+    each layer name to its rows' squared L2 norms. A record with a NaN or
+    inf feature is an InputError naming it.
     """
 
-    def __init__(self, source_ids, true_labels, predicted_labels, features,
-                 network_fingerprint):
-        columns = (np.asarray(source_ids, dtype=str),
-                   np.asarray(true_labels, dtype=np.int64),
-                   np.asarray(predicted_labels, dtype=np.int64))
-        features = {name: np.asarray(m, dtype=DTYPE)
-                    for name, m in features.items()}
-        n = len(columns[0])
-        if any(c.ndim != 1 or len(c) != n for c in columns):
-            raise InputError(
-                f"source_ids, true_labels and predicted_labels need one "
-                f"entry per record, got shapes {[c.shape for c in columns]}")
-        for name, m in features.items():
-            if m.ndim != 2 or len(m) != n:
-                raise InputError(f"layer {name} features have shape "
-                                 f"{m.shape}, not ({n}, dim)")
-        order = np.argsort(columns[2], kind="stable")
-        self._fill(*(c[order] for c in columns), order,
-                   {name: m[order] for name, m in features.items()},
-                   network_fingerprint)
-
-    @classmethod
-    def _grouped(cls, source_ids, true_labels, predicted_labels, order,
+    def __init__(self, source_ids, true_labels, predicted_labels, positions,
                  features, network_fingerprint):
-        """An index over columns and matrices already grouped by order.
-
-        order is the stable argsort of the records' predicted labels.
-        """
-        index = cls.__new__(cls)
-        index._fill(source_ids, true_labels, predicted_labels, order,
-                    features, network_fingerprint)
-        return index
-
-    def _fill(self, source_ids, true_labels, predicted_labels, order,
-              features, network_fingerprint):
         self.source_ids = np.asarray(source_ids, dtype=str)
         self.true_labels = np.asarray(true_labels, dtype=np.int64)
         self.predicted_labels = np.asarray(predicted_labels, dtype=np.int64)
         n = len(self.source_ids)
-        self.positions = order
+        self.positions = positions
         self.features = features
         self.feature_layers = tuple(features)
         self.network_fingerprint = network_fingerprint
@@ -170,9 +139,9 @@ class FeatureIndex:
         """Each stored row's rank by source_id, then record number.
 
         Ranked on the first scan and kept; threads racing on that scan
-        rank alike. Ranking in _fill instead left glibc's heap holding two
-        freed (10 000, 410) layer buffers after a catalog index command,
-        which never scans: +67 MB of peak RSS.
+        rank alike. Ranking in the constructor instead left glibc's heap
+        holding two freed (10 000, 410) layer buffers after a catalog
+        index command, which never scans: +67 MB of peak RSS.
         """
         return _stored_rows(np.lexsort((self.positions, self.source_ids)))
 
@@ -196,7 +165,7 @@ def build_index(net, samples, images=None):
     _, predicted, taps = net.classify(images)
     order = np.argsort(predicted, kind="stable")
     features = {name: taps.pop(name)[order] for name in list(taps)}
-    return FeatureIndex._grouped(
+    return FeatureIndex(
         np.asarray([s.source_id for s in samples], dtype=str)[order],
         np.asarray([s.label for s in samples], dtype=np.int64)[order],
         predicted[order], order, features, net.fingerprint())
@@ -210,10 +179,6 @@ def scan(index, q, predicted, layer, k, use_class_filter):
     empty result marked "empty-class" rather than an error. The ranking
     is scan_columns' for the one query.
     """
-    matrix = _layer_matrix(index, layer, k)
-    if np.shape(q) != matrix.shape[1:]:
-        raise InputError(f"query vector has shape {np.shape(q)}, layer "
-                         f"{layer} holds {matrix.shape[1]}-dim features")
     top = scan_columns(index, np.asarray(q, dtype=DTYPE)[None], [predicted],
                        layer, k, use_class_filter)
     rows = top.rows[0, :top.counts[0]]
@@ -224,8 +189,7 @@ def scan(index, q, predicted, layer, k, use_class_filter):
         items=tuple(map(RetrievedItem, index.source_ids[rows].tolist(),
                         top.distances[0, :len(rows)].tolist(),
                         index.true_labels[rows].tolist())),
-        query_predicted_label=int(predicted), layer=layer,
-        class_filter_enabled=use_class_filter,
+        query_predicted_label=int(predicted),
         status="empty-class" if use_class_filter and not scanned else "ok",
         rows_scanned=scanned, rows_ranked=int(top.rows_ranked[0]))
 
@@ -559,7 +523,7 @@ def load_index(path, expected_fingerprint=None):
             read_into(f, block, "feature payload")
             for m, a, b in zip(matrices, bounds, bounds[1:]):
                 m[put] = block[:, a:b]
-    return FeatureIndex._grouped(
+    return FeatureIndex(
         np.asarray(sids, dtype=str)[order],
         np.asarray(true, dtype=np.int64)[order], pred[order], order,
         dict(zip(layers, matrices)), fingerprint)

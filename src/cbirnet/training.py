@@ -25,7 +25,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     max_epochs: int = 30
     rng_seed: int = 0
-    shuffle_each_epoch: bool = True
     log_interval: int = 0  # samples between progress lines; 0 is silent
 
     def __post_init__(self):
@@ -136,12 +135,8 @@ def train(net, train_split, config):
     updates = 0
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
-        if config.shuffle_each_epoch:
-            order = shuffle_rng.permutation(n)
-        else:
-            order = np.arange(n)
         total = 0.0
-        for j, idx in enumerate(order, start=1):
+        for j, idx in enumerate(shuffle_rng.permutation(n), start=1):
             total += sgd_step(net, samples[idx], config)
             updates += 1
             if config.log_interval and j % config.log_interval == 0:

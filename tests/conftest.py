@@ -344,8 +344,9 @@ def preprocess_reference(raw, out_size):
     return (crop / 255.0)[None, :, :]
 
 
-def ingest_directory_reference(root, out_size):
-    """The Path-sorted listing data.ingest_directory replaced, as its oracle.
+def ingest_directory_reference(root):
+    """The Path-sorted listing and decode of a whole tree, as the oracle of
+    data.list_directory followed by data.ingest_directory.
 
     Class directories and files are listed with Path.iterdir, filtered
     with Path.is_dir and Path.is_file and sorted as Paths; each file is
@@ -359,7 +360,7 @@ def ingest_directory_reference(root, out_size):
         for path in sorted(p for p in class_dir.iterdir() if p.is_file()):
             try:
                 raw = data.read_pgm(path)
-                data._check_raster(raw.shape, out_size)
+                data._check_raster(raw.shape)
             except InputError:
                 skipped += 1
                 continue

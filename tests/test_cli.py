@@ -136,8 +136,7 @@ class TestTrain:
                  "train_fraction": "0.7", "split_seed": 1.5, "scale": "0.1",
                  "keep_prob": None, "init_seed": True, "init_std": [0.01],
                  "learning_rate": False, "max_epochs": 3.0,
-                 "train_seed": "0", "shuffle_each_epoch": 1,
-                 "log_interval": 0.5, "layer": 1, "k": True,
+                 "train_seed": "0", "log_interval": 0.5, "layer": 1, "k": True,
                  "use_class_filter": "yes"}[name]
         out = tmp_path / "o"
         out.mkdir()
@@ -149,6 +148,22 @@ class TestTrain:
             code, _, stderr = run(capsys, *argv, "--out", str(out))
             assert code == EXIT_CONFIG
             assert f"configuration error: config field {name!r}" in stderr
+            assert "Traceback" not in stderr
+
+    def test_config_naming_shuffle_each_epoch_is_config_error(self, tmp_path,
+                                                              capsys):
+        # Every epoch shuffles, so the field that could turn that off is
+        # gone, and a config.json that still names it is refused.
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = json.loads(RunConfig(data_dir=str(tmp_path)).to_json())
+        cfg["shuffle_each_epoch"] = True
+        (out / "config.json").write_text(json.dumps(cfg))
+        for argv in (["train"], ["index"], ["query", "--image", "x.pgm"],
+                     ["evaluate"]):
+            code, _, stderr = run(capsys, *argv, "--out", str(out))
+            assert code == EXIT_CONFIG
+            assert "unknown fields: ['shuffle_each_epoch']" in stderr
             assert "Traceback" not in stderr
 
     def test_config_numbers_and_null_data_dir_accepted(self):
@@ -193,6 +208,29 @@ class TestTrain:
                               "--out", str(tmp_path / "o"))
         assert code == EXIT_CONFIG
         assert "configuration error: max_epochs" in stderr
+
+    @pytest.mark.parametrize("size", ["0", "-3", "4"])
+    def test_image_size_the_network_cannot_take_refused_before_any_decode(
+            self, pipeline, tmp_path, capsys, caplog, monkeypatch, size):
+        # The corpus holds a 1x1 PGM, which ingest would skip; the network
+        # is built before any file is decoded, so none is read or skipped.
+        corpus = tmp_path / "data"
+        shutil.copytree(pipeline[0], corpus)
+        data.write_pgm(corpus / "c00_grating" / "dot.pgm",
+                       np.zeros((1, 1), dtype=np.uint8))
+        read = []
+        monkeypatch.setattr(data, "read_pgm",
+                            lambda path: read.append(path) or read_pgm(path))
+        code, _, stderr = run(capsys, "train", "--data-dir", str(corpus),
+                              "--out", str(tmp_path / "o"), *DESK,
+                              "--image-size", size)
+        assert code == EXIT_CONFIG
+        assert ("configuration error: window 11x11 (stride 4, padding 2) "
+                f"cannot slide over a {size}x{size} input") in stderr
+        assert "skipping" not in caplog.text + stderr
+        assert "skipped" not in stderr
+        assert "Traceback" not in stderr
+        assert read == []
 
 
 class TestIndex:
@@ -402,8 +440,8 @@ class TestPreprocessOnUse:
                                                ("evaluate", "test")])
     def test_preprocesses_only_its_split(self, run_copy, capsys, monkeypatch,
                                          command, side):
-        samples, _ = cli._ingest_split(cli.load_run_config(
-            run_copy / "config.json"), side)
+        samples = getattr(cli._split_corpus(cli.load_run_config(
+            run_copy / "config.json")), side)
         counted = []
 
         def counting(fn):
@@ -638,7 +676,7 @@ class TestEvaluate:
         cfg = cli.load_run_config(evaluated / "config.json")
         net, _ = load_checkpoint(evaluated / "model.ckpt")
         index = load_index(evaluated / "features.idx")
-        test_set, _ = cli._ingest_split(cfg, "test")
+        test_set = cli._decode_side(cfg, cli._split_corpus(cfg).test)
         totals = {}
         for label in index.true_labels.tolist():
             totals[label] = totals.get(label, 0) + 1

@@ -523,9 +523,10 @@ class TestCorpusRoundTrip:
         assert manifest["num_files"] == 40
         assert manifest["seed"] == 7
         assert sum(manifest["class_counts"].values()) == 40
-        loaded, loaded_names, skipped = ingest_directory(tmp_path, out_size=64)
+        listed, listed_names = list_directory(tmp_path)
+        loaded, skipped = ingest_directory(tmp_path, listed)
         assert skipped == 0
-        assert loaded_names == names
+        assert listed_names == names
         assert len(loaded) == 40
         assert [s.source_id for s in loaded] == sorted(
             s.source_id for s in samples)
@@ -542,7 +543,8 @@ class TestCorpusRoundTrip:
         samples, names = generate_synthetic_corpus(2, 10, 16, rng_seed=1)
         write_corpus(samples, names, tmp_path)
         (tmp_path / names[0] / "broken.pgm").write_bytes(b"not a pgm")
-        loaded, _, skipped = ingest_directory(tmp_path, out_size=16)
+        loaded, skipped = ingest_directory(tmp_path,
+                                           list_directory(tmp_path)[0])
         assert skipped == 1
         assert len(loaded) == 20
 
@@ -554,9 +556,10 @@ class TestCorpusRoundTrip:
         thin = tmp_path / "dirty" / names[1] / "0003a.pgm"
         write_pgm(thin, np.zeros((1, 16), dtype=np.uint8))
         assert read_pgm(thin).shape == (1, 16)  # decodes, too thin to resize
-        clean, _, clean_skipped = ingest_directory(tmp_path / "clean",
-                                                   out_size=16)
-        dirty, _, skipped = ingest_directory(tmp_path / "dirty", out_size=16)
+        clean, clean_skipped = ingest_directory(
+            tmp_path / "clean", list_directory(tmp_path / "clean")[0])
+        dirty, skipped = ingest_directory(
+            tmp_path / "dirty", list_directory(tmp_path / "dirty")[0])
         assert (clean_skipped, skipped) == (0, 1)
         assert [s.source_id for s in dirty] == [s.source_id for s in clean]
         for a, b in zip(dirty, clean):
@@ -588,11 +591,12 @@ class TestCorpusRoundTrip:
         (second / "over.pgm").write_bytes(b"P5\n4 4\n200\n"
                                           + bytes([250] + [0] * 15))
         (tmp_path / "linked_class").symlink_to(second)
-        got = ingest_directory(tmp_path, out_size=16)
-        want = conftest.ingest_directory_reference(tmp_path, out_size=16)
-        assert got[1:] == want[1:]
-        assert got[1] == (*names, "linked_class")
-        assert got[2] == 3  # notes.txt, and over.pgm in two classes
+        listed, listed_names = list_directory(tmp_path)
+        got = ingest_directory(tmp_path, listed)
+        want = conftest.ingest_directory_reference(tmp_path)
+        assert (listed_names, got[1]) == want[1:]
+        assert listed_names == (*names, "linked_class")
+        assert got[1] == 3  # notes.txt, and over.pgm in two classes
         ids = [(s.source_id, s.label) for s in got[0]]
         assert ids == [(s.source_id, s.label) for s in want[0]]
         assert (f"{names[0]}/link.pgm", 0) in ids
@@ -602,7 +606,8 @@ class TestCorpusRoundTrip:
                    for a, b in zip(got[0], want[0]))
         for side in ("train", "test"):
             assert ([s.source_id for s in getattr(
-                        split_dataset(got[0], got[1], rng_seed=3), side)]
+                        split_dataset(got[0], listed_names, rng_seed=3),
+                        side)]
                     == [s.source_id for s in getattr(
                         split_dataset(want[0], want[1], rng_seed=3), side)])
 
@@ -622,7 +627,7 @@ class TestCorpusRoundTrip:
         # split; ingest then drops it.
         ids = [(s.source_id, s.label) for s in listed]
         assert (f"{names[0]}/notes.txt", 0) in ids
-        loaded, _, skipped = ingest_directory(tmp_path, out_size=16)
+        loaded, skipped = ingest_directory(tmp_path, listed)
         assert skipped == 1
         assert [(s.source_id, s.label) for s in loaded] == [
             i for i in ids if not i[0].endswith("notes.txt")]
@@ -639,9 +644,8 @@ class TestCorpusRoundTrip:
         for side in ("train", "test"):
             got = {}
             for tree, split in splits.items():
-                loaded, _, skipped = ingest_directory(
-                    tmp_path / tree, out_size=16,
-                    listing=(getattr(split, side), names))
+                loaded, skipped = ingest_directory(tmp_path / tree,
+                                                   getattr(split, side))
                 got[tree] = ([s.source_id for s in loaded], skipped)
             clean_ids = got["clean"][0]
             assert got["dirty"] == (
@@ -657,12 +661,10 @@ class TestCorpusRoundTrip:
         for s in split.test:
             if s.label == 1:
                 (tmp_path / s.source_id).write_bytes(b"not a pgm")
-        assert len(ingest_directory(tmp_path, out_size=16,
-                                    listing=(split.train, names))[0]) == 14
+        assert len(ingest_directory(tmp_path, split.train)[0]) == 14
         with pytest.raises(InputError,
                            match=re.escape(str(tmp_path / names[1]))):
-            ingest_directory(tmp_path, out_size=16,
-                             listing=(split.test, names))
+            ingest_directory(tmp_path, split.test)
 
     def test_empty_class_dir_rejected(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -670,10 +672,10 @@ class TestCorpusRoundTrip:
         write_pgm(tmp_path / "a" / "x.pgm",
                   np.zeros((8, 8), dtype=np.uint8))
         with pytest.raises(InputError, match=re.escape(str(tmp_path / "b"))):
-            ingest_directory(tmp_path, out_size=8)
+            ingest_directory(tmp_path, list_directory(tmp_path)[0])
         with pytest.raises(InputError, match=re.escape(str(tmp_path / "b"))):
             list_directory(tmp_path)
 
     def test_no_class_dirs_rejected(self, tmp_path):
         with pytest.raises(InputError):
-            ingest_directory(tmp_path)
+            ingest_directory(tmp_path, list_directory(tmp_path)[0])

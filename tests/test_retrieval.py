@@ -41,7 +41,6 @@ from cbirnet.network import (
 from cbirnet import _binio, retrieval
 from cbirnet._binio import write_container_header
 from cbirnet.retrieval import (
-    FeatureIndex,
     build_index,
     load_index,
     query,
@@ -93,8 +92,9 @@ def net_and_index():
 class TapNet:
     """Stands in for a network: classify hands out copies of fixed taps."""
 
-    def __init__(self, predicted, taps):
+    def __init__(self, predicted, taps, fingerprint="fp"):
         self.predicted, self.taps = np.asarray(predicted), taps
+        self._fingerprint = fingerprint
 
     def classify(self, images):
         assert len(images) == len(self.predicted)
@@ -102,7 +102,16 @@ class TapNet:
                 {name: m.copy() for name, m in self.taps.items()})
 
     def fingerprint(self):
-        return "fp"
+        return self._fingerprint
+
+
+def make_index(ids, true, predicted, features, fingerprint="fp"):
+    """build_index over fixed taps, for records given in record order."""
+    features = {name: np.asarray(m, dtype=np.float64)
+                for name, m in features.items()}
+    return build_index(TapNet(predicted, features, fingerprint),
+                       [Sample(None, t, sid) for sid, t in zip(ids, true)],
+                       [None] * len(ids))
 
 
 def brute_force_query(index, net, image, layer, k, use_filter):
@@ -126,8 +135,8 @@ def row_of(index, source_id):
 def one_layer_index(rows):
     """Hand-built index: row i is record "r{i}", every label 0."""
     n = len(rows)
-    return FeatureIndex([f"r{i}" for i in range(n)], [0] * n, [0] * n,
-                        {"fc1": np.asarray(rows, dtype=np.float64)}, "fp")
+    return make_index([f"r{i}" for i in range(n)], [0] * n, [0] * n,
+                      {"fc1": rows})
 
 
 def scan_distances(index, q):
@@ -264,37 +273,22 @@ class TestBuildIndex:
 
     def test_nonfinite_features_rejected(self):
         with pytest.raises(InputError):
-            FeatureIndex(["a"], [0], [0], {"fc1": np.array([[np.nan]])},
-                         "fp")
+            make_index(["a"], [0], [0], {"fc1": np.array([[np.nan]])})
 
     def test_first_nonfinite_record_and_layer_named(self):
         fc1 = np.array([[0.0, 1.0], [1.0, 1.0], [np.nan, 1.0]])
         fc2 = np.array([[0.0, 1.0], [np.inf, 1.0], [1.0, 1.0]])
         with pytest.raises(InputError,
                            match="record b has non-finite features in fc2"):
-            FeatureIndex(["a", "b", "c"], [0] * 3, [0] * 3,
-                         {"fc1": fc1, "fc2": fc2}, "fp")
+            make_index(["a", "b", "c"], [0] * 3, [0] * 3,
+                       {"fc1": fc1, "fc2": fc2})
 
     def test_first_nonfinite_record_is_in_record_order(self):
         # Grouping stores c (label 0) first; b is still the first record.
         fc1 = np.array([[0.0, 1.0], [np.inf, 1.0], [np.nan, 1.0]])
         with pytest.raises(InputError,
                            match="record b has non-finite features in fc1"):
-            FeatureIndex(["a", "b", "c"], [0] * 3, [1, 1, 0], {"fc1": fc1},
-                         "fp")
-
-    def test_wrong_matrix_shape_names_layer(self):
-        # Too few rows, too many, rank 1 and rank 3.
-        for fc2 in (np.ones((1, 2)), np.ones((3, 2)), np.ones(2),
-                    np.ones((2, 2, 1))):
-            with pytest.raises(InputError, match="layer fc2 "):
-                FeatureIndex(["a", "b"], [0, 0], [0, 0],
-                             {"fc1": np.ones((2, 2)), "fc2": fc2}, "fp")
-
-    def test_wrong_label_column_length_rejected(self):
-        with pytest.raises(InputError, match="true_labels"):
-            FeatureIndex(["a", "b"], [0], [0, 0], {"fc1": np.ones((2, 2))},
-                         "fp")
+            make_index(["a", "b", "c"], [0] * 3, [1, 1, 0], {"fc1": fc1})
 
     def test_records_match_one_image_passes(self, net_and_index):
         net, samples, index = net_and_index
@@ -333,7 +327,6 @@ class TestQuery:
     def test_filter_on_only_predicted_class(self, net_and_index):
         net, samples, index = net_and_index
         res = query(index, net, samples[3].image, "fc1", 50, True)
-        assert res.class_filter_enabled
         for item in res.items:
             row = row_of(index, item.source_id)
             assert index.predicted_labels[row] == res.query_predicted_label
@@ -368,7 +361,7 @@ class TestQuery:
 
     def test_insertion_order_invariance(self, net_and_index):
         net, samples, index = net_and_index
-        reversed_index = FeatureIndex(
+        reversed_index = make_index(
             index.source_ids[::-1], index.true_labels[::-1],
             index.predicted_labels[::-1],
             {name: m[::-1] for name, m in index.features.items()},
@@ -384,7 +377,7 @@ class TestQuery:
         probe = samples[0]
         predicted = net.forward_classify(probe.image)[1]
         keep = index.predicted_labels != predicted
-        pruned = FeatureIndex(
+        pruned = make_index(
             index.source_ids[keep], index.true_labels[keep],
             index.predicted_labels[keep],
             {name: m[keep] for name, m in index.features.items()},
@@ -442,11 +435,11 @@ def tie_heavy_index():
     integers, so many rows tie; ids descend, so ties reorder by id."""
     rng = np.random.default_rng(5)
     n = 48
-    return FeatureIndex(
+    return make_index(
         [f"s{n - i:03d}" for i in range(n)], rng.integers(0, 3, n),
         rng.permutation([0] * 24 + [1] * 16 + [2] * 8),
         {"fc1": rng.integers(0, 3, (n, 5)).astype(np.float64),
-         "fc2": rng.standard_normal((n, 410))}, "fp")
+         "fc2": rng.standard_normal((n, 410))})
 
 
 reference_scan = conftest.reference_scan
@@ -489,10 +482,10 @@ class TestBlockedScan:
         # Row 0 is at distance 0 and rows 1-9 all at distance 1; the ids
         # descend, so the top k among the ties are the last rows.
         ids = [f"id{99 - i}" for i in range(13)]
-        index = FeatureIndex(
+        index = make_index(
             ids, [0] * 13, [0] * 13,
             {"fc1": np.array([[0.0, 0.0]] + [[1.0, 0.0]] * 9
-                             + [[5.0, 5.0]] * 3)}, "fp")
+                             + [[5.0, 5.0]] * 3)})
         ranking = ["id99"] + sorted(ids[1:10]) + sorted(ids[10:])
         for k in (1, 2, 3, 9, 10, 11, 13, 20):
             res = scan(index, np.zeros(2), 0, "fc1", k, False)
@@ -509,7 +502,7 @@ class TestBlockedScan:
         rows[3:] = rows[:3]
         ids, true = ["a", "b", "a", "a", "b", "a"], [0, 1, 2, 3, 4, 5]
         predicted = [2, 1, 0, 0, 2, 1]
-        index = FeatureIndex(ids, true, predicted, {"fc1": rows}, "fp")
+        index = make_index(ids, true, predicted, {"fc1": rows})
         assert (index.positions != np.arange(6)).any()
         for q in (rows[0], rows[1], np.zeros(3), np.full(3, 0.5)):
             sq = np.sum((rows - q) ** 2, axis=1)
@@ -533,16 +526,21 @@ EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True,
                     database=None)
 
 
-def columnar_index(matrix, labels, layout, ids=None):
-    """One-layer index over matrix; "loaded" makes fc1 a column view of a
-    wider table, as load_index does, and "contiguous" keeps it whole."""
-    n, dim = matrix.shape
+def columnar_index(matrix, labels, layout):
+    """One-layer index over matrix, as build_index gives it ("contiguous")
+    or as load_index reads it back ("loaded"): then fc1 is a view into
+    one store, after a two-wide layer fc0."""
+    n = len(matrix)
+    ids = [f"s{(7 * i) % n:04d}" for i in range(n)]
+    features = {"fc1": matrix}
     if layout == "loaded":
-        table = np.zeros((n, dim + 3))
-        table[:, 2:2 + dim] = matrix
-        matrix = np.split(table, [2, 2 + dim], axis=1)[1]
-    ids = [f"s{(7 * i) % n:04d}" for i in range(n)] if ids is None else ids
-    return FeatureIndex(ids, labels, labels, {"fc1": matrix}, "fp")
+        features = {"fc0": np.zeros((n, 2)), **features}
+    index = make_index(ids, labels, labels, features)
+    if layout == "loaded":
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(index, Path(tmp, "features.idx"))
+            index = load_index(Path(tmp, "features.idx"))
+    return index
 
 
 def batch_matches_reference(index, queries, predicted, k, use_filter,
@@ -930,11 +928,8 @@ class TestGroupedLayout:
             conftest.save_index_reference(ref, ids, true, labels, features,
                                           "fp")
             want = ref.read_bytes()
-            built = build_index(TapNet(labels, features),
-                                [Sample(None, t, sid)
-                                 for sid, t in zip(ids, true)], [None] * n)
-            indexes = [FeatureIndex(ids, true, labels, features, "fp"),
-                       built, load_index(ref)]
+            indexes = [make_index(ids, true, labels, features),
+                       load_index(ref)]
             for index in indexes:
                 save_index(index, out)
                 assert out.read_bytes() == want
@@ -1072,10 +1067,10 @@ class TestIndexFile:
     def test_load_holds_no_second_payload_copy(self, tmp_path):
         rng = np.random.default_rng(2)
         n = 2000
-        index = FeatureIndex([f"s{i}" for i in range(n)], [0] * n,
-                             rng.integers(0, 4, n),
-                             {"fc1": rng.standard_normal((n, 410)),
-                              "fc2": rng.standard_normal((n, 390))}, "fp")
+        index = make_index([f"s{i}" for i in range(n)], [0] * n,
+                           rng.integers(0, 4, n),
+                           {"fc1": rng.standard_normal((n, 410)),
+                            "fc2": rng.standard_normal((n, 390))})
         path = tmp_path / "features.idx"
         save_index(index, path)
         payload = 8 * n * 800
