@@ -6,7 +6,10 @@ is written as config.json in the output directory, in canonical form:
 sorted keys, two-space indent, trailing newline. Re-serializing a parsed
 canonical config reproduces it byte for byte. Commands downstream of
 train read {output_dir}/config.json automatically unless --config points
-elsewhere, so one training run anchors the whole pipeline.
+elsewhere, so one training run anchors the whole pipeline. RunConfig is
+the one home of every setting: it holds each default and checks every
+field, so each command refuses a bad value, from a flag or a file,
+before it reads or writes anything.
 
 A command that reads the corpus lists it and splits the listing first,
 then decodes only the side it uses. train builds and initializes its
@@ -48,8 +51,6 @@ from .errors import (
     InputError,
     StaleIndexError,
     TrainingDiverged,
-    TruncatedFileError,
-    VersionMismatchError,
 )
 from .metrics import (
     classification_report,
@@ -68,7 +69,7 @@ from .network import (
     save_checkpoint,
 )
 from .retrieval import build_index, load_index, query, save_index, scan_columns
-from .training import TrainConfig, train
+from .training import train
 
 log = logging.getLogger(__name__)
 
@@ -121,6 +122,17 @@ class RunConfig:
         if not self.init_std > 0.0:
             raise ConfigurationError(
                 f"init_std must be positive, got {self.init_std}")
+        # Zero is allowed so no-op determinism checks can run through the
+        # public path; only negative rates are nonsense.
+        if self.learning_rate < 0:
+            raise ConfigurationError(
+                f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.max_epochs < 1:
+            raise ConfigurationError(
+                f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.log_interval < 0:
+            raise ConfigurationError(
+                f"log_interval must be >= 0, got {self.log_interval}")
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
@@ -145,7 +157,7 @@ def load_run_config(path):
             f"config {path} has unknown fields: {sorted(unknown)}")
     try:
         return RunConfig(**raw)
-    except TypeError as exc:
+    except ConfigurationError as exc:
         raise ConfigurationError(f"config {path}: {exc}") from exc
 
 
@@ -155,20 +167,21 @@ def resolve_config(args):
                  for name in RunConfig.field_names()
                  if getattr(args, name, None) is not None}
     config_path = getattr(args, "config", None)
-    if config_path is None:
-        out = overrides.get("output_dir", RunConfig.output_dir)
-        inherited = Path(out) / CONFIG_NAME
-        if inherited.is_file():
-            config_path = inherited
+    base = {}
     if config_path is not None:
         base = asdict(load_run_config(config_path))
     else:
-        base = {}
+        out = overrides.get("output_dir", RunConfig.output_dir)
+        inherited = Path(out) / CONFIG_NAME
+        if inherited.is_file():
+            try:
+                base = asdict(load_run_config(inherited))
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"{exc} (read from the output directory; fix the file "
+                    f"or pass --config)") from exc
     base.update(overrides)
-    try:
-        return RunConfig(**base)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return RunConfig(**base)
 
 
 def write_run_config(cfg):
@@ -264,11 +277,6 @@ def cmd_prepare(args):
 
 def cmd_train(args):
     cfg = resolve_config(args)
-    train_config = TrainConfig(
-        learning_rate=cfg.learning_rate,
-        max_epochs=cfg.max_epochs,
-        rng_seed=cfg.train_seed,
-        log_interval=cfg.log_interval)
     split = _split_corpus(cfg)
     # Every shape the network cannot take is refused before any decode.
     spec = build_architecture(
@@ -282,7 +290,9 @@ def cmd_train(args):
     train_samples = [
         replace(s, image=preprocess_image(s.image, out_size=cfg.image_size))
         for s in train_set]
-    report = train(net, train_samples, train_config)
+    report = train(net, train_samples, learning_rate=cfg.learning_rate,
+                   max_epochs=cfg.max_epochs, seed=cfg.train_seed,
+                   log_interval=cfg.log_interval)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / CHECKPOINT_NAME, net, metadata={
@@ -377,8 +387,7 @@ def cmd_evaluate(args):
     laps.append(time.perf_counter())
 
     true_labels = np.array([s.label for s in test_set], dtype=np.int64)
-    cm = confusion_matrix(true_labels, predicted_labels,
-                          len(class_names), class_names=class_names)
+    cm = confusion_matrix(true_labels, predicted_labels, class_names)
     report = classification_report(cm)
     totals = np.bincount(index.true_labels,
                          minlength=len(class_names))[true_labels]
@@ -495,8 +504,7 @@ def main(argv=None):
     except TrainingDiverged as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InputError, FormatError, VersionMismatchError,
-            TruncatedFileError, StaleIndexError) as exc:
+    except (InputError, FormatError, StaleIndexError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CbirError as exc:

@@ -1,8 +1,8 @@
 """Corpus ingestion, preprocessing, splits, and synthetic image generation.
 
-On-disk corpora are directory-per-class trees of 8-bit PGM files (P2 or P5,
-decoded here without any imaging dependency); class ids come from sorted
-directory names so every filesystem yields the same labeling.
+On-disk corpora are directory-per-class trees of 8-bit PGM files, read as
+P2 or P5 and written as P5 without any imaging dependency; class ids come
+from sorted directory names so every filesystem yields the same labeling.
 list_directory lists a tree without decoding it, and split_dataset splits
 that listing, so membership of each side follows the sorted file names,
 not which files decode: every file takes a slot in its class's shuffle,
@@ -111,8 +111,8 @@ def read_pgm(path):
     return pixels.astype(np.uint8).reshape(height, width)
 
 
-def write_pgm(path, image, binary=True):
-    """Write a 2-D uint8 array as P5 (or P2 when binary=False)."""
+def write_pgm(path, image):
+    """Write a 2-D uint8 array as a binary (P5) PGM."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise InputError(f"PGM image must be 2-D, got shape {image.shape}")
@@ -120,14 +120,8 @@ def write_pgm(path, image, binary=True):
         raise InputError(f"PGM image must be uint8, got {image.dtype}")
     h, w = image.shape
     with open(path, "wb") as f:
-        if binary:
-            f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-            f.write(image.tobytes())
-        else:
-            f.write(f"P2\n{w} {h}\n255\n".encode("ascii"))
-            for row in image:
-                f.write((" ".join(str(int(v)) for v in row) + "\n")
-                        .encode("ascii"))
+        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        f.write(image.tobytes())
 
 
 # ---------------------------------------------------------------------------

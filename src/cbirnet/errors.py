@@ -22,14 +22,15 @@ class TrainingDiverged(CbirError):
 
 
 class FormatError(CbirError):
-    """A binary file does not start with the expected magic bytes."""
+    """A checkpoint or index file, or its metadata, is not what the reader
+    expects: wrong magic, bad header or payload, or trailing bytes."""
 
 
-class VersionMismatchError(CbirError):
+class VersionMismatchError(FormatError):
     """A binary file was written by an incompatible format version."""
 
 
-class TruncatedFileError(CbirError):
+class TruncatedFileError(FormatError):
     """A binary file ends before its declared payload is complete."""
 
 

@@ -38,29 +38,22 @@ class ConfusionMatrix:
                 f"{c.shape[0]}-class matrix")
 
     @property
-    def num_classes(self):
-        return self.counts.shape[0]
-
-    @property
     def total(self):
         return int(self.counts.sum())
 
 
-def confusion_matrix(true_labels, predicted_labels, num_classes,
-                     class_names=None):
+def confusion_matrix(true_labels, predicted_labels, class_names):
+    """Counts of (true, predicted) label pairs over len(class_names) classes."""
+    n = len(class_names)
     true_labels = np.asarray(true_labels)
     predicted_labels = np.asarray(predicted_labels)
     if true_labels.shape != predicted_labels.shape or true_labels.ndim != 1:
         raise InputError("label lists must be 1-D and equal length")
     for name, arr in (("true", true_labels), ("predicted", predicted_labels)):
-        if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
-            raise InputError(
-                f"{name} labels must lie in [0, {num_classes})")
-    counts = np.bincount(true_labels * num_classes + predicted_labels,
-                         minlength=num_classes * num_classes).reshape(
-                             num_classes, num_classes)
-    if class_names is None:
-        class_names = tuple(str(i) for i in range(num_classes))
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
+            raise InputError(f"{name} labels must lie in [0, {n})")
+    counts = np.bincount(true_labels * n + predicted_labels,
+                         minlength=n * n).reshape(n, n)
     return ConfusionMatrix(counts=counts, class_names=tuple(class_names))
 
 

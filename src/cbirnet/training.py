@@ -2,9 +2,11 @@
 
 Training is deliberately plain: batch size 1, constant learning rate, no
 momentum, no decay. One seed drives two independent streams (epoch shuffle
-order and dropout masks), so a (seed, data, config) triple reproduces the
-final parameters bit for bit. Non-finite losses or gradients abort instead
-of clamping; silent NaN recovery hides gradient bugs.
+order and dropout masks), so a (seed, data, settings) triple reproduces
+the final parameters bit for bit. Non-finite losses or gradients abort
+instead of clamping; silent NaN recovery hides gradient bugs. The
+settings arrive as plain arguments: cli.RunConfig holds their defaults
+and checks them.
 """
 
 from __future__ import annotations
@@ -15,30 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, TrainingDiverged
+from .errors import InputError, TrainingDiverged
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-4
-    max_epochs: int = 30
-    rng_seed: int = 0
-    log_interval: int = 0  # samples between progress lines; 0 is silent
-
-    def __post_init__(self):
-        # Zero is allowed so no-op determinism checks can run through the
-        # public path; only negative rates are nonsense.
-        if self.learning_rate < 0:
-            raise ConfigurationError(
-                f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ConfigurationError(
-                f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.log_interval < 0:
-            raise ConfigurationError(
-                f"log_interval must be >= 0, got {self.log_interval}")
 
 
 @dataclass(frozen=True)
@@ -46,14 +27,13 @@ class TrainReport:
     """Per-epoch mean loss plus the end-state training error.
 
     epoch_seconds is wall-clock bookkeeping and excluded from equality:
-    two runs of the same seeded config compare equal even though their
-    timings differ.
+    two runs with the same seed and settings compare equal even though
+    their timings differ.
     """
 
     epoch_losses: tuple
     final_train_error: float
-    num_updates: int
-    epoch_seconds: tuple = field(compare=False, default=())
+    epoch_seconds: tuple = field(compare=False)
 
     def to_tsv(self):
         lines = ["epoch\tmean_loss\tseconds"]
@@ -81,7 +61,7 @@ def nll_grad(log_probs, label):
     return g
 
 
-def sgd_step(net, sample, config):
+def sgd_step(net, sample, learning_rate):
     """One forward/backward/update cycle on a single sample.
 
     Returns the sample's loss before the update. Aborts with
@@ -107,39 +87,37 @@ def sgd_step(net, sample, config):
     if not all(np.isfinite(grad).all() for _, grad in params):
         raise TrainingDiverged(
             f"non-finite gradient on sample {sample.source_id}")
-    lr = config.learning_rate
-    if lr != 0.0:
+    if learning_rate != 0.0:
         for value, grad in params:
-            np.multiply(grad, lr, out=grad)
+            np.multiply(grad, learning_rate, out=grad)
             np.subtract(value, grad, out=value)
     return loss
 
 
-def train(net, train_split, config):
+def train(net, train_split, *, learning_rate, max_epochs, seed, log_interval):
     """Run max_epochs passes of per-sample SGD over a seeded shuffle.
 
-    The config seed spawns two child streams: one orders the samples each
-    epoch, the other drives dropout masks. The learning rate is constant
-    throughout. Returns a TrainReport with per-epoch mean losses and the
-    final fraction of misclassified training samples.
+    seed spawns two child streams: one orders the samples each epoch, the
+    other drives dropout masks. The learning rate is constant throughout.
+    A progress line is logged every log_interval samples; 0 is silent.
+    Returns a TrainReport with per-epoch mean losses and the final
+    fraction of misclassified training samples.
     """
     samples = list(train_split)
     if not samples:
         raise InputError("training split is empty")
-    shuffle_seq, dropout_seq = np.random.SeedSequence(config.rng_seed).spawn(2)
+    shuffle_seq, dropout_seq = np.random.SeedSequence(seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seq)
     net.seed_dropout(dropout_seq)
     n = len(samples)
     epoch_losses = []
     epoch_seconds = []
-    updates = 0
-    for epoch in range(1, config.max_epochs + 1):
+    for epoch in range(1, max_epochs + 1):
         started = time.perf_counter()
         total = 0.0
         for j, idx in enumerate(shuffle_rng.permutation(n), start=1):
-            total += sgd_step(net, samples[idx], config)
-            updates += 1
-            if config.log_interval and j % config.log_interval == 0:
+            total += sgd_step(net, samples[idx], learning_rate)
+            if log_interval and j % log_interval == 0:
                 log.info("epoch %d: %d/%d samples, running mean loss %.6f",
                          epoch, j, n, total / j)
         epoch_losses.append(total / n)
@@ -151,7 +129,6 @@ def train(net, train_split, config):
     return TrainReport(
         epoch_losses=tuple(epoch_losses),
         final_train_error=wrong / n,
-        num_updates=updates,
         epoch_seconds=tuple(epoch_seconds),
     )
 

@@ -38,7 +38,7 @@ from cbirnet.network import (
     save_checkpoint,
 )
 from cbirnet.retrieval import build_index, load_index, query, save_index
-from cbirnet.training import TrainConfig, nll_grad, nll_loss, train
+from cbirnet.training import nll_grad, nll_loss, train
 
 FD_STEP = 1e-3
 FD_TOL = 1e-4
@@ -82,10 +82,9 @@ def trained(desk_split):
                               keep_prob=0.5, scale=0.1)
     net = Network.from_spec(spec)
     net.initialize(INIT_SEED, weight_std=DESK_INIT_STD)
-    config = TrainConfig(learning_rate=1e-4, max_epochs=30,
-                         rng_seed=TRAIN_SEED)
     started = time.perf_counter()
-    report = train(net, desk_split.train, config)
+    report = train(net, desk_split.train, learning_rate=1e-4, max_epochs=30,
+                   seed=TRAIN_SEED, log_interval=0)
     elapsed = time.perf_counter() - started
     return net, report, elapsed
 
@@ -343,7 +342,7 @@ def test_retrieval_oracle_equivalence(desk_split):
                                   keep_prob=0.5, scale=0.1)
         net = Network.from_spec(spec)
         net.initialize(21, weight_std=DESK_INIT_STD)
-        index = build_index(net, samples)
+        index = build_index(net, samples, [s.image for s in samples])
         assert len(index) == 500
 
         rng = np.random.default_rng(77)
@@ -381,7 +380,8 @@ def test_class_filter_effect(desk_split, trained):
     name = "class-filter-effect"
     try:
         net, _, _ = trained
-        index = build_index(net, desk_split.train)
+        index = build_index(net, desk_split.train,
+                            [s.image for s in desk_split.train])
         db_counts = {}
         for label in index.true_labels.tolist():
             db_counts[label] = db_counts.get(label, 0) + 1
@@ -429,7 +429,7 @@ def test_metric_identities():
     name = "metric-identities"
     try:
         # hand-derived 2x2: rows are true classes
-        cm = confusion_matrix([0, 0, 1], [0, 1, 1], 2)
+        cm = confusion_matrix([0, 0, 1], [0, 1, 1], ("a", "b"))
         rep = classification_report(cm)
         hand_ok = (
             tuple(rep.per_class_precision) == (1.0, 0.5)
@@ -447,7 +447,7 @@ def test_metric_identities():
             if counts.sum() == 0:
                 counts[0, 0] = 1
             r = classification_report(confusion_matrix(
-                *_labels_from_counts(counts), n))
+                *_labels_from_counts(counts), [str(i) for i in range(n)]))
             denom = r.average_precision + r.average_recall
             if denom > 0:
                 expect = 2 * r.average_precision * r.average_recall / denom
@@ -507,12 +507,12 @@ def _determinism_run(tmp_path, tag):
                               keep_prob=0.5, scale=0.05)
     net = Network.from_spec(spec)
     net.initialize(41, weight_std=DESK_INIT_STD)
-    train(net, samples, TrainConfig(learning_rate=1e-4, max_epochs=3,
-                                    rng_seed=43))
+    train(net, samples, learning_rate=1e-4, max_epochs=3, seed=43,
+          log_interval=0)
     ckpt = tmp_path / f"{tag}.ckpt"
     idx = tmp_path / f"{tag}.idx"
     save_checkpoint(ckpt, net, metadata={"class_names": list(class_names)})
-    index = build_index(net, samples)
+    index = build_index(net, samples, [s.image for s in samples])
     save_index(index, idx)
     return net, ckpt.read_bytes(), idx.read_bytes(), ckpt, idx
 
@@ -533,8 +533,9 @@ def test_determinism_and_persistence(tmp_path):
         reloaded = load_index(idx_path,
                               expected_fingerprint=net_a.fingerprint())
         index_rt_ok = len(reloaded) == 36
-        fresh = build_index(net_a, generate_synthetic_corpus(
-            3, 12, 64, rng_seed=31)[0])
+        fresh_samples, _ = generate_synthetic_corpus(3, 12, 64, rng_seed=31)
+        fresh = build_index(net_a, fresh_samples,
+                            [s.image for s in fresh_samples])
         for i in range(len(fresh)):
             index_rt_ok = (index_rt_ok
                            and fresh.source_ids[i] == reloaded.source_ids[i])

@@ -147,7 +147,9 @@ class TestTrain:
                      ["evaluate"]):
             code, _, stderr = run(capsys, *argv, "--out", str(out))
             assert code == EXIT_CONFIG
-            assert f"configuration error: config field {name!r}" in stderr
+            assert (f"configuration error: config {out / 'config.json'}: "
+                    f"config field {name!r}") in stderr
+            assert "fix the file or pass --config" in stderr
             assert "Traceback" not in stderr
 
     def test_config_naming_shuffle_each_epoch_is_config_error(self, tmp_path,
@@ -409,6 +411,93 @@ def test_image_size_unlike_the_checkpoint_is_config_error(
     assert ("configuration error: image_size 32 differs from the "
             "checkpoint's image_size 64") in stderr
     assert "Traceback" not in stderr
+
+
+# (flag, its value, field, the same value in config.json, message)
+BAD_TRAINING_SETTINGS = [
+    ("--lr", "-1", "learning_rate", -1.0,
+     "learning_rate must be >= 0, got -1.0"),
+    ("--epochs", "0", "max_epochs", 0, "max_epochs must be >= 1, got 0"),
+    ("--log-interval", "-1", "log_interval", -1,
+     "log_interval must be >= 0, got -1"),
+]
+NOT_TRAIN = [("index", []), ("query", ["--image", "x.pgm"]),
+             ("evaluate", [])]
+
+
+class TestEveryCommandChecksEverySetting:
+    """A command that does not train still refuses a bad training setting,
+    from a flag or from config.json, before it reads or writes a file."""
+
+    @pytest.fixture
+    def run_copy(self, pipeline, tmp_path, monkeypatch):
+        copy = tmp_path / "run"
+        shutil.copytree(pipeline[1], copy)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the checkpoint was read")
+
+        monkeypatch.setattr(cli, "load_checkpoint", unread)
+        return copy
+
+    @staticmethod
+    def files(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    @pytest.mark.parametrize("command, extra", NOT_TRAIN)
+    @pytest.mark.parametrize("setting", BAD_TRAINING_SETTINGS,
+                             ids=lambda s: s[2])
+    def test_bad_flag_refused_and_nothing_written(
+            self, run_copy, capsys, command, extra, setting):
+        flag, value, _, _, message = setting
+        before = self.files(run_copy)
+        code, _, stderr = run(capsys, command, "--out", str(run_copy),
+                              flag, value, *extra)
+        assert code == EXIT_CONFIG
+        assert f"configuration error: {message}" in stderr
+        assert self.files(run_copy) == before
+
+    @pytest.mark.parametrize("command, extra", NOT_TRAIN)
+    @pytest.mark.parametrize("setting", BAD_TRAINING_SETTINGS,
+                             ids=lambda s: s[2])
+    def test_bad_value_in_config_json_refused(
+            self, run_copy, capsys, command, extra, setting):
+        _, _, field, value, message = setting
+        path = run_copy / "config.json"
+        cfg = json.loads(path.read_text())
+        cfg[field] = value
+        path.write_text(json.dumps(cfg))
+        before = self.files(run_copy)
+        code, _, stderr = run(capsys, command, "--out", str(run_copy), *extra)
+        assert code == EXIT_CONFIG
+        assert f"configuration error: config {path}: {message}" in stderr
+        assert self.files(run_copy) == before
+
+
+class TestRefusedConfigNamesItself:
+    LAYER = "layer must be one of ('fc1', 'fc2', 'fc3'), got 'fc9'"
+
+    def test_explicit_config(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"layer": "fc9"}))
+        code, _, stderr = run(capsys, "train", "--config", str(path),
+                              "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        assert stderr == f"configuration error: config {path}: {self.LAYER}\n"
+
+    @pytest.mark.parametrize("command, extra",
+                             [("train", []), *NOT_TRAIN])
+    def test_inherited_config_says_how_to_get_past_it(
+            self, tmp_path, capsys, command, extra):
+        out = tmp_path / "o"
+        out.mkdir()
+        path = out / "config.json"
+        path.write_text(json.dumps({"layer": "fc9"}))
+        code, _, stderr = run(capsys, command, "--out", str(out), *extra)
+        assert code == EXIT_CONFIG
+        assert stderr.startswith(
+            f"configuration error: config {path}: {self.LAYER}")
+        assert "fix the file or pass --config" in stderr
 
 
 @pytest.fixture(scope="module")

@@ -69,7 +69,8 @@ class TestPGM:
     def test_p2_round_trip(self, tmp_path):
         img = RNG.integers(0, 256, size=(4, 6), dtype=np.uint8)
         path = tmp_path / "img.pgm"
-        write_pgm(path, img, binary=False)
+        path.write_bytes(b"P2\n6 4\n255\n" + b"".join(
+            b" ".join(b"%d" % v for v in row) + b"\n" for row in img))
         npt.assert_array_equal(read_pgm(path), img)
 
     def test_p2_with_comments_and_odd_whitespace(self, tmp_path):

@@ -62,7 +62,8 @@ def run_dir(tmp_path_factory):
                for i in range(4)]
     save_checkpoint(root / cli.CHECKPOINT_NAME, net, metadata={
         "class_names": ["a", "b"], "image_size": 8})
-    save_index(build_index(net, samples), root / cli.INDEX_NAME)
+    save_index(build_index(net, samples, [s.image for s in samples]),
+               root / cli.INDEX_NAME)
     cli.write_run_config(cli.RunConfig(output_dir=str(root), image_size=8,
                                        k=3))
     write_pgm(root / "query.pgm",
@@ -198,8 +199,9 @@ def test_index_shrinking_while_read_is_input_error(run_dir, tmp_path,
         (tmp_path / name).write_bytes((run_dir / name).read_bytes())
     net = load_checkpoint(run_dir / cli.CHECKPOINT_NAME)[0]
     rng = np.random.default_rng(1)
-    save_index(build_index(net, [Sample(rng.random((1, 8, 8)), i % 2, f"s{i}")
-                                 for i in range(3000)]),
+    samples = [Sample(rng.random((1, 8, 8)), i % 2, f"s{i}")
+               for i in range(3000)]
+    save_index(build_index(net, samples, [s.image for s in samples]),
                tmp_path / cli.INDEX_NAME)
     cli.write_run_config(cli.RunConfig(output_dir=str(tmp_path), image_size=8,
                                        k=3))

@@ -69,28 +69,28 @@ def report_oracle(counts):
 
 class TestConfusionMatrix:
     def test_perfect_predictions_diagonal(self):
-        cm = confusion_matrix([0, 1, 2, 1], [0, 1, 2, 1], 3)
+        cm = confusion_matrix([0, 1, 2, 1], [0, 1, 2, 1], ("a", "b", "c"))
         npt.assert_array_equal(cm.counts, np.diag([1, 2, 1]))
 
     def test_hand_count(self):
-        cm = confusion_matrix([0, 0, 1], [0, 1, 1], 2)
+        cm = confusion_matrix([0, 0, 1], [0, 1, 1], ("a", "b"))
         npt.assert_array_equal(cm.counts, [[1, 1], [0, 1]])
 
     def test_total_equals_sample_count(self):
         rng = np.random.default_rng(0)
         t = rng.integers(0, 5, size=137)
         p = rng.integers(0, 5, size=137)
-        assert confusion_matrix(t, p, 5).total == 137
+        assert confusion_matrix(t, p, tuple("abcde")).total == 137
 
     def test_out_of_range_labels_rejected(self):
         with pytest.raises(InputError):
-            confusion_matrix([0, 3], [0, 1], 3)
+            confusion_matrix([0, 3], [0, 1], ("a", "b", "c"))
         with pytest.raises(InputError):
-            confusion_matrix([0, -1], [0, 1], 3)
+            confusion_matrix([0, -1], [0, 1], ("a", "b", "c"))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
-            confusion_matrix([0, 1], [0], 2)
+            confusion_matrix([0, 1], [0], ("a", "b"))
 
     def test_nonsquare_rejected(self):
         with pytest.raises(InputError):
@@ -185,7 +185,7 @@ class TestClassificationReport:
                 ConfusionMatrix(np.zeros((2, 2), dtype=np.int64), ("a", "b")))
 
     def test_format_report_fixed_order(self):
-        cm = confusion_matrix([0, 1], [0, 1], 2, class_names=("x", "y"))
+        cm = confusion_matrix([0, 1], [0, 1], ("x", "y"))
         text = format_report(classification_report(cm), ("x", "y"))
         lines = text.splitlines()
         assert lines[0] == "class\tprecision\trecall"

@@ -29,7 +29,7 @@ from cbirnet.network import (
     load_checkpoint,
     save_checkpoint,
 )
-from cbirnet.training import TrainConfig, nll_grad, sgd_step
+from cbirnet.training import nll_grad, sgd_step
 
 # Hand-computed stage-by-stage shapes for the full-size topology on a
 # 1x224x224 input, using out = (in + 2p - k) // s + 1 at every stage.
@@ -397,7 +397,7 @@ class TestFrozen:
                         label=1, source_id="x")
         loaded.seed_dropout(0)
         with pytest.raises(ValueError, match="read-only"):
-            sgd_step(loaded, sample, TrainConfig(learning_rate=0.01))
+            sgd_step(loaded, sample, 0.01)
 
     def test_writable_parameter_is_hashed_again(self, tmp_path):
         _, loaded = self.loaded(tmp_path)
@@ -441,7 +441,7 @@ class TestFrozen:
         if trained:
             net.seed_dropout(0)
             sample = Sample(image=probe_images(1)[0], label=1, source_id="x")
-            sgd_step(net, sample, TrainConfig(learning_rate=0.01))
+            sgd_step(net, sample, 0.01)
         net.freeze()
         before = [dict(vars(layer)) for layer in net.layers]
         copies = [{k: v.copy() for k, v in state.items()
@@ -541,8 +541,9 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, net)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as raised:
             load_checkpoint(path)
+        assert raised.type is FormatError
 
     def test_non_object_header_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -602,8 +603,9 @@ class TestCheckpoint:
             path, lambda h: conftest.with_layer_field(
                 h, "conv", "out_channels", out_channels))
         refuse_layers(monkeypatch)
-        with pytest.raises(error, match="tensor payload"):
+        with pytest.raises(error, match="tensor payload") as raised:
             load_checkpoint(path)
+        assert raised.type is error  # not a FormatError subclass
 
     def test_integer_valued_float_fields_accepted(self, tmp_path):
         net = desk_network(seed=3)

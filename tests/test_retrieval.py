@@ -86,7 +86,8 @@ def net_and_index():
     head = [layer for layer in net.layers if hasattr(layer, "in_features")][-1]
     fc3 = net.classify([s.image for s in samples])[2]["fc3"]
     head.biases -= head.weights @ fc3.mean(axis=0)
-    return net, samples, build_index(net, samples)
+    return net, samples, build_index(net, samples,
+                                     [s.image for s in samples])
 
 
 class TapNet:
@@ -192,7 +193,7 @@ class TestBuildIndex:
 
     def test_empty_samples_empty_index(self, net_and_index):
         net, _, _ = net_and_index
-        index = build_index(net, [])
+        index = build_index(net, [], [])
         assert len(index) == 0
         assert index.class_partitions == {}
 
@@ -232,6 +233,7 @@ class TestBuildIndex:
 
     def test_keeps_classify_taps_without_copy(self, net_and_index):
         # Each tap is regrouped by predicted label into a contiguous copy.
+        # build_index reuses the tap buffers, so the spy keeps copies.
         net, samples, _ = net_and_index
         taps = {}
         classify = net.classify
@@ -239,12 +241,12 @@ class TestBuildIndex:
         def spy(images):
             out = classify(images)
             taps.clear()
-            taps.update(out[2])
+            taps.update({name: m.copy() for name, m in out[2].items()})
             return out
 
         net.classify = spy
         try:
-            index = build_index(net, samples)
+            index = build_index(net, samples, [s.image for s in samples])
         finally:
             del net.classify
         assert index.feature_layers == tuple(taps)
@@ -1148,8 +1150,9 @@ class TestIndexFile:
         path = tmp_path / "features.idx"
         save_index(index, path)
         path.write_bytes(path.read_bytes() + b"\xff")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as raised:
             load_index(path)
+        assert raised.type is FormatError
 
     @pytest.mark.parametrize("edit, error", [
         (lambda h: {k: v for k, v in h.items() if k != "fingerprint"},
@@ -1195,8 +1198,9 @@ class TestIndexFile:
         path = tmp_path / "features.idx"
         save_index(index, path)
         conftest.rewrite_container_header(path, edit)
-        with pytest.raises(error):
+        with pytest.raises(error) as raised:
             load_index(path)
+        assert raised.type is error  # not a FormatError subclass
 
     @pytest.mark.parametrize("edit, message", [
         (lambda r: {k: v for k, v in r.items() if k != "true_label"},

@@ -6,6 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cbirnet import training
+from cbirnet.cli import RunConfig
 from cbirnet.data import Sample, generate_synthetic_corpus
 from cbirnet.errors import ConfigurationError, InputError, TrainingDiverged
 from cbirnet.network import (
@@ -19,13 +21,7 @@ from cbirnet.network import (
     ReLUSpec,
     build_architecture,
 )
-from cbirnet.training import (
-    TrainConfig,
-    nll_grad,
-    nll_loss,
-    sgd_step,
-    train,
-)
+from cbirnet.training import nll_grad, nll_loss, sgd_step, train
 
 from conftest import sgd_step_reference
 
@@ -72,17 +68,26 @@ class TestNllLoss:
             nll_grad(np.zeros(4), -1)
 
 
-class TestTrainConfig:
+class TestRunConfigTrainingSettings:
+    """RunConfig holds and checks the settings train is passed."""
+
     def test_defaults(self):
-        cfg = TrainConfig()
+        cfg = RunConfig()
         assert cfg.learning_rate == 1e-4
         assert cfg.max_epochs == 30
+        assert (cfg.train_seed, cfg.log_interval) == (0, 0)
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TrainConfig(learning_rate=-1e-4)
-        with pytest.raises(ConfigurationError):
-            TrainConfig(max_epochs=0)
+        with pytest.raises(ConfigurationError,
+                           match="learning_rate must be >= 0, got -0.0001"):
+            RunConfig(learning_rate=-1e-4)
+        with pytest.raises(ConfigurationError,
+                           match="max_epochs must be >= 1, got 0"):
+            RunConfig(max_epochs=0)
+        with pytest.raises(ConfigurationError,
+                           match="log_interval must be >= 0, got -1"):
+            RunConfig(log_interval=-1)
+        RunConfig(learning_rate=0.0, max_epochs=1, log_interval=0)
 
 
 class TestSgdStep:
@@ -95,8 +100,7 @@ class TestSgdStep:
         net.initialize(0)
         net.seed_dropout(0)
         before = [v.copy() for v, _ in net.parameters()]
-        cfg = TrainConfig(learning_rate=0.0, max_epochs=1)
-        sgd_step(net, self.make_sample(), cfg)
+        sgd_step(net, self.make_sample(), 0.0)
         for old, (new, _) in zip(before, net.parameters()):
             npt.assert_array_equal(old, new)
 
@@ -117,7 +121,7 @@ class TestSgdStep:
                              [-0.2 - lr * p[1]]])
         expect_b = np.array([-lr * (p[0] - 1.0), -lr * p[1]])
         sample = Sample(image=np.ones((1, 1, 1)), label=0, source_id="x")
-        loss = sgd_step(net, sample, TrainConfig(learning_rate=lr))
+        loss = sgd_step(net, sample, lr)
         assert loss == pytest.approx(-np.log(p[0]))
         npt.assert_allclose(fc.weights, expect_w, rtol=1e-12)
         npt.assert_allclose(fc.biases, expect_b, rtol=1e-12)
@@ -127,9 +131,8 @@ class TestSgdStep:
         net.initialize(1)
         net.seed_dropout(1)
         sample = self.make_sample(seed=3, label=1)
-        cfg = TrainConfig(learning_rate=1e-4)
-        first = sgd_step(net, sample, cfg)
-        second = sgd_step(net, sample, cfg)
+        first = sgd_step(net, sample, 1e-4)
+        second = sgd_step(net, sample, 1e-4)
         assert second < first
 
     def test_nonfinite_loss_aborts(self):
@@ -140,7 +143,7 @@ class TestSgdStep:
         fc.weights[0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingDiverged):
-                sgd_step(net, self.make_sample(), TrainConfig())
+                sgd_step(net, self.make_sample(), 1e-4)
 
     def test_nonfinite_gradient_aborts(self):
         # The loss stays finite; only the head's weight grads turn inf.
@@ -159,7 +162,7 @@ class TestSgdStep:
         head.backward = poisoned
         before = [value.tobytes() for value, _ in net.parameters()]
         with pytest.raises(TrainingDiverged, match="gradient"):
-            sgd_step(net, self.make_sample(), TrainConfig())
+            sgd_step(net, self.make_sample(), 1e-4)
         assert [value.tobytes() for value, _ in net.parameters()] == before
 
     def test_bit_identical_to_reference_steps(self):
@@ -174,7 +177,7 @@ class TestSgdStep:
         start = [v.copy() for v, _ in fast.parameters()]
         lr = 1e-3
         for sample in samples:
-            assert (sgd_step(fast, sample, TrainConfig(learning_rate=lr))
+            assert (sgd_step(fast, sample, lr)
                     == sgd_step_reference(slow, sample, lr))
         for (a, _), (b, _), old in zip(fast.parameters(), slow.parameters(),
                                        start):
@@ -193,7 +196,7 @@ class TestSgdStep:
             assert all(np.isnan(grad).all() for _, grad in net.parameters())
         sample = self.make_sample(size=64, label=2)
         lr = 1e-3
-        assert (sgd_step(fast, sample, TrainConfig(learning_rate=lr))
+        assert (sgd_step(fast, sample, lr)
                 == sgd_step_reference(slow, sample, lr))
         for (a, _), (b, _) in zip(fast.parameters(), slow.parameters()):
             npt.assert_array_equal(a, b)
@@ -218,7 +221,7 @@ class TestSgdStep:
             layer.backward = counted(i, layer.backward)
         sample = Sample(image=np.random.default_rng(0).random((1, 64, 64)),
                         label=2, source_id="x")
-        sgd_step(net, sample, TrainConfig())
+        sgd_step(net, sample, 1e-4)
         expect = {("zero_grads", None): 1, ("forward", True): 1,
                   ("backward", None): 1}
         expect.update({(i, None): 1 for i in range(len(net.layers))})
@@ -230,8 +233,8 @@ class TestTrain:
         samples, _ = tiny_corpus(per_class=per_class)
         net = Network.from_spec(tiny_spec())
         net.initialize(0)
-        cfg = TrainConfig(learning_rate=lr, max_epochs=epochs, rng_seed=seed)
-        return net, train(net, samples, cfg)
+        return net, train(net, samples, learning_rate=lr, max_epochs=epochs,
+                          seed=seed, log_interval=0)
 
     def test_report_shape_and_finiteness(self):
         _, report = self.run_tiny(epochs=3)
@@ -243,13 +246,29 @@ class TestTrain:
         _, report = self.run_tiny(epochs=5)
         assert report.epoch_losses[-1] < report.epoch_losses[0]
 
-    def test_update_count(self):
-        _, report = self.run_tiny(epochs=2, per_class=11)
-        assert report.num_updates == 2 * 33
+    def count_steps(self, monkeypatch, **kwargs):
+        """Source ids of the samples train steps on, in order."""
+        stepped = []
+        step = training.sgd_step
 
-    def test_single_epoch_one_update_per_sample(self):
-        _, report = self.run_tiny(epochs=1)
-        assert report.num_updates == 30
+        def counted(net, sample, learning_rate):
+            stepped.append(sample.source_id)
+            return step(net, sample, learning_rate)
+
+        monkeypatch.setattr(training, "sgd_step", counted)
+        self.run_tiny(**kwargs)
+        return stepped
+
+    def test_update_count(self, monkeypatch):
+        stepped = self.count_steps(monkeypatch, epochs=2, per_class=11)
+        assert len(stepped) == 2 * 33
+        assert Counter(stepped) == Counter(
+            {s.source_id: 2 for s in tiny_corpus(per_class=11)[0]})
+
+    def test_single_epoch_one_update_per_sample(self, monkeypatch):
+        stepped = self.count_steps(monkeypatch, epochs=1)
+        assert sorted(stepped) == sorted(
+            s.source_id for s in tiny_corpus()[0])
 
     def test_same_seed_identical_reports_and_parameters(self):
         net_a, rep_a = self.run_tiny(epochs=2, seed=7)
@@ -268,14 +287,16 @@ class TestTrain:
         net = Network.from_spec(tiny_spec())
         net.initialize(3)
         before = [v.copy() for v, _ in net.parameters()]
-        train(net, samples, TrainConfig(learning_rate=0.0, max_epochs=3))
+        train(net, samples, learning_rate=0.0, max_epochs=3, seed=0,
+              log_interval=0)
         for old, (new, _) in zip(before, net.parameters()):
             npt.assert_array_equal(old, new)
 
     def test_empty_split_rejected(self):
         net = Network.from_spec(tiny_spec())
         with pytest.raises(InputError):
-            train(net, [], TrainConfig())
+            train(net, [], learning_rate=1e-4, max_epochs=1, seed=0,
+                  log_interval=0)
 
     def test_tsv_round_trip(self):
         _, report = self.run_tiny(epochs=2)
