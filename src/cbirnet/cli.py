@@ -7,9 +7,9 @@ sorted keys, two-space indent, trailing newline. Re-serializing a parsed
 canonical config reproduces it byte for byte. Commands downstream of
 train read {output_dir}/config.json automatically unless --config points
 elsewhere, so one training run anchors the whole pipeline. RunConfig is
-the one home of every setting: it holds each default and checks every
-field, so each command refuses a bad value, from a flag or a file,
-before it reads or writes anything.
+the one home of every setting: each field holds its default and its
+rule, and network.check_fields checks them all, so each command refuses
+a bad value, from a flag or a file, before it reads or writes anything.
 
 A command that reads the corpus lists it and splits the listing first,
 then decodes only the side it uses. train builds and initializes its
@@ -28,7 +28,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +62,12 @@ from .metrics import (
     score_rankings,
 )
 from .network import (
+    UNIT_INTERVAL,
     Network,
     build_architecture,
-    check_field_types,
+    check_fields,
     load_checkpoint,
+    rule,
     save_checkpoint,
 )
 from .retrieval import build_index, load_index, query, save_index, scan_columns
@@ -86,53 +88,42 @@ EVALUATE_STAGES = ("ingest", "classify", "scan", "score", "write")
 CHECKPOINT_NAME = "model.ckpt"
 INDEX_NAME = "features.idx"
 CONFIG_NAME = "config.json"
+AT_LEAST_0 = rule(lambda v: v >= 0, ">= 0")
+AT_LEAST_1 = rule(lambda v: v >= 1, ">= 1")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob of the pipeline, with defaults materialized."""
+    """Every knob of the pipeline, with defaults materialized.
+
+    Each field's rule sits beside it (see network.rule); the fields
+    without one take any value of their type.
+    """
 
     data_dir: str | None = None
     output_dir: str = "run_output"
     image_size: int = 224
-    train_fraction: float = 0.7
-    split_seed: int = 0
-    scale: float = 1.0
-    keep_prob: float = 0.5
-    init_seed: int = 0
-    init_std: float = 0.01
-    learning_rate: float = 1e-4
-    max_epochs: int = 30
-    train_seed: int = 0
-    log_interval: int = 0
-    layer: str = "fc1"
-    k: int = 20
+    train_fraction: float = field(
+        default=0.7, metadata=rule(lambda v: 0.0 < v < 1.0, "in (0, 1)"))
+    split_seed: int = field(default=0, metadata=AT_LEAST_0)
+    scale: float = field(default=1.0, metadata=UNIT_INTERVAL)
+    keep_prob: float = field(default=0.5, metadata=UNIT_INTERVAL)
+    init_seed: int = field(default=0, metadata=AT_LEAST_0)
+    init_std: float = field(
+        default=0.01, metadata=rule(lambda v: v > 0.0, "positive"))
+    # Zero is allowed so no-op determinism checks can run through the
+    # public path; only negative rates are nonsense.
+    learning_rate: float = field(default=1e-4, metadata=AT_LEAST_0)
+    max_epochs: int = field(default=30, metadata=AT_LEAST_1)
+    train_seed: int = field(default=0, metadata=AT_LEAST_0)
+    log_interval: int = field(default=0, metadata=AT_LEAST_0)
+    layer: str = field(default="fc1", metadata=rule(
+        lambda v: v in FEATURE_LAYERS, f"one of {FEATURE_LAYERS}"))
+    k: int = field(default=20, metadata=AT_LEAST_1)
     use_class_filter: bool = True
 
     def __post_init__(self):
-        check_field_types(RunConfig, vars(self), "config")
-        if self.layer not in FEATURE_LAYERS:
-            raise ConfigurationError(
-                f"layer must be one of {FEATURE_LAYERS}, got {self.layer!r}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigurationError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {self.k}")
-        if not self.init_std > 0.0:
-            raise ConfigurationError(
-                f"init_std must be positive, got {self.init_std}")
-        # Zero is allowed so no-op determinism checks can run through the
-        # public path; only negative rates are nonsense.
-        if self.learning_rate < 0:
-            raise ConfigurationError(
-                f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ConfigurationError(
-                f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.log_interval < 0:
-            raise ConfigurationError(
-                f"log_interval must be >= 0, got {self.log_interval}")
+        check_fields(self, "config")
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
@@ -144,10 +135,10 @@ class RunConfig:
 
 def load_run_config(path):
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")

@@ -4,7 +4,9 @@ Every kernel is batch-first: forward takes N samples as one (N, ...)
 array and returns their N outputs the same way. Kernels do not check
 their input shape: they trust the shapes that Network checked against
 spec.shape_trace(), and each takes its output size from work it does
-anyway. All arithmetic is 64-bit.
+anyway. Nor do layers check their settings (keep_prob, num_classes):
+they trust the values of the spec they are built from, which checked
+its fields when it was made. All arithmetic is 64-bit.
 
 Eval passes (train=False) run a whole batch through each kernel at once
 and touch no layer state, so they are safe to run concurrently on a frozen
@@ -361,9 +363,6 @@ class Dropout(Layer):
     """
 
     def __init__(self, keep_prob, rng=None):
-        if not 0.0 < keep_prob <= 1.0:
-            raise ConfigurationError(
-                f"keep_prob must be in (0, 1], got {keep_prob}")
         self.keep_prob = keep_prob
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._mask = None
@@ -391,8 +390,6 @@ class LogSoftmax(Layer):
     """Log of the softmax over each sample's vector, with max subtraction."""
 
     def __init__(self, num_classes):
-        if num_classes < 2:
-            raise ConfigurationError("num_classes must be >= 2")
         self.num_classes = num_classes
         self._probs = None
 

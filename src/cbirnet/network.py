@@ -37,7 +37,7 @@ import math
 import operator
 import struct
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -67,8 +67,53 @@ WEIGHT_STD = 0.01
 CHUNK_BYTES = 2 * 1024 * 1024  # im2col budget of one classify chunk
 
 
+# The types JSON decodes a value of each annotated field type to.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
+               "str": (str,), "None": (type(None),)}
+
+
+def rule(test, text):
+    """Field metadata for check_fields: the values for which test is true.
+
+    Written as what passes, so NaN fails any comparison; text completes
+    the message "{name} must be {text}, got {value!r}".
+    """
+    return {"rule": (test, text)}
+
+
+UNIT_INTERVAL = rule(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
+
+def check_fields(obj, what):
+    """ConfigurationError for the first field of obj that breaks its rules.
+
+    Each field's value must first be of its JSON type, then pass the rule
+    the field may hold in its metadata (see rule). A field's annotation
+    is a string, "T" or "T | None" (null also passes); what names the
+    owner in a type message. JSON decodes to exact types, so true and
+    false never pass for an int, and an int field takes no float; a float
+    field takes any number.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if type(value) not in [
+                t for part in f.type.split(" | ") for t in _JSON_TYPES[part]]:
+            raise ConfigurationError(
+                f"{what} field {f.name!r} must be {f.type}, got {value!r}")
+        test, text = f.metadata.get("rule", (None, None))
+        if test is not None and not test(value):
+            raise ConfigurationError(f"{f.name} must be {text}, got {value!r}")
+
+
+class _LayerSpec:
+    """A layer description checks its own fields when it is made."""
+
+    def __post_init__(self):
+        check_fields(self, f"layer {self.type!r}")
+
+
 @dataclass(frozen=True)
-class ConvSpec:
+class ConvSpec(_LayerSpec):
     out_channels: int
     kernel_h: int
     kernel_w: int
@@ -79,74 +124,38 @@ class ConvSpec:
 
 
 @dataclass(frozen=True)
-class MaxPoolSpec:
+class MaxPoolSpec(_LayerSpec):
     window: int
     stride: int
     type: str = field(default="maxpool", init=False)
 
 
 @dataclass(frozen=True)
-class ReLUSpec:
+class ReLUSpec(_LayerSpec):
     type: str = field(default="relu", init=False)
 
 
 @dataclass(frozen=True)
-class FCSpec:
+class FCSpec(_LayerSpec):
     out_features: int
     bias_init: float = 0.0
     type: str = field(default="fc", init=False)
 
 
 @dataclass(frozen=True)
-class DropoutSpec:
-    keep_prob: float
+class DropoutSpec(_LayerSpec):
+    keep_prob: float = field(metadata=UNIT_INTERVAL)
     type: str = field(default="dropout", init=False)
 
 
 @dataclass(frozen=True)
-class LogSoftmaxSpec:
-    num_classes: int
+class LogSoftmaxSpec(_LayerSpec):
+    num_classes: int = field(metadata=rule(lambda v: v >= 2, ">= 2"))
     type: str = field(default="logsoftmax", init=False)
 
 
-_SPEC_TYPES = {
-    "conv": ConvSpec,
-    "maxpool": MaxPoolSpec,
-    "relu": ReLUSpec,
-    "fc": FCSpec,
-    "dropout": DropoutSpec,
-    "logsoftmax": LogSoftmaxSpec,
-}
-
-
-def _spec_to_dict(spec):
-    d = {"type": spec.type}
-    for name in spec.__dataclass_fields__:
-        if name != "type":
-            d[name] = getattr(spec, name)
-    return d
-
-
-# The types JSON decodes a value of each annotated field type to.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
-               "str": (str,), "None": (type(None),)}
-
-
-def check_field_types(cls, values, what):
-    """ConfigurationError for the first value not of its field's JSON type.
-
-    values maps field names of the dataclass cls to values; what names
-    their owner in the message. Each field's annotation is a string, "T"
-    or "T | None" (null also passes). JSON decodes to exact types, so
-    true and false never pass for an int, and an int field takes no
-    float; a float field takes any number.
-    """
-    for f in fields(cls):
-        if f.name in values and type(values[f.name]) not in [
-                t for part in f.type.split(" | ") for t in _JSON_TYPES[part]]:
-            raise ConfigurationError(
-                f"{what} field {f.name!r} must be {f.type}, "
-                f"got {values[f.name]!r}")
+_SPEC_TYPES = {cls.type: cls for cls in (
+    ConvSpec, MaxPoolSpec, ReLUSpec, FCSpec, DropoutSpec, LogSoftmaxSpec)}
 
 
 def _spec_from_dict(d):
@@ -157,7 +166,6 @@ def _spec_from_dict(d):
     if cls is None:
         raise ConfigurationError(f"unknown layer type {kind!r}")
     kwargs = {k: v for k, v in d.items() if k != "type"}
-    check_field_types(cls, kwargs, f"layer {kind!r}")
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -174,20 +182,22 @@ class NetworkSpec:
     def to_dict(self):
         return {
             "input_shape": list(self.input_shape),
-            "layers": [_spec_to_dict(s) for s in self.layers],
+            "layers": [asdict(s) for s in self.layers],
         }
 
     @classmethod
     def from_dict(cls, d):
         try:
-            input_shape = tuple(int(v) for v in d["input_shape"])
+            input_shape = d["input_shape"]
             layers = tuple(_spec_from_dict(s) for s in d["layers"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"malformed network description: {exc}") from exc
-        if len(input_shape) != 3:
+        # Exact types, as check_fields takes them: true is not an int.
+        if (not isinstance(input_shape, list) or len(input_shape) != 3
+                or any(type(v) is not int for v in input_shape)):
             raise ConfigurationError(
-                f"input_shape must have 3 entries, got {input_shape}")
-        return cls(input_shape=input_shape, layers=layers)
+                f"input_shape must be 3 integers, got {input_shape!r}")
+        return cls(input_shape=tuple(input_shape), layers=layers)
 
     def canonical_json(self):
         """Stable byte encoding used for fingerprinting."""
@@ -247,11 +257,6 @@ def build_architecture(input_shape=(1, 224, 224), num_classes=24,
     long as every stage keeps a positive spatial extent (64x64 does at
     scale <= 0.1 because the pools land exactly on 1x1 before the FCs).
     """
-    if not 0.0 < scale <= 1.0:
-        raise ConfigurationError(f"scale must be in (0, 1], got {scale}")
-    if num_classes < 2:
-        raise ConfigurationError(f"num_classes must be >= 2, got {num_classes}")
-
     def width(n):
         return math.ceil(n * scale)
 
@@ -496,12 +501,6 @@ def _tensor_head(shape):
     return struct.pack(f"<B{len(shape)}I", len(shape), *shape)
 
 
-def _write_tensor(f, arr):
-    arr = np.ascontiguousarray(arr, dtype=DTYPE)
-    f.write(_tensor_head(arr.shape))
-    f.write(arr.astype("<f8", copy=False).tobytes())
-
-
 def save_checkpoint(path, network, metadata=None):
     """Write spec, metadata, and all parameters to a deterministic binary file.
 
@@ -517,7 +516,8 @@ def save_checkpoint(path, network, metadata=None):
         write_container_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                header)
         for value, _ in network.parameters():
-            _write_tensor(f, value)
+            f.write(_tensor_head(value.shape))
+            f.write(np.ascontiguousarray(value, dtype="<f8"))  # no copy
 
 
 def load_checkpoint(path):

@@ -62,8 +62,9 @@ from .layers import DTYPE
 
 INDEX_MAGIC = b"CBNINDX\n"
 INDEX_VERSION = 1
-WRITE_BLOCK_BYTES = 1 << 20  # payload save_index encodes at a time
-READ_BLOCK_BYTES = 1 << 20  # payload load_index reads at a time
+# Payload that crosses between record order and grouped rows at a time,
+# in save_index and in load_index.
+IO_BLOCK_BYTES = 1 << 20
 SCAN_BLOCK_BYTES = 1 << 18  # feature rows scan subtracts and squares at a time
 GEMM_BLOCK_BYTES = 1 << 20  # GEMM distances (queries x rows) scan holds at once
 
@@ -445,7 +446,7 @@ def save_index(index, path):
             for sid, true, pred in records],
     }
     bounds = np.cumsum([0, *(m.shape[1] for m in matrices)]).tolist()
-    rows = max(1, WRITE_BLOCK_BYTES // max(1, 8 * bounds[-1]))
+    rows = max(1, IO_BLOCK_BYTES // max(1, 8 * bounds[-1]))
     buf = np.empty((min(rows, len(index)), bounds[-1]), dtype="<f8")
     with atomic_write(path) as f:
         write_container_header(f, INDEX_MAGIC, INDEX_VERSION, header)
@@ -485,7 +486,7 @@ def load_index(path, expected_fingerprint=None):
     The header is type-checked, and the payload size checked against the
     file, before anything is allocated. All layer matrices are C-contiguous
     views of one (N x total width) store, grouped as FeatureIndex groups
-    them. The record-order payload is read READ_BLOCK_BYTES at a time into
+    them. The record-order payload is read IO_BLOCK_BYTES at a time into
     one reused buffer, and each block's rows are scattered to their rows.
     """
     with open(path, "rb") as f:
@@ -524,7 +525,7 @@ def load_index(path, expected_fingerprint=None):
         store = np.empty(n * bounds[-1], dtype=DTYPE)
         matrices = [store[n * a:n * b].reshape(n, b - a)
                     for a, b in zip(bounds, bounds[1:])]
-        rows = max(1, READ_BLOCK_BYTES // max(1, 8 * bounds[-1]))
+        rows = max(1, IO_BLOCK_BYTES // max(1, 8 * bounds[-1]))
         buf = np.empty((min(rows, n), bounds[-1]), dtype="<f8")
         for start in range(0, n if bounds[-1] else 0, rows):
             put = stored[start:start + rows]

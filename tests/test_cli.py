@@ -1,6 +1,7 @@
 """End-to-end pipeline through the command-line entry point."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -371,13 +372,23 @@ class TestQuery:
             h["metadata"], image_size=32))),
         ("features.idx", lambda h: dict(h, records=[
             dict(h["records"][0], true_label=3), *h["records"][1:]])),
+        ("model.ckpt", lambda h: dict(h, spec=dict(
+            h["spec"], input_shape=[1, "64", 64]))),
+        ("model.ckpt", lambda h: dict(h, spec=dict(
+            h["spec"], input_shape=[True, 64, 64.9]))),
+        ("model.ckpt", lambda h: dict(h, spec=dict(
+            h["spec"], input_shape=[1.0, 64, 64]))),
+        ("model.ckpt",
+         lambda h: conftest.with_layer_field(h, "dropout", "keep_prob", 7)),
     ], ids=["index-no-fingerprint", "index-layer-without-dims",
             "index-record-without-source-id", "index-huge-dim",
             "checkpoint-list-header", "checkpoint-null-stride",
             "checkpoint-string-out-channels", "checkpoint-zero-stride",
             "checkpoint-without-class-names", "checkpoint-without-image-size",
             "checkpoint-huge-out-channels", "checkpoint-short-class-names",
-            "checkpoint-wrong-image-size", "index-label-beyond-classes"])
+            "checkpoint-wrong-image-size", "index-label-beyond-classes",
+            "checkpoint-string-input-shape", "checkpoint-boolean-input-shape",
+            "checkpoint-float-input-shape", "checkpoint-keep-prob-above-one"])
     def test_malformed_header_is_input_error(self, pipeline, tmp_path,
                                              capsys, name, edit):
         _, run_dir = pipeline
@@ -420,14 +431,28 @@ BAD_TRAINING_SETTINGS = [
     ("--epochs", "0", "max_epochs", 0, "max_epochs must be >= 1, got 0"),
     ("--log-interval", "-1", "log_interval", -1,
      "log_interval must be >= 0, got -1"),
+    ("--split-seed", "-1", "split_seed", -1, "split_seed must be >= 0, got -1"),
+    ("--init-seed", "-1", "init_seed", -1, "init_seed must be >= 0, got -1"),
+    ("--train-seed", "-1", "train_seed", -1, "train_seed must be >= 0, got -1"),
+    ("--scale", "9", "scale", 9.0, "scale must be in (0, 1], got 9.0"),
+    ("--keep-prob", "7", "keep_prob", 7.0,
+     "keep_prob must be in (0, 1], got 7.0"),
+    # NaN fails every comparison, so no rule lets it through.
+    pytest.param(("--lr", "nan", "learning_rate", math.nan,
+                  "learning_rate must be >= 0, got nan"),
+                 id="learning_rate_nan"),
 ]
+# The RunConfig fields that take any value of their type; every other
+# field carries a rule.
+FREE_FIELDS = {"data_dir", "output_dir", "image_size", "use_class_filter"}
 NOT_TRAIN = [("index", []), ("query", ["--image", "x.pgm"]),
              ("evaluate", [])]
 
 
 class TestEveryCommandChecksEverySetting:
-    """A command that does not train still refuses a bad training setting,
-    from a flag or from config.json, before it reads or writes a file."""
+    """Every command refuses a bad setting, from a flag or from
+    config.json, before it reads or writes a file: train before it lists
+    the corpus, the others before they read the checkpoint."""
 
     @pytest.fixture
     def run_copy(self, pipeline, tmp_path, monkeypatch):
@@ -455,6 +480,7 @@ class TestEveryCommandChecksEverySetting:
                               flag, value, *extra)
         assert code == EXIT_CONFIG
         assert f"configuration error: {message}" in stderr
+        assert "Traceback" not in stderr
         assert self.files(run_copy) == before
 
     @pytest.mark.parametrize("command, extra", NOT_TRAIN)
@@ -471,7 +497,31 @@ class TestEveryCommandChecksEverySetting:
         code, _, stderr = run(capsys, command, "--out", str(run_copy), *extra)
         assert code == EXIT_CONFIG
         assert f"configuration error: config {path}: {message}" in stderr
+        assert "Traceback" not in stderr
         assert self.files(run_copy) == before
+
+    @pytest.mark.parametrize("setting", BAD_TRAINING_SETTINGS,
+                             ids=lambda s: s[2])
+    def test_train_refuses_before_the_corpus(
+            self, pipeline, tmp_path, capsys, monkeypatch, setting):
+        flag, value, _, _, message = setting
+
+        def unlisted(*args, **kwargs):
+            raise AssertionError("the corpus was listed")
+
+        monkeypatch.setattr(cli, "list_directory", unlisted)
+        out = tmp_path / "o"
+        code, _, stderr = run(capsys, "train", "--data-dir", str(pipeline[0]),
+                              "--out", str(out), *DESK, flag, value)
+        assert code == EXIT_CONFIG
+        assert stderr == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_every_field_but_the_free_ones_has_a_rule(self):
+        ruled = {f.name for f in dataclasses.fields(RunConfig)
+                 if "rule" in f.metadata}
+        assert ruled == RunConfig.field_names() - FREE_FIELDS
+        assert FREE_FIELDS <= RunConfig.field_names()
 
 
 class TestRefusedConfigNamesItself:
@@ -484,6 +534,17 @@ class TestRefusedConfigNamesItself:
                               "--out", str(tmp_path / "o"))
         assert code == EXIT_CONFIG
         assert stderr == f"configuration error: config {path}: {self.LAYER}\n"
+
+    def test_undecodable_config(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"k": 5, "layer": "\xff\xfe"}')
+        code, _, stderr = run(capsys, "index", "--config", str(path),
+                              "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        assert stderr.startswith(
+            f"configuration error: config {path} is not valid JSON: ")
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, extra",
                              [("train", []), *NOT_TRAIN])

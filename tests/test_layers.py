@@ -14,6 +14,7 @@ from cbirnet.layers import (
     MaxPool2d,
     ReLU,
 )
+from cbirnet.network import DropoutSpec
 
 from conftest import (
     col2im_reference,
@@ -356,9 +357,11 @@ class TestDropout:
         npt.assert_array_equal(dx, out * 2.0)
 
     def test_invalid_keep_prob_rejected(self):
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ConfigurationError):
-                Dropout(bad)
+        # The rule lives on the spec a Dropout is built from.
+        for bad in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ConfigurationError,
+                               match=r"keep_prob must be in \(0, 1\]"):
+                DropoutSpec(bad)
 
     def test_parameters_untouched(self):
         # Masking is an activation effect only; Dropout owns no parameters.

@@ -3,6 +3,7 @@
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -17,10 +18,12 @@ from cbirnet.errors import (
     VersionMismatchError,
 )
 from cbirnet import network
+from cbirnet.cli import EXIT_CONFIG, RunConfig, main
 from cbirnet.data import Sample
 from cbirnet.layers import Conv2d, Dropout, FullyConnected
 from cbirnet.network import (
     CHECKPOINT_MAGIC,
+    DropoutSpec,
     FCSpec,
     LogSoftmaxSpec,
     Network,
@@ -121,10 +124,17 @@ class TestBuildArchitecture:
                if isinstance(l, FullyConnected)]
         assert fcs[-1] == 24
 
-    def test_invalid_scale_rejected(self):
-        for bad in (0.0, -1.0, 1.5):
-            with pytest.raises(ConfigurationError):
-                build_architecture(scale=bad)
+    def test_invalid_scale_rejected(self, tmp_path, capsys):
+        # The rule lives on RunConfig.scale, which --scale sets.
+        for bad in (0.0, -1.0, 1.5, float("nan")):
+            with pytest.raises(ConfigurationError,
+                               match=r"scale must be in \(0, 1\]"):
+                RunConfig(scale=bad)
+            assert main(["train", "--out", str(tmp_path / "o"),
+                         "--scale", str(bad)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"configuration error: scale must be in (0, 1], got {bad}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_too_small_input_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -577,13 +587,22 @@ class TestCheckpoint:
         lambda h: conftest.with_layer_field(h, "fc", "out_features", 0),
         # The desk head gives 4 logits.
         lambda h: conftest.with_layer_field(h, "logsoftmax", "num_classes", 5),
+        # JSON integers only, by exact type: true is not an int.
+        lambda h: dict(h, spec=dict(h["spec"], input_shape=[1, "64", 64])),
+        lambda h: dict(h, spec=dict(h["spec"], input_shape=[True, 64, 64.9])),
+        lambda h: dict(h, spec=dict(h["spec"], input_shape=[1.0, 64, 64])),
+        lambda h: dict(h, spec=dict(h["spec"], input_shape=[1, 64])),
+        lambda h: conftest.with_layer_field(h, "dropout", "keep_prob", 7),
+        lambda h: conftest.with_layer_field(h, "logsoftmax", "num_classes", 1),
     ], ids=["null-stride", "string-stride", "float-stride", "boolean-stride",
             "zero-stride", "string-out-channels", "list-out-channels",
             "null-bias", "unknown-field", "list-type", "list-layer",
             "null-input-shape", "list-spec", "string-layer",
             "infinite-input-shape", "zero-out-channels", "kernel-too-big",
             "negative-padding", "zero-pool-stride", "pool-window-too-big",
-            "zero-out-features", "class-count-mismatch"])
+            "zero-out-features", "class-count-mismatch",
+            "string-input-shape", "boolean-input-shape", "float-input-shape",
+            "two-entry-input-shape", "keep-prob-above-one", "one-class-head"])
     def test_malformed_spec_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, desk_network())
@@ -624,18 +643,32 @@ class TestCheckpoint:
         before = path.read_bytes()
         written = []
 
-        def crash_on_third(f, arr):
+        def crash_on_third(shape):
             if len(written) == 2:
                 raise OSError("disk gone")
-            written.append(arr)
-            write_tensor(f, arr)
+            written.append(shape)
+            return tensor_head(shape)
 
-        write_tensor = network._write_tensor
-        monkeypatch.setattr(network, "_write_tensor", crash_on_third)
+        tensor_head = network._tensor_head
+        monkeypatch.setattr(network, "_tensor_head", crash_on_third)
         with pytest.raises(OSError, match="disk gone"):
             save_checkpoint(path, desk_network(seed=2))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_save_holds_no_copy_of_a_tensor(self, tmp_path):
+        # Each tensor goes to the file as it is: the traced peak of a
+        # save stays below half the largest tensor (fc2 here, 5.4 MB).
+        net = Network.from_spec(build_architecture(
+            input_shape=(1, 64, 64), num_classes=4, scale=0.2))
+        largest = max(value.nbytes for value, _ in net.parameters())
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "model.ckpt", net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < largest / 2
 
     def test_save_replaces_existing_file(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -647,6 +680,31 @@ class TestCheckpoint:
 
     def test_magic_is_eight_bytes(self):
         assert len(CHECKPOINT_MAGIC) == 8
+
+
+class TestLayerSpecRules:
+    """A layer spec checks its fields when it is made, in code or read."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DropoutSpec(keep_prob=1.5),
+         "keep_prob must be in (0, 1], got 1.5"),
+        (lambda: DropoutSpec(keep_prob=math.nan),
+         "keep_prob must be in (0, 1], got nan"),
+        (lambda: LogSoftmaxSpec(num_classes=1),
+         "num_classes must be >= 2, got 1"),
+        (lambda: FCSpec(out_features="7"),
+         "layer 'fc' field 'out_features' must be int, got '7'"),
+    ], ids=["keep-prob-above-one", "keep-prob-nan", "one-class-head",
+            "string-out-features"])
+    def test_bad_field_refused_on_construction(self, make, message):
+        with pytest.raises(ConfigurationError) as raised:
+            make()
+        assert str(raised.value) == message
+
+    def test_build_architecture_leaves_num_classes_to_the_spec(self):
+        with pytest.raises(ConfigurationError,
+                           match="num_classes must be >= 2, got 1"):
+            build_architecture(num_classes=1)
 
 
 class TestDropoutSeeding:

@@ -1017,7 +1017,7 @@ class TestIndexFile:
         p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
         save_index(index, p1)
         row_bytes = 8 * sum(m.shape[1] for m in index.features.values())
-        monkeypatch.setattr(retrieval, "WRITE_BLOCK_BYTES", 7 * row_bytes)
+        monkeypatch.setattr(retrieval, "IO_BLOCK_BYTES", 7 * row_bytes)
         save_index(index, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -1048,7 +1048,7 @@ class TestIndexFile:
         monkeypatch.setattr(retrieval, "read_into", lambda f, a, what: (
             reads.append((what, a.shape)), read_into(f, a, what))[1])
         width = sum(m.shape[1] for m in index.features.values())
-        monkeypatch.setattr(retrieval, "READ_BLOCK_BYTES", 8 * 7 * width)
+        monkeypatch.setattr(retrieval, "IO_BLOCK_BYTES", 8 * 7 * width)
         loaded = load_index(path)
         # The container header's three reads, then the payload 7 rows at a
         # time: 60 records take 8 blocks, the last of 4 rows.
