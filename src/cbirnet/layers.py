@@ -4,7 +4,7 @@ Every kernel is batch-first: forward takes N samples as one (N, ...)
 array and returns their N outputs the same way. Kernels do not check
 their input shape: they trust the shapes that Network checked against
 spec.shape_trace(), and each takes its output size from work it does
-anyway. Nor do layers check their settings (keep_prob, num_classes):
+anyway. Nor do layers check their settings (such as keep_prob):
 they trust the values of the spec they are built from, which checked
 its fields when it was made. All arithmetic is 64-bit.
 
@@ -389,8 +389,7 @@ class Dropout(Layer):
 class LogSoftmax(Layer):
     """Log of the softmax over each sample's vector, with max subtraction."""
 
-    def __init__(self, num_classes):
-        self.num_classes = num_classes
+    def __init__(self):
         self._probs = None
 
     def forward(self, x, train=False):

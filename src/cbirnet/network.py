@@ -27,6 +27,17 @@ convolution, sized from the spec's shape trace: 9 at 64 px and scale
 0.1, 1 at the full 224 px. Larger chunks buy little once dispatch is
 amortized and cost resident memory (32 images at 64 px raised peak RSS
 by ~6 MB).
+
+The chunks are independent (an eval pass writes no layer state, and each
+chunk writes only its own output rows), so classify runs them on lanes:
+the calling thread and one helper thread per further usable core, each
+taking every lanes-th chunk. numpy releases the GIL in the GEMMs and
+ufuncs, so on two cores two lanes classify desk images ~1.5x as fast as
+one. Each
+helper holds one more chunk of images and patches (~3 MB at 64 px). A
+network whose chunk is one image (224 px) keeps one lane: its GEMMs are
+BLAS-threaded already, and two lanes there were slower than one. A call
+of one chunk or less (every query) runs inline and starts no thread.
 """
 
 from __future__ import annotations
@@ -35,8 +46,10 @@ import hashlib
 import json
 import math
 import operator
+import os
 import struct
 import sys
+import threading
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -307,6 +320,8 @@ class Network:
              if isinstance(ls, ConvSpec)), default=1)
         itemsize = np.dtype(DTYPE).itemsize
         self.chunk_size = max(1, CHUNK_BYTES // (patch_elems * itemsize))
+        # classify's lane count; one-image chunks are BLAS-threaded already.
+        self.lanes = 1 if self.chunk_size == 1 else _usable_cores()
         self._frozen = None  # the parameter arrays freeze() handed out
         self._fingerprint = None  # cached only while frozen
 
@@ -331,7 +346,7 @@ class Network:
             elif isinstance(ls, DropoutSpec):
                 layer = Dropout(ls.keep_prob)
             elif isinstance(ls, LogSoftmaxSpec):
-                layer = LogSoftmax(ls.num_classes)
+                layer = LogSoftmax()
             else:
                 raise ConfigurationError(f"unhandled layer spec {ls!r}")
             layers.append(layer)
@@ -418,33 +433,73 @@ class Network:
         g = self.layers[0].backward(g, input_grad=input_grad)
         return None if g is None else g[0]
 
-    def classify(self, images):
+    def classify(self, images, features=True):
         """Eval-mode pass over a batch: (log_probs, predicted, features).
 
         images is a sequence of input_shape arrays, one array with a
         leading batch axis, or any sized object whose slices are those
         (data.PreprocessedImages preprocesses rasters slice by slice).
         log_probs is (N, classes), predicted (N,) and features maps each
-        tap name to an (N, dim) array. The images are read and run through
-        the layers chunk_size at a time, and each image's results are
-        bit-identical to a pass of that image alone. No layer state is
+        tap name to an (N, dim) array; with features=False it is empty
+        and no tap array is allocated. The images are read and run
+        through the layers chunk_size at a time, on up to self.lanes
+        threads (lane k runs chunks k, k + lanes, ...), and each image's
+        results are bit-identical to a pass of that image alone. An
+        error is the one a serial run raises: that of the lowest failing
+        chunk, after every helper thread has ended. No layer state is
         written, so a frozen network may serve many callers at once.
         """
         n = len(images)
         log_probs = np.empty((n, *self._shapes[-1]), dtype=DTYPE)
         taps = {idx: np.empty((n, int(np.prod(self._shapes[idx + 1]))),
                               dtype=DTYPE)
-                for _, idx in self.feature_taps}
-        for start in range(0, n, self.chunk_size):
-            stop = min(start + self.chunk_size, n)
-            chunk = images[start:stop]
-            for i, x in enumerate(chunk, start):
-                self._check_input(np.shape(x), what=f"image {i}")
-            log_probs[start:stop] = self._run(
-                np.asarray(chunk, dtype=DTYPE),
-                taps={idx: t[start:stop] for idx, t in taps.items()})
-        features = {name: taps[idx] for name, idx in self.feature_taps}
-        return log_probs, log_probs.argmax(axis=1), features
+                for _, idx in self.feature_taps} if features else {}
+        starts = range(0, n, self.chunk_size)
+        lanes = max(1, min(self.lanes, len(starts)))
+        failed = [len(starts), None]  # lowest failing chunk, its error
+        lock = threading.Lock()
+
+        def lane(k):
+            for j in range(k, len(starts), lanes):
+                if j > failed[0]:
+                    return
+                try:
+                    self._classify_chunk(images, starts[j], log_probs, taps)
+                except Exception as exc:
+                    with lock:
+                        if j < failed[0]:
+                            failed[:] = [j, exc]
+                    return
+
+        helpers = []
+        try:
+            for k in range(1, lanes):
+                helper = threading.Thread(target=lane, args=(k,),
+                                          name=f"classify-lane-{k}")
+                helper.start()
+                helpers.append(helper)
+            lane(0)
+        except BaseException:
+            with lock:
+                failed[0] = -1  # the helpers stop before their next chunk
+            raise
+        finally:
+            for helper in helpers:
+                helper.join()
+        if failed[1] is not None:
+            raise failed[1]
+        return log_probs, log_probs.argmax(axis=1), {
+            name: taps[idx] for name, idx in self.feature_taps if features}
+
+    def _classify_chunk(self, images, start, log_probs, taps):
+        """Run images[start:start + chunk_size] into their output rows."""
+        stop = min(start + self.chunk_size, len(log_probs))
+        chunk = images[start:stop]
+        for i, x in enumerate(chunk, start):
+            self._check_input(np.shape(x), what=f"image {i}")
+        log_probs[start:stop] = self._run(
+            np.asarray(chunk, dtype=DTYPE),
+            taps={idx: t[start:stop] for idx, t in taps.items()})
 
     def forward_classify(self, x):
         """classify() of one image: (log_probs, predicted, features).
@@ -494,6 +549,14 @@ class Network:
         digest = h.hexdigest()
         self._fingerprint = digest if frozen else None
         return digest
+
+
+def _usable_cores():
+    """Cores this process may run on (all of them where that is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _tensor_head(shape):

@@ -124,7 +124,7 @@ def train(net, train_split, *, learning_rate, max_epochs, seed, log_interval):
         epoch_seconds.append(time.perf_counter() - started)
         log.info("epoch %d: mean loss %.6f (%.2fs)",
                  epoch, epoch_losses[-1], epoch_seconds[-1])
-    predicted = net.classify([s.image for s in samples])[1]
+    predicted = net.classify([s.image for s in samples], features=False)[1]
     wrong = int(np.count_nonzero(predicted != [s.label for s in samples]))
     return TrainReport(
         epoch_losses=tuple(epoch_losses),

@@ -150,7 +150,7 @@ def _layer_gradient_sites(rng):
     drop = Dropout(0.6, rng=_FixedUniform(rng.random((1, 30))))
     check(drop, rng.standard_normal((1, 30)))
 
-    check(LogSoftmax(9), rng.standard_normal((1, 9)))
+    check(LogSoftmax(), rng.standard_normal((1, 9)))
     return sites, worst
 
 

@@ -370,28 +370,28 @@ class TestDropout:
 
 class TestLogSoftmax:
     def test_forward_sums_to_one(self):
-        ls = LogSoftmax(5)
+        ls = LogSoftmax()
         out = ls.forward(RNG.standard_normal((1, 5)))
         npt.assert_allclose(np.exp(out).sum(), 1.0, rtol=1e-12)
 
     def test_forward_known_values(self):
-        ls = LogSoftmax(2)
+        ls = LogSoftmax()
         out = ls.forward(np.array([[0.0, 0.0]]))
         npt.assert_allclose(out, np.log([[0.5, 0.5]]), rtol=1e-12)
 
     def test_stable_under_large_logits(self):
-        ls = LogSoftmax(3)
+        ls = LogSoftmax()
         out = ls.forward(np.array([[1000.0, 1000.0, 1000.0]]))
         assert np.isfinite(out).all()
         npt.assert_allclose(np.exp(out).sum(), 1.0, rtol=1e-12)
 
     def test_shift_invariance(self):
-        ls = LogSoftmax(4)
+        ls = LogSoftmax()
         x = RNG.standard_normal((1, 4))
         npt.assert_allclose(ls.forward(x), ls.forward(x + 123.0),
                             rtol=0, atol=1e-10)
 
     def test_gradients(self):
-        ls = LogSoftmax(6)
+        ls = LogSoftmax()
         x = RNG.standard_normal((1, 6))
         assert check_gradients(ls, x) < FD_TOL

@@ -3,6 +3,8 @@
 import math
 import os
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,13 +15,14 @@ import conftest
 from cbirnet.errors import (
     ConfigurationError,
     FormatError,
+    InputError,
     InternalError,
     TruncatedFileError,
     VersionMismatchError,
 )
 from cbirnet import network
 from cbirnet.cli import EXIT_CONFIG, RunConfig, main
-from cbirnet.data import Sample
+from cbirnet.data import PreprocessedImages, Sample
 from cbirnet.layers import Conv2d, Dropout, FullyConnected
 from cbirnet.network import (
     CHECKPOINT_MAGIC,
@@ -266,24 +269,53 @@ class TestClassify:
         net.initialize(11, weight_std=0.15)
         return net
 
-    def test_bit_identical_to_per_image_oracle(self):
+    def laned_network(self, monkeypatch, cores):
+        """The oracle network as built where `cores` cores are usable."""
+        monkeypatch.setattr(network, "_usable_cores", lambda: cores)
+        net = self.oracle_network()
+        assert net.lanes == cores
+        return net
+
+    def probe_rasters(self, n):
+        """uint8 rasters of two shapes, as PreprocessedImages reads them."""
+        rasters = list(np.random.default_rng(n).integers(
+            0, 256, (n, 70, 90), dtype=np.uint8))
+        rasters[1::4] = [r[:60] for r in rasters[1::4]]
+        return rasters
+
+    def test_bit_identical_to_per_image_oracle(self, monkeypatch):
         net = self.oracle_network()
         c = net.chunk_size
         assert c > 1
-        for n in (0, 1, c - 1, c, c + 1, 2 * c + 3):
-            images = list(probe_images(n, seed=n))
-            log_probs, predicted, features = net.classify(images)
-            assert log_probs.shape == (n, 4)
-            assert predicted.shape == (n,)
-            assert {name: f.shape for name, f in features.items()} == {
-                name: (n, 410) for name in ("fc1", "fc2", "fc3")}
-            for i, x in enumerate(images):
-                want_lp, want_pred, want_feats = \
-                    conftest.eval_forward_reference(net, x)
-                assert log_probs[i].tobytes() == want_lp.tobytes()
-                assert predicted[i] == want_pred
-                for name, vec in want_feats.items():
-                    assert features[name][i].tobytes() == vec.tobytes()
+        batches = [list(probe_images(n, seed=n))
+                   for n in (0, 1, c - 1, c, c + 1, 2 * c + 3, 5 * c + 2)]
+        batches.append(PreprocessedImages(self.probe_rasters(2 * c + 3), 64))
+        # Each image alone: a one-element slice of its batch.
+        oracles = [[conftest.eval_forward_reference(net, batch[i:i + 1][0])
+                    for i in range(len(batch))] for batch in batches]
+        for cores in (1, 2, 3):
+            net = self.laned_network(monkeypatch, cores)
+            for batch, oracle in zip(batches, oracles):
+                n = len(batch)
+                log_probs, predicted, features = net.classify(batch)
+                assert log_probs.shape == (n, 4)
+                assert predicted.shape == (n,)
+                assert {name: f.shape for name, f in features.items()} == {
+                    name: (n, 410) for name in ("fc1", "fc2", "fc3")}
+                for i, (want_lp, want_pred, want_feats) in enumerate(oracle):
+                    assert log_probs[i].tobytes() == want_lp.tobytes()
+                    assert predicted[i] == want_pred
+                    for name, vec in want_feats.items():
+                        assert features[name][i].tobytes() == vec.tobytes()
+
+    def test_features_false_returns_no_taps(self):
+        net = self.oracle_network()
+        images = probe_images(net.chunk_size + 2)
+        full = net.classify(images)
+        log_probs, predicted, features = net.classify(images, features=False)
+        assert features == {}
+        assert log_probs.tobytes() == full[0].tobytes()
+        npt.assert_array_equal(predicted, full[1])
 
     def test_oracle_probe_is_not_degenerate(self):
         # Bit equality means little if every tap were zero or constant.
@@ -328,6 +360,70 @@ class TestClassify:
             with pytest.raises(ConfigurationError):
                 net.classify(images)
 
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_lowest_failing_chunk_raises_whatever_its_lane(self, monkeypatch,
+                                                           cores):
+        # Lane k runs chunks k, k + cores, ...; wrong images in chunks on
+        # different lanes: the lower chunk on a helper lane, then on the
+        # calling one, then every chunk from the third on, with threads
+        # switching every microsecond. The lowest failure wins each time.
+        serial = self.laned_network(monkeypatch, 1)
+        net = self.laned_network(monkeypatch, cores)
+        c = net.chunk_size
+        cases = [(1, cores), (cores, cores + 1), (2, 3, 4, 5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for failing in cases * 5:
+                images = list(probe_images(6 * c + 2))
+                for j in failing:
+                    images[j * c + 2 + j % 2] = np.zeros((1, 32, 32 + j))
+                with pytest.raises(ConfigurationError) as want:
+                    serial.classify(images)
+                threads = threading.active_count()
+                with pytest.raises(ConfigurationError) as got:
+                    net.classify(images)
+                assert threading.active_count() == threads
+                assert str(got.value) == str(want.value)
+                low = failing[0]
+                assert str(got.value).startswith(
+                    f"image {low * c + 2 + low % 2} shape ")
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_unpreprocessable_raster_in_a_late_chunk(self, monkeypatch, cores):
+        c = self.oracle_network().chunk_size
+        rasters = self.probe_rasters(5 * c + 2)
+        rasters[4 * c + 1] = rasters[4 * c + 1][:1]  # 1 row: too thin
+        rasters[5 * c] = rasters[5 * c][:, :1]  # a later chunk, 1 column
+        messages = []
+        for lanes in (1, cores):
+            net = self.laned_network(monkeypatch, lanes)
+            threads = threading.active_count()
+            with pytest.raises(InputError) as err:
+                net.classify(PreprocessedImages(rasters, 64))
+            assert threading.active_count() == threads
+            messages.append(str(err.value))
+        assert messages[1] == messages[0]
+        assert "got shape (1, 90)" in messages[0]
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        # Every query classifies one image, so it stays on its own thread.
+        net = self.laned_network(monkeypatch, 2)
+        images = probe_images(net.chunk_size + 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        net.forward_classify(images[0])
+        net.classify(images[:-1])
+        threads = threading.active_count()
+        with pytest.raises(AssertionError, match="a thread was started"):
+            net.classify(images)
+        assert threading.active_count() == threads
+
     def test_train_forward_rejects_batches(self):
         # Every layer type refuses a train-mode batch of more than one.
         net = self.oracle_network()
@@ -365,6 +461,7 @@ class TestClassify:
         assert self.oracle_network().chunk_size == 9
         full_size = Network.from_spec(build_architecture(scale=0.1))
         assert full_size.chunk_size == 1
+        assert full_size.lanes == 1  # its GEMMs are BLAS-threaded already
 
 
 class TestFingerprint:

@@ -292,6 +292,23 @@ class TestTrain:
         for old, (new, _) in zip(before, net.parameters()):
             npt.assert_array_equal(old, new)
 
+    def test_final_error_pass_allocates_no_taps(self, monkeypatch):
+        # The training error needs only the predictions, so the closing
+        # classify pass is asked for no feature taps.
+        results = []
+        classify = Network.classify
+
+        def recorded(net, images, **kwargs):
+            results.append(classify(net, images, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(Network, "classify", recorded)
+        _, report = self.run_tiny(epochs=1)
+        [(_, predicted, features)] = results
+        assert features == {}
+        labels = [s.label for s in tiny_corpus()[0]]
+        assert report.final_train_error == np.mean(predicted != labels)
+
     def test_empty_split_rejected(self):
         net = Network.from_spec(tiny_spec())
         with pytest.raises(InputError):
