@@ -29,15 +29,17 @@ amortized and cost resident memory (32 images at 64 px raised peak RSS
 by ~6 MB).
 
 The chunks are independent (an eval pass writes no layer state, and each
-chunk writes only its own output rows), so classify runs them on lanes:
-the calling thread and one helper thread per further usable core, each
-taking every lanes-th chunk. numpy releases the GIL in the GEMMs and
-ufuncs, so on two cores two lanes classify desk images ~1.5x as fast as
-one. Each
-helper holds one more chunk of images and patches (~3 MB at 64 px). A
-network whose chunk is one image (224 px) keeps one lane: its GEMMs are
-BLAS-threaded already, and two lanes there were slower than one. A call
-of one chunk or less (every query) runs inline and starts no thread.
+chunk writes only its own output rows), so classify runs them on lanes,
+one per usable core up to MAX_LANES: the calling thread and a helper
+thread for each further lane, each taking every lanes-th chunk. numpy
+releases the GIL in the GEMMs and ufuncs, so on two cores two lanes
+classify desk images ~1.5x as fast as one. Each helper holds one more
+chunk of images and patches (~2.4 MB at 64 px) in its own malloc arena,
+so the count is capped at the two lanes measured. A network whose chunk
+is one image (224 px) keeps one lane: its GEMMs are BLAS-threaded
+already, and two lanes there were slower than one in a small probe (no
+benchmark workload has that shape yet). A call of one chunk or less
+(every query) runs inline and starts no thread.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import operator
 import os
 import struct
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -78,6 +80,7 @@ CHECKPOINT_MAGIC = b"CBNCKPT\n"
 CHECKPOINT_VERSION = 1
 WEIGHT_STD = 0.01
 CHUNK_BYTES = 2 * 1024 * 1024  # im2col budget of one classify chunk
+MAX_LANES = 2  # classify threads; each holds a chunk, and more are unmeasured
 
 
 # The types JSON decodes a value of each annotated field type to.
@@ -321,7 +324,8 @@ class Network:
         itemsize = np.dtype(DTYPE).itemsize
         self.chunk_size = max(1, CHUNK_BYTES // (patch_elems * itemsize))
         # classify's lane count; one-image chunks are BLAS-threaded already.
-        self.lanes = 1 if self.chunk_size == 1 else _usable_cores()
+        self.lanes = (1 if self.chunk_size == 1
+                      else min(MAX_LANES, _usable_cores()))
         self._frozen = None  # the parameter arrays freeze() handed out
         self._fingerprint = None  # cached only while frozen
 
@@ -456,38 +460,37 @@ class Network:
                 for _, idx in self.feature_taps} if features else {}
         starts = range(0, n, self.chunk_size)
         lanes = max(1, min(self.lanes, len(starts)))
-        failed = [len(starts), None]  # lowest failing chunk, its error
-        lock = threading.Lock()
+        # A chunk known to fail; no lane runs a chunk above it. It is only
+        # ever set to a failing chunk, so the lowest failing one still runs.
+        stop = [len(starts)]
 
         def lane(k):
+            """Run chunks k, k + lanes, ...: (first failing chunk, error)."""
             for j in range(k, len(starts), lanes):
-                if j > failed[0]:
-                    return
+                if j > stop[0]:
+                    break
                 try:
                     self._classify_chunk(images, starts[j], log_probs, taps)
                 except Exception as exc:
-                    with lock:
-                        if j < failed[0]:
-                            failed[:] = [j, exc]
-                    return
+                    stop[0] = j
+                    return j, exc
+                except BaseException:
+                    stop[0] = -1  # interrupted: the helpers stop too
+                    raise
+            return len(starts), None
 
-        helpers = []
-        try:
-            for k in range(1, lanes):
-                helper = threading.Thread(target=lane, args=(k,),
-                                          name=f"classify-lane-{k}")
-                helper.start()
-                helpers.append(helper)
-            lane(0)
-        except BaseException:
-            with lock:
-                failed[0] = -1  # the helpers stop before their next chunk
-            raise
-        finally:
-            for helper in helpers:
-                helper.join()
-        if failed[1] is not None:
-            raise failed[1]
+        if lanes == 1:
+            outcomes = [lane(0)]
+        else:
+            # The calling thread is lane 0: a helper thread's fresh malloc
+            # arena costs resident memory, and the caller's is warm. The
+            # with block joins the helpers on every path.
+            with ThreadPoolExecutor(lanes - 1, "classify-lane") as helpers:
+                outcomes = helpers.map(lane, range(1, lanes))
+                outcomes = [lane(0), *outcomes]
+        _, error = min(outcomes, key=operator.itemgetter(0))
+        if error is not None:
+            raise error
         return log_probs, log_probs.argmax(axis=1), {
             name: taps[idx] for name, idx in self.feature_taps if features}
 

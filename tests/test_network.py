@@ -29,6 +29,7 @@ from cbirnet.network import (
     DropoutSpec,
     FCSpec,
     LogSoftmaxSpec,
+    MAX_LANES,
     Network,
     NetworkSpec,
     build_architecture,
@@ -269,11 +270,10 @@ class TestClassify:
         net.initialize(11, weight_std=0.15)
         return net
 
-    def laned_network(self, monkeypatch, cores):
-        """The oracle network as built where `cores` cores are usable."""
-        monkeypatch.setattr(network, "_usable_cores", lambda: cores)
+    def laned_network(self, lanes):
+        """The oracle network, classifying on `lanes` lanes."""
         net = self.oracle_network()
-        assert net.lanes == cores
+        net.lanes = lanes
         return net
 
     def probe_rasters(self, n):
@@ -283,7 +283,7 @@ class TestClassify:
         rasters[1::4] = [r[:60] for r in rasters[1::4]]
         return rasters
 
-    def test_bit_identical_to_per_image_oracle(self, monkeypatch):
+    def test_bit_identical_to_per_image_oracle(self):
         net = self.oracle_network()
         c = net.chunk_size
         assert c > 1
@@ -293,8 +293,9 @@ class TestClassify:
         # Each image alone: a one-element slice of its batch.
         oracles = [[conftest.eval_forward_reference(net, batch[i:i + 1][0])
                     for i in range(len(batch))] for batch in batches]
-        for cores in (1, 2, 3):
-            net = self.laned_network(monkeypatch, cores)
+        # Three lanes is above MAX_LANES, but the scheduler takes any count.
+        for lanes in (1, 2, 3):
+            net = self.laned_network(lanes)
             for batch, oracle in zip(batches, oracles):
                 n = len(batch)
                 log_probs, predicted, features = net.classify(batch)
@@ -360,17 +361,16 @@ class TestClassify:
             with pytest.raises(ConfigurationError):
                 net.classify(images)
 
-    @pytest.mark.parametrize("cores", [2, 3])
-    def test_lowest_failing_chunk_raises_whatever_its_lane(self, monkeypatch,
-                                                           cores):
-        # Lane k runs chunks k, k + cores, ...; wrong images in chunks on
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_lowest_failing_chunk_raises_whatever_its_lane(self, lanes):
+        # Lane k runs chunks k, k + lanes, ...; wrong images in chunks on
         # different lanes: the lower chunk on a helper lane, then on the
         # calling one, then every chunk from the third on, with threads
         # switching every microsecond. The lowest failure wins each time.
-        serial = self.laned_network(monkeypatch, 1)
-        net = self.laned_network(monkeypatch, cores)
+        serial = self.laned_network(1)
+        net = self.laned_network(lanes)
         c = net.chunk_size
-        cases = [(1, cores), (cores, cores + 1), (2, 3, 4, 5)]
+        cases = [(1, lanes), (lanes, lanes + 1), (2, 3, 4, 5)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -391,15 +391,15 @@ class TestClassify:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("cores", [2, 3])
-    def test_unpreprocessable_raster_in_a_late_chunk(self, monkeypatch, cores):
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_unpreprocessable_raster_in_a_late_chunk(self, lanes):
         c = self.oracle_network().chunk_size
         rasters = self.probe_rasters(5 * c + 2)
         rasters[4 * c + 1] = rasters[4 * c + 1][:1]  # 1 row: too thin
         rasters[5 * c] = rasters[5 * c][:, :1]  # a later chunk, 1 column
         messages = []
-        for lanes in (1, cores):
-            net = self.laned_network(monkeypatch, lanes)
+        for count in (1, lanes):
+            net = self.laned_network(count)
             threads = threading.active_count()
             with pytest.raises(InputError) as err:
                 net.classify(PreprocessedImages(rasters, 64))
@@ -410,7 +410,7 @@ class TestClassify:
 
     def test_one_chunk_starts_no_thread(self, monkeypatch):
         # Every query classifies one image, so it stays on its own thread.
-        net = self.laned_network(monkeypatch, 2)
+        net = self.laned_network(2)
         images = probe_images(net.chunk_size + 1)
 
         def refuse(*args, **kwargs):
@@ -462,6 +462,15 @@ class TestClassify:
         full_size = Network.from_spec(build_architecture(scale=0.1))
         assert full_size.chunk_size == 1
         assert full_size.lanes == 1  # its GEMMs are BLAS-threaded already
+
+    def test_lanes_follow_usable_cores_up_to_the_cap(self, monkeypatch):
+        # Each lane holds one more chunk, so the count stops at MAX_LANES
+        # however many cores there are; a one-image chunk keeps one lane.
+        full_spec = build_architecture(scale=0.1)
+        for cores in range(1, MAX_LANES + 3):
+            monkeypatch.setattr(network, "_usable_cores", lambda: cores)
+            assert self.oracle_network().lanes == min(cores, MAX_LANES)
+            assert Network.from_spec(full_spec).lanes == 1
 
 
 class TestFingerprint:
