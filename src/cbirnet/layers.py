@@ -26,7 +26,12 @@ add). So a caller that wants one sample's grads calls zero_grads() first,
 and the grads are defined only after a backward: zero_grads() itself
 writes nothing. backward(g, input_grad=False) computes only the parameter
 grads and returns None; the first layer of an SGD step needs no input
-gradient.
+gradient. The one exception is FullyConnected.backward(g,
+keep_factors=True), the call of an SGD step: with one sample the weight
+gradient is the outer product of the upstream gradient and the cached
+input, so the layer keeps those two factors and writes no grad at all.
+Each layer's step_finite() and step(lr) then check and apply the step:
+a conv layer's grads, or an FC layer's kept factors.
 
 The train path of MaxPool2d and the input gradient of Conv2d run through
 index tables of flat positions: one gather and one argmax per pool
@@ -49,6 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, InternalError
 
 DTYPE = np.float64
+UPDATE_BLOCK_BYTES = 1 << 18  # FC weight rows a factor step writes at a time
 
 
 def _check_train_batch(x):
@@ -106,6 +112,13 @@ class Layer:
     def backward(self, grad_out, input_grad=True):
         raise NotImplementedError
 
+    def step_finite(self):
+        """True when every gradient element step() would apply is finite."""
+        return True
+
+    def step(self, learning_rate):
+        """The SGD update value -= lr * grad, after the step's backward."""
+
 
 class _Affine(Layer):
     """Weights, biases and their grads; the next backward may overwrite."""
@@ -129,6 +142,15 @@ class _Affine(Layer):
         """True once after zero_grads(): this backward writes the grads."""
         reset, self._grads_reset = self._grads_reset, False
         return reset
+
+    def step_finite(self):
+        return all(np.isfinite(grad).all() for _, grad in self.parameters())
+
+    def step(self, learning_rate):
+        """Scale each grad in place, then subtract it: grads end as lr*grad."""
+        for value, grad in self.parameters():
+            np.multiply(grad, learning_rate, out=grad)
+            np.subtract(value, grad, out=value)
 
 
 class Conv2d(_Affine):
@@ -313,7 +335,19 @@ class ReLU(Layer):
 
 
 class FullyConnected(_Affine):
-    """Affine map y = W x + b on each sample's flattened input vector."""
+    """Affine map y = W x + b on each sample's flattened input vector.
+
+    A backward with keep_factors=True keeps the upstream gradient g next to
+    the cached input x and leaves the grads unwritten; the weight gradient
+    is g ⊗ x. step_finite() and step() read the factors that the last such
+    backward kept, never the grads. step() walks the weights
+    UPDATE_BLOCK_BYTES of rows at a time: t = g[blk] ⊗ x, t *= lr,
+    W[blk] -= t, and b -= g * lr. Each element takes the roundings of
+    value -= lr * grad, bit for bit. The outer product is an einsum, which
+    sums into a zeroed output, so a -0.0 product enters as +0.0, as it
+    does in grads filled with zeros (the bias takes g's own zero sign); a
+    zero's sign reaches a parameter only if the parameter is exactly -0.0.
+    """
 
     def __init__(self, in_features, out_features):
         self.in_features = in_features
@@ -321,6 +355,7 @@ class FullyConnected(_Affine):
         super().__init__((out_features, in_features), out_features)
         self._x = None
         self._in_shape = None
+        self._g = None  # upstream gradient a keep_factors backward kept
 
     def forward(self, x, train=False):
         flat = x.reshape(len(x), -1)
@@ -333,7 +368,7 @@ class FullyConnected(_Affine):
         out += self.biases
         return out
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out, input_grad=True, keep_factors=False):
         if self._x is None:
             raise InternalError("backward called before a train-mode forward")
         if grad_out.shape != (1, self.out_features):
@@ -341,7 +376,10 @@ class FullyConnected(_Affine):
                 f"upstream gradient shape {grad_out.shape} does not match "
                 f"forward output {(1, self.out_features)}")
         g = grad_out[0]
-        if self._take_reset():
+        if keep_factors:
+            # A copy, so that no later write to grad_out reaches the step.
+            self._g = g.copy()
+        elif self._take_reset():
             # np.outer's own multiply, written straight into the grads.
             np.multiply(g[:, None], self._x[None, :], out=self.weight_grads)
             self.bias_grads[...] = g
@@ -351,6 +389,25 @@ class FullyConnected(_Affine):
         if not input_grad:
             return None
         return (self.weights.T @ g).reshape(self._in_shape)
+
+    def step_finite(self):
+        # Rounding is monotone, so every g_i * x_j is finite exactly when
+        # the largest is; a NaN or inf factor makes this product non-finite.
+        # Python floats multiply as float64 and never warn on overflow.
+        return math.isfinite(float(np.abs(self._g).max())
+                             * float(np.abs(self._x).max()))
+
+    def step(self, learning_rate):
+        g, x = self._g, self._x
+        rows = max(1, UPDATE_BLOCK_BYTES // x.nbytes)
+        block = np.empty((min(rows, len(g)), len(x)), dtype=DTYPE)
+        for start in range(0, len(g), rows):
+            w = self.weights[start:start + rows]
+            t = block[:len(w)]
+            np.einsum("i,j->ij", g[start:start + rows], x, out=t)
+            t *= learning_rate
+            w -= t
+        self.biases -= g * learning_rate
 
 
 class Dropout(Layer):

@@ -424,17 +424,23 @@ class Network:
         self._check_input(x.shape)
         return self._run(np.asarray(x, dtype=DTYPE)[None], train=train)[0]
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out, input_grad=True, keep_factors=False):
         """Gradient of one sample's loss with respect to its input.
 
         Every layer's parameter grads get this sample's share (see
         zero_grads). With input_grad=False the first layer computes its
-        parameter grads only, and the call returns None.
+        parameter grads only, and the call returns None. With
+        keep_factors=True each FullyConnected layer keeps the factors of
+        its weight gradient instead and writes no grad; its step() applies
+        them (an SGD step's call, see layers).
         """
         g = np.asarray(grad_out)[None]
-        for layer in reversed(self.layers[1:]):
-            g = layer.backward(g)
-        g = self.layers[0].backward(g, input_grad=input_grad)
+        for i in reversed(range(len(self.layers))):
+            layer = self.layers[i]
+            kwargs = {"input_grad": input_grad or i > 0}
+            if keep_factors and isinstance(layer, FullyConnected):
+                kwargs["keep_factors"] = True
+            g = layer.backward(g, **kwargs)
         return None if g is None else g[0]
 
     def classify(self, images, features=True):

@@ -65,16 +65,27 @@ def sgd_step(net, sample, learning_rate):
     """One forward/backward/update cycle on a single sample.
 
     Returns the sample's loss before the update. Aborts with
-    TrainingDiverged on any non-finite loss or gradient; every grad is
+    TrainingDiverged on any non-finite loss or gradient; every layer is
     checked before any parameter moves, so a diverged step leaves the
-    parameters as the previous step left them. Each pass over
-    parameter-sized memory happens once: zero_grads writes no grad, the
-    backward writes them outright and skips the first layer's unused input
-    gradient, and the update scales each grad in place before subtracting
-    it. So after a step with a nonzero rate the grads hold lr * grad, not
-    grad. Every parameter ends bit-identical to value -= lr * grad on
-    zero-filled, added-to grads; only a zero grad's sign may differ, and
-    that reaches no parameter unless one is exactly -0.0.
+    parameters as the previous step left them.
+
+    A conv parameter array is passed over once by each part of the step:
+    zero_grads writes no grad, the backward writes the grads outright (and
+    skips the first layer's unused input gradient), the check reads them,
+    and the update scales each grad in place before subtracting it, so
+    after a step the conv grads hold lr * grad. No pass writes an FC
+    weight gradient. The backward keeps its factors (the upstream gradient
+    g and the cached input x) and reads the weights once for the input
+    gradient; the check reads only the factors, since every g_i * x_j is
+    finite exactly when max|g| * max|x| is; the update reads and writes
+    the weights once, a block of rows at a time (layers.FullyConnected).
+    The FC grads keep whatever they held.
+
+    Every parameter ends bit-identical to value -= lr * grad on
+    zero-filled, added-to grads. Only a zero grad's sign may differ (a
+    conv grad or an FC bias's g, not an FC weight's outer product, which
+    is summed into zeros), and that reaches no parameter unless one is
+    exactly -0.0.
     """
     net.zero_grads()
     log_probs = net.forward(sample.image, train=True)
@@ -82,15 +93,14 @@ def sgd_step(net, sample, learning_rate):
     if not np.isfinite(loss):
         raise TrainingDiverged(
             f"non-finite loss {loss} on sample {sample.source_id}")
-    net.backward(nll_grad(log_probs, sample.label), input_grad=False)
-    params = net.parameters()
-    if not all(np.isfinite(grad).all() for _, grad in params):
+    net.backward(nll_grad(log_probs, sample.label), input_grad=False,
+                 keep_factors=True)
+    if not all(layer.step_finite() for layer in net.layers):
         raise TrainingDiverged(
             f"non-finite gradient on sample {sample.source_id}")
     if learning_rate != 0.0:
-        for value, grad in params:
-            np.multiply(grad, learning_rate, out=grad)
-            np.subtract(value, grad, out=value)
+        for layer in net.layers:
+            layer.step(learning_rate)
     return loss
 
 

@@ -314,6 +314,39 @@ class TestFullyConnected:
         fc.forward(RNG.standard_normal((1, 3, 2, 2)), train=True)
         assert fc.backward(np.ones((1, 3))).shape == (1, 3, 2, 2)
 
+    # 20 rows of 4096 inputs span three row blocks, the last one partial.
+    @pytest.mark.parametrize("n_in, n_out", [(1, 1), (7, 5), (4096, 20)])
+    def test_factor_step_matches_zero_filled_grads(self, n_in, n_out):
+        rng = np.random.default_rng(n_in)
+        fast, slow = FullyConnected(n_in, n_out), FullyConnected(n_in, n_out)
+        weights = rng.standard_normal((n_out, n_in))
+        weights[0, 0] = -0.0  # a -0.0 product must leave it -0.0
+        biases = rng.standard_normal(n_out)
+        x = rng.standard_normal((1, n_in))
+        x[0, 0] = 0.0
+        g = rng.standard_normal((1, n_out))
+        g[0, 0] = -abs(g[0, 0])
+        lr = 0.37
+        for fc in (fast, slow):
+            fc.weights[:], fc.biases[:] = weights, biases
+            fc.forward(x, train=True)
+        for _, grad in fast.parameters():
+            grad.fill(np.nan)
+        fast.zero_grads()
+        g_fast = g.copy()
+        dx = fast.backward(g_fast, keep_factors=True)
+        g_fast.fill(np.nan)  # the layer keeps a copy of its factor
+        for _, grad in slow.parameters():
+            grad.fill(0.0)
+        npt.assert_array_equal(dx, slow.backward(g))
+        assert fast.step_finite()
+        fast.step(lr)
+        for (value, grad), (ref, ref_grad) in zip(fast.parameters(),
+                                                  slow.parameters()):
+            ref -= lr * ref_grad
+            assert value.tobytes() == ref.tobytes()
+            assert np.isnan(grad).all()
+
 
 class TestDropout:
     def test_eval_scales_by_keep_prob(self):

@@ -11,6 +11,7 @@ from cbirnet.cli import RunConfig
 from cbirnet.data import Sample, generate_synthetic_corpus
 from cbirnet.errors import ConfigurationError, InputError, TrainingDiverged
 from cbirnet.network import (
+    Conv2d,
     ConvSpec,
     FCSpec,
     FullyConnected,
@@ -145,21 +146,47 @@ class TestSgdStep:
             with pytest.raises(TrainingDiverged):
                 sgd_step(net, self.make_sample(), 1e-4)
 
-    def test_nonfinite_gradient_aborts(self):
-        # The loss stays finite; only the head's weight grads turn inf.
-        # They are checked before the conv and fc1 parameters, which come
-        # first, are updated, so no parameter moves.
+    @staticmethod
+    def poison_head_upstream(net):
+        head = [l for l in net.layers if isinstance(l, FullyConnected)][-1]
+        head._g[0] = np.inf
+
+    @staticmethod
+    def poison_fc1_input(net):
+        fc1 = [l for l in net.layers if isinstance(l, FullyConnected)][0]
+        fc1._x[0] = np.nan
+
+    @staticmethod
+    def overflow_head_factors(net):
+        # Each factor stays finite; only their product overflows.
+        head = [l for l in net.layers if isinstance(l, FullyConnected)][-1]
+        head._g[0] = 1e200
+        head._x[0] = 1e200
+        assert np.isfinite(head._g).all() and np.isfinite(head._x).all()
+
+    @staticmethod
+    def poison_conv_grad(net):
+        conv = [l for l in net.layers if isinstance(l, Conv2d)][0]
+        conv.weight_grads[0, 0, 0, 0] = np.inf
+
+    @pytest.mark.parametrize("poison", [
+        "poison_head_upstream", "poison_fc1_input", "overflow_head_factors",
+        "poison_conv_grad"])
+    def test_nonfinite_gradient_aborts(self, poison):
+        # The loss stays finite; the poison lands after the backward, in
+        # what the step reads: an FC's kept factors or a conv's grads.
+        # Every layer is checked before the conv and fc1 parameters, which
+        # come first, are updated, so no parameter moves.
         net = Network.from_spec(tiny_spec())
         net.initialize(0)
-        head = [l for l in net.layers if isinstance(l, FullyConnected)][-1]
-        backward = head.backward
+        backward = net.backward
 
-        def poisoned(grad_out, **kwargs):
-            out = backward(grad_out, **kwargs)
-            head.weight_grads[0, 0] = np.inf
+        def poisoned(*args, **kwargs):
+            out = backward(*args, **kwargs)
+            getattr(self, poison)(net)
             return out
 
-        head.backward = poisoned
+        net.backward = poisoned
         before = [value.tobytes() for value, _ in net.parameters()]
         with pytest.raises(TrainingDiverged, match="gradient"):
             sgd_step(net, self.make_sample(), 1e-4)
@@ -200,6 +227,12 @@ class TestSgdStep:
                 == sgd_step_reference(slow, sample, lr))
         for (a, _), (b, _) in zip(fast.parameters(), slow.parameters()):
             npt.assert_array_equal(a, b)
+        # A step never writes an FC grad: the update applies its factors.
+        fcs = [l for l in fast.layers if isinstance(l, FullyConnected)]
+        assert fcs
+        for fc in fcs:
+            assert np.isnan(fc.weight_grads).all()
+            assert np.isnan(fc.bias_grads).all()
 
     def test_each_traced_call_runs_once_per_step(self):
         # perfbench/tracing.py times a step's parts off these calls, each
