@@ -20,18 +20,18 @@ further, but the BLAS then blocks and orders its sums differently, and the
 float64 results drift from the one-sample pass at N of 7 or more.
 
 Train passes (train=True) take a batch of exactly one sample and cache
-what backward needs for it. A backward pass adds into the grads, except
-the first one after zero_grads(), which writes them outright (no fill, no
-add). So a caller that wants one sample's grads calls zero_grads() first,
-and the grads are defined only after a backward: zero_grads() itself
-writes nothing. backward(g, input_grad=False) computes only the parameter
-grads and returns None; the first layer of an SGD step needs no input
-gradient. The one exception is FullyConnected.backward(g,
-keep_factors=True), the call of an SGD step: with one sample the weight
-gradient is the outer product of the upstream gradient and the cached
-input, so the layer keeps those two factors and writes no grad at all.
-Each layer's step_finite() and step(lr) then check and apply the step:
-a conv layer's grads, or an FC layer's kept factors.
+what backward needs for it. backward(g, input_grad=False) computes only
+what the parameters need and returns None; the first layer of an SGD step
+needs no input gradient. A Conv2d backward adds into the layer's grads,
+except the first one after zero_grads(), which writes them outright (no
+fill, no add). So a caller that wants one sample's conv grads calls
+zero_grads() first, and the grads are defined only after a backward:
+zero_grads() itself writes nothing. A FullyConnected layer has no grads:
+with one sample its weight gradient is the outer product of the upstream
+gradient and the cached input, so each backward keeps those two factors,
+replacing the ones the last backward kept. Each layer's step_finite() and
+step(lr) then check and apply the step: a conv layer's grads, or an FC
+layer's factors.
 
 The train path of MaxPool2d and the input gradient of Conv2d run through
 index tables of flat positions: one gather and one argmax per pool
@@ -97,10 +97,10 @@ def _window_positions(shape, kernel_h, kernel_w, stride):
 
 
 class Layer:
-    """Base class: parameterless layers inherit the no-op grad handling."""
+    """Base class: parameterless layers inherit the no-op step handling."""
 
     def parameters(self):
-        """Pairs of (value, gradient) arrays, possibly empty."""
+        """The parameter arrays, in the order checkpoints store them."""
         return []
 
     def zero_grads(self):
@@ -121,36 +121,14 @@ class Layer:
 
 
 class _Affine(Layer):
-    """Weights, biases and their grads; the next backward may overwrite."""
+    """Weights and biases, zero until Network.initialize draws them."""
 
     def __init__(self, weight_shape, bias_size):
         self.weights = np.zeros(weight_shape, dtype=DTYPE)
         self.biases = np.zeros(bias_size, dtype=DTYPE)
-        # Not zeros_like: np.zeros commits no page until training writes.
-        self.weight_grads = np.zeros(self.weights.shape, dtype=DTYPE)
-        self.bias_grads = np.zeros(self.biases.shape, dtype=DTYPE)
-        self._grads_reset = False
 
     def parameters(self):
-        return [(self.weights, self.weight_grads),
-                (self.biases, self.bias_grads)]
-
-    def zero_grads(self):
-        self._grads_reset = True
-
-    def _take_reset(self):
-        """True once after zero_grads(): this backward writes the grads."""
-        reset, self._grads_reset = self._grads_reset, False
-        return reset
-
-    def step_finite(self):
-        return all(np.isfinite(grad).all() for _, grad in self.parameters())
-
-    def step(self, learning_rate):
-        """Scale each grad in place, then subtract it: grads end as lr*grad."""
-        for value, grad in self.parameters():
-            np.multiply(grad, learning_rate, out=grad)
-            np.subtract(value, grad, out=value)
+        return [self.weights, self.biases]
 
 
 class Conv2d(_Affine):
@@ -165,6 +143,10 @@ class Conv2d(_Affine):
     order. The table is built by the first backward that asks for an
     input gradient at a new input shape: the first layer of an SGD step
     never asks, and never builds one.
+
+    The grads follow the zero_grads() rule of the module docstring, and
+    step() scales them in place before subtracting them, so after a step
+    they hold lr * grad.
     """
 
     def __init__(self, in_channels, out_channels, kernel_h, kernel_w,
@@ -177,11 +159,28 @@ class Conv2d(_Affine):
         self.padding = padding
         super().__init__((out_channels, in_channels, kernel_h, kernel_w),
                          out_channels)
+        # Not zeros_like: np.zeros commits no page until training writes.
+        self.weight_grads = np.zeros(self.weights.shape, dtype=DTYPE)
+        self.bias_grads = np.zeros(self.biases.shape, dtype=DTYPE)
+        self._grads_reset = False
         self._cols = None
         self._in_shape = None
         self._out_shape = None
         self._col2im = None  # padded position of each dcols element
         self._col2im_shape = None  # the input shape _col2im was built for
+
+    def zero_grads(self):
+        self._grads_reset = True
+
+    def step_finite(self):
+        return all(np.isfinite(grad).all()
+                   for grad in (self.weight_grads, self.bias_grads))
+
+    def step(self, learning_rate):
+        for value, grad in ((self.weights, self.weight_grads),
+                            (self.biases, self.bias_grads)):
+            np.multiply(grad, learning_rate, out=grad)
+            np.subtract(value, grad, out=value)
 
     def _im2col(self, x):
         """(cols, out_h, out_w): patches of shape (N, c*kh*kw, out_h*out_w)."""
@@ -224,7 +223,8 @@ class Conv2d(_Affine):
                 f"forward output {self._out_shape}")
         _, oc, oh, ow = self._out_shape
         g2d = grad_out.reshape(oc, oh * ow)
-        if self._take_reset():
+        reset, self._grads_reset = self._grads_reset, False
+        if reset:  # the first backward after zero_grads() writes the grads
             np.sum(g2d, axis=1, out=self.bias_grads)
             np.matmul(g2d, self._cols.T,
                       out=self.weight_grads.reshape(oc, -1))
@@ -337,16 +337,17 @@ class ReLU(Layer):
 class FullyConnected(_Affine):
     """Affine map y = W x + b on each sample's flattened input vector.
 
-    A backward with keep_factors=True keeps the upstream gradient g next to
-    the cached input x and leaves the grads unwritten; the weight gradient
-    is g ⊗ x. step_finite() and step() read the factors that the last such
-    backward kept, never the grads. step() walks the weights
-    UPDATE_BLOCK_BYTES of rows at a time: t = g[blk] ⊗ x, t *= lr,
+    The layer has no grads. Each backward keeps a copy of the upstream
+    gradient g next to the cached input x, in place of the ones the last
+    backward kept; the weight gradient is g ⊗ x and the bias gradient g.
+    step_finite() and step() read those two factors. step() walks the
+    weights UPDATE_BLOCK_BYTES of rows at a time: t = g[blk] ⊗ x, t *= lr,
     W[blk] -= t, and b -= g * lr. Each element takes the roundings of
     value -= lr * grad, bit for bit. The outer product is an einsum, which
-    sums into a zeroed output, so a -0.0 product enters as +0.0, as it
-    does in grads filled with zeros (the bias takes g's own zero sign); a
-    zero's sign reaches a parameter only if the parameter is exactly -0.0.
+    sums into a zeroed output, so a -0.0 product enters as +0.0, as it does
+    when added into a grad filled with zeros (the bias takes g's own zero
+    sign); a zero's sign reaches a parameter only if the parameter is
+    exactly -0.0.
     """
 
     def __init__(self, in_features, out_features):
@@ -355,7 +356,7 @@ class FullyConnected(_Affine):
         super().__init__((out_features, in_features), out_features)
         self._x = None
         self._in_shape = None
-        self._g = None  # upstream gradient a keep_factors backward kept
+        self._g = None  # upstream gradient the last backward kept
 
     def forward(self, x, train=False):
         flat = x.reshape(len(x), -1)
@@ -368,7 +369,7 @@ class FullyConnected(_Affine):
         out += self.biases
         return out
 
-    def backward(self, grad_out, input_grad=True, keep_factors=False):
+    def backward(self, grad_out, input_grad=True):
         if self._x is None:
             raise InternalError("backward called before a train-mode forward")
         if grad_out.shape != (1, self.out_features):
@@ -376,16 +377,8 @@ class FullyConnected(_Affine):
                 f"upstream gradient shape {grad_out.shape} does not match "
                 f"forward output {(1, self.out_features)}")
         g = grad_out[0]
-        if keep_factors:
-            # A copy, so that no later write to grad_out reaches the step.
-            self._g = g.copy()
-        elif self._take_reset():
-            # np.outer's own multiply, written straight into the grads.
-            np.multiply(g[:, None], self._x[None, :], out=self.weight_grads)
-            self.bias_grads[...] = g
-        else:
-            self.weight_grads += np.outer(g, self._x)
-            self.bias_grads += g
+        # A copy, so that no later write to grad_out reaches the step.
+        self._g = g.copy()
         if not input_grad:
             return None
         return (self.weights.T @ g).reshape(self._in_shape)

@@ -363,8 +363,8 @@ class Network:
         give bit-identical parameters. The 0.01 default suits full-width
         networks; narrow width-scaled networks need a larger std, otherwise
         input signal decays to nothing against the constant-1 biases and
-        training stalls at chance. The grads are left as they are; a step
-        defines them (see zero_grads).
+        training stalls at chance. The conv grads are left as they are; a
+        step defines them (see zero_grads).
         """
         if not weight_std > 0.0:
             raise ConfigurationError(
@@ -384,18 +384,19 @@ class Network:
                 layer.rng = rng
 
     def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out
+        """Every layer's parameter arrays, in layer order."""
+        return [value for layer in self.layers
+                for value in layer.parameters()]
 
     def zero_grads(self):
-        """Start a new sample's grads without filling them.
+        """Start a new sample's conv grads without filling them.
 
-        The next backward writes every layer's grads outright, and later
+        The next backward writes every Conv2d's grads outright, and later
         backwards add to them. So after zero_grads() the grads of n
         backwards are their sum, as if they had been filled with zeros;
-        read before the first backward, they hold their old values.
+        read before the first backward, they hold their old values. A
+        FullyConnected layer has no grads: each backward replaces the
+        factors it keeps (see layers).
         """
         for layer in self.layers:
             layer.zero_grads()
@@ -424,23 +425,18 @@ class Network:
         self._check_input(x.shape)
         return self._run(np.asarray(x, dtype=DTYPE)[None], train=train)[0]
 
-    def backward(self, grad_out, input_grad=True, keep_factors=False):
+    def backward(self, grad_out, input_grad=True):
         """Gradient of one sample's loss with respect to its input.
 
-        Every layer's parameter grads get this sample's share (see
-        zero_grads). With input_grad=False the first layer computes its
-        parameter grads only, and the call returns None. With
-        keep_factors=True each FullyConnected layer keeps the factors of
-        its weight gradient instead and writes no grad; its step() applies
-        them (an SGD step's call, see layers).
+        Every Conv2d's grads get this sample's share (see zero_grads), and
+        every FullyConnected keeps the factors of its weight gradient,
+        which its step() applies (see layers). With input_grad=False the
+        first layer computes only what its parameters need, and the call
+        returns None.
         """
         g = np.asarray(grad_out)[None]
         for i in reversed(range(len(self.layers))):
-            layer = self.layers[i]
-            kwargs = {"input_grad": input_grad or i > 0}
-            if keep_factors and isinstance(layer, FullyConnected):
-                kwargs["keep_factors"] = True
-            g = layer.backward(g, **kwargs)
+            g = self.layers[i].backward(g, input_grad=input_grad or i > 0)
         return None if g is None else g[0]
 
     def classify(self, images, features=True):
@@ -536,7 +532,7 @@ class Network:
                     base = getattr(layer, name)
                     base.flags.writeable = False
                     setattr(layer, name, base.view())
-        self._frozen = [value for value, _ in self.parameters()]
+        self._frozen = self.parameters()
         self._fingerprint = None
         return self
 
@@ -546,7 +542,7 @@ class Network:
         Hashed once while every parameter is the read-only array that
         freeze() handed out, on every call otherwise.
         """
-        values = [value for value, _ in self.parameters()]
+        values = self.parameters()
         frozen = (self._frozen is not None
                   and all(map(operator.is_, values, self._frozen)))
         if frozen and self._fingerprint is not None:
@@ -587,7 +583,7 @@ def save_checkpoint(path, network, metadata=None):
     with atomic_write(path) as f:
         write_container_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                header)
-        for value, _ in network.parameters():
+        for value in network.parameters():
             f.write(_tensor_head(value.shape))
             f.write(np.ascontiguousarray(value, dtype="<f8"))  # no copy
 
@@ -611,7 +607,7 @@ def load_checkpoint(path):
         except ConfigurationError as exc:
             raise FormatError(f"checkpoint spec is invalid: {exc}") from exc
         start = f.tell()
-        for value, _ in network.parameters():
+        for value in network.parameters():
             offset = f.tell() - start
             head = _tensor_head(value.shape)
             if read_exact(f, len(head), "tensor head") != head:

@@ -73,13 +73,13 @@ def sgd_step(net, sample, learning_rate):
     zero_grads writes no grad, the backward writes the grads outright (and
     skips the first layer's unused input gradient), the check reads them,
     and the update scales each grad in place before subtracting it, so
-    after a step the conv grads hold lr * grad. No pass writes an FC
-    weight gradient. The backward keeps its factors (the upstream gradient
-    g and the cached input x) and reads the weights once for the input
-    gradient; the check reads only the factors, since every g_i * x_j is
-    finite exactly when max|g| * max|x| is; the update reads and writes
-    the weights once, a block of rows at a time (layers.FullyConnected).
-    The FC grads keep whatever they held.
+    after a step the conv grads hold lr * grad. An FC layer has no grads.
+    Its backward keeps the factors of its weight gradient (the upstream
+    gradient g and the cached input x) and reads the weights once for the
+    input gradient; the check reads only the factors, since every
+    g_i * x_j is finite exactly when max|g| * max|x| is; the update reads
+    and writes the weights once, a block of rows at a time
+    (layers.FullyConnected).
 
     Every parameter ends bit-identical to value -= lr * grad on
     zero-filled, added-to grads. Only a zero grad's sign may differ (a
@@ -93,8 +93,7 @@ def sgd_step(net, sample, learning_rate):
     if not np.isfinite(loss):
         raise TrainingDiverged(
             f"non-finite loss {loss} on sample {sample.source_id}")
-    net.backward(nll_grad(log_probs, sample.label), input_grad=False,
-                 keep_factors=True)
+    net.backward(nll_grad(log_probs, sample.label), input_grad=False)
     if not all(layer.step_finite() for layer in net.layers):
         raise TrainingDiverged(
             f"non-finite gradient on sample {sample.source_id}")

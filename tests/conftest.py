@@ -187,22 +187,64 @@ def eval_forward_reference(net, x):
     return out, int(np.argmax(out)), features
 
 
+def _layers(model):
+    """The layers of a network, or a lone layer as a list of one."""
+    return getattr(model, "layers", [model])
+
+
+def conv_grads(model):
+    """The grad arrays of every Conv2d in a layer or network, in order."""
+    return [grad for layer in _layers(model) if isinstance(layer, Conv2d)
+            for grad in (layer.weight_grads, layer.bias_grads)]
+
+
+def parameter_grads(model):
+    """(value, gradient) pairs of a layer or network, in parameters() order.
+
+    A conv layer's gradients are its grad arrays. An FC layer has none: its
+    gradients are built from the factors its last backward kept, the
+    outer product np.outer(g, x) for the weights and g itself for the
+    biases. The list is built at once, so a later forward that replaces x
+    does not change it.
+    """
+    pairs = []
+    for layer in _layers(model):
+        if isinstance(layer, Conv2d):
+            pairs += [(layer.weights, layer.weight_grads),
+                      (layer.biases, layer.bias_grads)]
+        elif isinstance(layer, FullyConnected):
+            pairs += [(layer.weights, np.outer(layer._g, layer._x)),
+                      (layer.biases, layer._g)]
+    return pairs
+
+
+def sgd_update_reference(model, learning_rate):
+    """value -= lr * grad for every parameter, after a backward.
+
+    Each gradient is added into zeros first, as a grad filled with zeros
+    took it, so a -0.0 element enters as +0.0. A conv grad already was
+    (see sgd_step_reference), and adding it into zeros again keeps its
+    bits.
+    """
+    for value, grad in parameter_grads(model):
+        assert np.isfinite(grad).all()
+        value -= learning_rate * (np.zeros(grad.shape) + grad)
+
+
 def sgd_step_reference(net, sample, learning_rate):
     """The SGD step training.sgd_step replaced, as its oracle.
 
-    Every layer's grads are filled with zeros here, not through
-    zero_grads(), so a full backward (input gradient included) adds into
-    them; then each parameter takes value -= lr * grad. Returns the
-    sample's loss before the update.
+    Every conv grad is filled with zeros here, not through zero_grads(),
+    so a full backward (input gradient included) adds into it; then
+    sgd_update_reference applies every gradient. Returns the sample's loss
+    before the update.
     """
-    for _, grad in net.parameters():
+    for grad in conv_grads(net):
         grad.fill(0.0)
     log_probs = net.forward(sample.image, train=True)
     loss = nll_loss(log_probs, sample.label)
     net.backward(nll_grad(log_probs, sample.label))
-    for value, grad in net.parameters():
-        assert np.isfinite(grad).all()
-        value -= learning_rate * grad
+    sgd_update_reference(net, learning_rate)
     return loss
 
 

@@ -107,13 +107,13 @@ def _layer_gradient_sites(rng):
         def loss():
             return float(np.sum(layer.forward(x, train=train) * r))
 
-        for value, _ in layer.parameters():
+        for value in layer.parameters():
             numeric = conftest.numeric_gradient(loss, value, step=FD_STEP)
             layer.zero_grads()
             layer.forward(x, train=train)
             layer.backward(r)
             sites += value.size
-            for v, g in layer.parameters():
+            for v, g in conftest.parameter_grads(layer):
                 if v is value:
                     worst = max(worst, conftest.relative_error(g, numeric))
         numeric_x = conftest.numeric_gradient(loss, x, step=FD_STEP)
@@ -170,7 +170,7 @@ def _end_to_end_gradient_sites(rng, desk_split):
     net.zero_grads()
     log_probs = net.forward(x, train=True)
     input_grad = net.backward(nll_grad(log_probs, label))
-    params = net.parameters()
+    params = conftest.parameter_grads(net)
 
     worst = 0.0
     sites = 0
@@ -255,7 +255,7 @@ def test_architecture_fidelity():
         total = 0
         total_sum = 0.0
         total_sq = 0.0
-        for value, _ in net.parameters():
+        for value in net.parameters():
             if value.ndim > 1:
                 total += value.size
                 total_sum += float(value.sum())
@@ -527,7 +527,7 @@ def test_determinism_and_persistence(tmp_path):
 
         loaded, _ = load_checkpoint(ckpt_path)
         round_trip_ok = loaded.fingerprint() == net_a.fingerprint()
-        for (va, _), (vb, _) in zip(net_a.parameters(), loaded.parameters()):
+        for va, vb in zip(net_a.parameters(), loaded.parameters()):
             round_trip_ok = round_trip_ok and bool((va == vb).all())
 
         reloaded = load_index(idx_path,

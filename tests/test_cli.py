@@ -617,7 +617,7 @@ class TestPreprocessOnUse:
         # rasters (13.8 MB here) and breaks the bound.
         rasters = sum(read_pgm(path).nbytes for path in corpus.rglob("*.pgm"))
         net, _ = load_checkpoint(run_copy / "model.ckpt")
-        network_bytes = 2 * sum(value.nbytes for value, _ in net.parameters())
+        network_bytes = 2 * sum(value.nbytes for value in net.parameters())
         chunk_bytes = net.chunk_size * 64 * 64 * 8 + CHUNK_BYTES
         tracemalloc.start()
         try:

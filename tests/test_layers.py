@@ -23,7 +23,9 @@ from conftest import (
     maxpool_backward_reference,
     maxpool_train_reference,
     numeric_gradient,
+    parameter_grads,
     relative_error,
+    sgd_update_reference,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -56,7 +58,7 @@ def check_gradients(layer, x, seed=0):
         return float(np.sum(layer.forward(x, train=False) * r))
 
     worst = relative_error(dx, numeric_gradient(loss, x, FD_STEP))
-    for value, grad in layer.parameters():
+    for value, grad in parameter_grads(layer):
         worst = max(worst, relative_error(
             grad, numeric_gradient(loss, value, FD_STEP)))
     return worst
@@ -270,21 +272,23 @@ class TestZeroGrads:
     ], ids=["Conv2d", "FullyConnected"])
     def test_next_backward_writes_the_grads(self, make, x_shape, g_shape):
         # zero_grads() writes nothing: the grads are defined again only
-        # by the next backward, which must not read what they held.
+        # by the next backward, which must not read what they held. An FC
+        # layer has no grads: each backward replaces the g it kept, which
+        # the NaN fill below poisons.
         layer = make()
-        for value, _ in layer.parameters():
+        for value in layer.parameters():
             value[:] = RNG.standard_normal(value.shape)
         x = RNG.standard_normal(x_shape)[None]
         g = RNG.standard_normal(g_shape)[None]
         layer.forward(x, train=True)
-        layer.backward(g)  # into the zero-filled grads of a new layer
-        once = [grad.tobytes() for _, grad in layer.parameters()]
-        for _, grad in layer.parameters():
+        layer.backward(g)  # a conv adds into its new layer's zero grads
+        once = [grad.tobytes() for _, grad in parameter_grads(layer)]
+        for _, grad in parameter_grads(layer):
             grad.fill(np.nan)
         layer.zero_grads()
         layer.forward(x, train=True)
         layer.backward(g)
-        assert [grad.tobytes() for _, grad in layer.parameters()] == once
+        assert [grad.tobytes() for _, grad in parameter_grads(layer)] == once
 
 
 class TestFullyConnected:
@@ -330,22 +334,15 @@ class TestFullyConnected:
         for fc in (fast, slow):
             fc.weights[:], fc.biases[:] = weights, biases
             fc.forward(x, train=True)
-        for _, grad in fast.parameters():
-            grad.fill(np.nan)
-        fast.zero_grads()
         g_fast = g.copy()
-        dx = fast.backward(g_fast, keep_factors=True)
+        dx = fast.backward(g_fast)
         g_fast.fill(np.nan)  # the layer keeps a copy of its factor
-        for _, grad in slow.parameters():
-            grad.fill(0.0)
         npt.assert_array_equal(dx, slow.backward(g))
         assert fast.step_finite()
         fast.step(lr)
-        for (value, grad), (ref, ref_grad) in zip(fast.parameters(),
-                                                  slow.parameters()):
-            ref -= lr * ref_grad
+        sgd_update_reference(slow, lr)
+        for value, ref in zip(fast.parameters(), slow.parameters()):
             assert value.tobytes() == ref.tobytes()
-            assert np.isnan(grad).all()
 
 
 class TestDropout:

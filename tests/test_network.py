@@ -157,7 +157,22 @@ class TestBuildArchitecture:
     def test_parameter_shapes_match_network(self, spec):
         net = Network.from_spec(spec)
         assert spec.parameter_shapes() == [v.shape
-                                           for v, _ in net.parameters()]
+                                           for v in net.parameters()]
+
+    def test_built_network_holds_no_fc_grads(self):
+        # Building allocates the parameters and the conv grads, and little
+        # else. FC grads would add the FC weights again (2.8 MB here).
+        spec = build_architecture(**DESK)
+        Network.from_spec(spec)  # the first build imports numpy.random
+        tracemalloc.start()
+        try:
+            net = Network.from_spec(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        params = sum(value.nbytes for value in net.parameters())
+        grads = sum(grad.nbytes for grad in conftest.conv_grads(net))
+        assert peak < params + grads + 64 * 1024, peak - params - grads
 
     def test_spec_dict_round_trip(self):
         spec = build_architecture(**DESK)
@@ -169,7 +184,7 @@ class TestBuildArchitecture:
 class TestInitialization:
     def test_weight_distribution(self):
         net = desk_network(seed=42)
-        all_w = np.concatenate([v.ravel() for v, _ in net.parameters()
+        all_w = np.concatenate([v.ravel() for v in net.parameters()
                                 if v.ndim > 1])
         assert abs(all_w.mean()) < 5e-4
         assert abs(all_w.std() - 0.01) < 5e-4
@@ -185,7 +200,7 @@ class TestInitialization:
 
     def test_same_seed_same_parameters(self):
         a, b = desk_network(seed=9), desk_network(seed=9)
-        for (va, _), (vb, _) in zip(a.parameters(), b.parameters()):
+        for va, vb in zip(a.parameters(), b.parameters()):
             npt.assert_array_equal(va, vb)
         assert a.fingerprint() == b.fingerprint()
 
@@ -195,7 +210,7 @@ class TestInitialization:
     def test_custom_weight_std(self):
         net = Network.from_spec(build_architecture(**DESK))
         net.initialize(42, weight_std=0.15)
-        all_w = np.concatenate([v.ravel() for v, _ in net.parameters()
+        all_w = np.concatenate([v.ravel() for v in net.parameters()
                                 if v.ndim > 1])
         assert abs(all_w.std() - 0.15) < 5e-3
         # bias pattern is independent of the std
@@ -498,7 +513,7 @@ class TestFrozen:
     def test_loaded_parameters_are_read_only(self, tmp_path):
         _, loaded = self.loaded(tmp_path)
         assert not any(value.flags.writeable
-                       for value, _ in loaded.parameters())
+                       for value in loaded.parameters())
         fc = next(l for l in loaded.layers if isinstance(l, FullyConnected))
         with pytest.raises(ValueError, match="read-only"):
             fc.weights[0, 0] = 1.0
@@ -574,7 +589,7 @@ class TestFrozen:
 
     def test_in_memory_network_is_not_frozen(self):
         net = desk_network()
-        assert all(value.flags.writeable for value, _ in net.parameters())
+        assert all(value.flags.writeable for value in net.parameters())
 
 
 class TestCheckpoint:
@@ -584,7 +599,7 @@ class TestCheckpoint:
         save_checkpoint(path, net, metadata={"classes": ["a", "b", "c", "d"]})
         loaded, meta = load_checkpoint(path)
         assert meta == {"classes": ["a", "b", "c", "d"]}
-        for (va, _), (vb, _) in zip(net.parameters(), loaded.parameters()):
+        for va, vb in zip(net.parameters(), loaded.parameters()):
             npt.assert_array_equal(va, vb)
         assert loaded.fingerprint() == net.fingerprint()
         assert loaded.fingerprint() == net.fingerprint()  # the cached digest
@@ -639,7 +654,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, net)
         payload = sum(1 + 4 * value.ndim + value.nbytes
-                      for value, _ in net.parameters())
+                      for value in net.parameters())
         check = network.check_payload_size
 
         def check_then_shrink(f, size, what):
@@ -740,7 +755,7 @@ class TestCheckpoint:
             path,
             lambda h: conftest.with_layer_field(h, "conv", "bias_init", 0))
         loaded, _ = load_checkpoint(path)
-        for (va, _), (vb, _) in zip(net.parameters(), loaded.parameters()):
+        for va, vb in zip(net.parameters(), loaded.parameters()):
             npt.assert_array_equal(va, vb)
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
@@ -767,7 +782,7 @@ class TestCheckpoint:
         # save stays below half the largest tensor (fc2 here, 5.4 MB).
         net = Network.from_spec(build_architecture(
             input_shape=(1, 64, 64), num_classes=4, scale=0.2))
-        largest = max(value.nbytes for value, _ in net.parameters())
+        largest = max(value.nbytes for value in net.parameters())
         tracemalloc.start()
         try:
             save_checkpoint(tmp_path / "model.ckpt", net)
@@ -853,21 +868,30 @@ class TestBackwardGrads:
         return np.random.default_rng(1).random((n, *net.spec.input_shape))
 
     def test_backwards_after_zero_grads_add_up(self, twins):
+        # Conv grads add up over the backwards after zero_grads(). An FC
+        # layer has no grads to add into: each backward replaces the
+        # factors it keeps, so its gradients are the last pass's alone.
         lazy, alone = twins
+        adds = [isinstance(layer, Conv2d)
+                for layer in alone.layers for _ in layer.parameters()]
         expect = None
-        for x in self.images(alone, 2):  # each pass into zero-filled grads
-            for _, grad in alone.parameters():
+        for x in self.images(alone, 2):  # each pass from a clean slate
+            for grad in conftest.conv_grads(alone):
                 grad.fill(0.0)
+            for layer in alone.layers:
+                if isinstance(layer, FullyConnected):
+                    layer._g = None
             self.backward_pass(alone, x)
-            grads = [grad.copy() for _, grad in alone.parameters()]
+            grads = [grad.copy()
+                     for _, grad in conftest.parameter_grads(alone)]
             expect = grads if expect is None else [
-                e + g for e, g in zip(expect, grads)]
-        for _, grad in lazy.parameters():
+                e + g if add else g for e, g, add in zip(expect, grads, adds)]
+        for grad in conftest.conv_grads(lazy):
             grad.fill(np.nan)  # zero_grads must leave nothing to read
         lazy.zero_grads()
         for x in self.images(lazy, 2):
             self.backward_pass(lazy, x)
-        for e, (_, grad) in zip(expect, lazy.parameters()):
+        for e, (_, grad) in zip(expect, conftest.parameter_grads(lazy)):
             npt.assert_array_equal(grad, e)
         assert any(e.any() for e in expect)
 
@@ -878,5 +902,6 @@ class TestBackwardGrads:
         full.zero_grads()
         assert self.backward_pass(skipped, x, input_grad=False) is None
         assert self.backward_pass(full, x).shape == full.spec.input_shape
-        for (_, a), (_, b) in zip(skipped.parameters(), full.parameters()):
+        for (_, a), (_, b) in zip(conftest.parameter_grads(skipped),
+                                  conftest.parameter_grads(full)):
             npt.assert_array_equal(a, b)

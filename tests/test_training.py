@@ -24,7 +24,7 @@ from cbirnet.network import (
 )
 from cbirnet.training import nll_grad, nll_loss, sgd_step, train
 
-from conftest import sgd_step_reference
+from conftest import conv_grads, parameter_grads, sgd_step_reference
 
 
 def tiny_spec(num_classes=3, size=16):
@@ -100,9 +100,9 @@ class TestSgdStep:
         net = Network.from_spec(tiny_spec())
         net.initialize(0)
         net.seed_dropout(0)
-        before = [v.copy() for v, _ in net.parameters()]
+        before = [v.copy() for v in net.parameters()]
         sgd_step(net, self.make_sample(), 0.0)
-        for old, (new, _) in zip(before, net.parameters()):
+        for old, new in zip(before, net.parameters()):
             npt.assert_array_equal(old, new)
 
     def test_hand_traced_linear_step(self):
@@ -187,10 +187,10 @@ class TestSgdStep:
             return out
 
         net.backward = poisoned
-        before = [value.tobytes() for value, _ in net.parameters()]
+        before = [value.tobytes() for value in net.parameters()]
         with pytest.raises(TrainingDiverged, match="gradient"):
             sgd_step(net, self.make_sample(), 1e-4)
-        assert [value.tobytes() for value, _ in net.parameters()] == before
+        assert [value.tobytes() for value in net.parameters()] == before
 
     def test_bit_identical_to_reference_steps(self):
         # The desk network with dropout on, 40 steps from equal seeds.
@@ -201,13 +201,12 @@ class TestSgdStep:
         for net in (fast, slow):
             net.initialize(11, weight_std=0.15)
             net.seed_dropout(13)
-        start = [v.copy() for v, _ in fast.parameters()]
+        start = [v.copy() for v in fast.parameters()]
         lr = 1e-3
         for sample in samples:
             assert (sgd_step(fast, sample, lr)
                     == sgd_step_reference(slow, sample, lr))
-        for (a, _), (b, _), old in zip(fast.parameters(), slow.parameters(),
-                                       start):
+        for a, b, old in zip(fast.parameters(), slow.parameters(), start):
             npt.assert_array_equal(a, b)
             assert not np.array_equal(a, old)
 
@@ -216,23 +215,40 @@ class TestSgdStep:
                                   keep_prob=0.5, scale=0.1)
         fast, slow = (Network.from_spec(spec) for _ in range(2))
         for net in (fast, slow):
-            for _, grad in net.parameters():
+            for grad in conv_grads(net):
                 grad.fill(np.nan)
             net.initialize(11, weight_std=0.15)
             net.seed_dropout(13)
-            assert all(np.isnan(grad).all() for _, grad in net.parameters())
+            assert all(np.isnan(grad).all() for grad in conv_grads(net))
         sample = self.make_sample(size=64, label=2)
         lr = 1e-3
         assert (sgd_step(fast, sample, lr)
                 == sgd_step_reference(slow, sample, lr))
-        for (a, _), (b, _) in zip(fast.parameters(), slow.parameters()):
+        for a, b in zip(fast.parameters(), slow.parameters()):
             npt.assert_array_equal(a, b)
-        # A step never writes an FC grad: the update applies its factors.
-        fcs = [l for l in fast.layers if isinstance(l, FullyConnected)]
-        assert fcs
-        for fc in fcs:
-            assert np.isnan(fc.weight_grads).all()
-            assert np.isnan(fc.bias_grads).all()
+
+    def test_plain_backward_feeds_the_step(self):
+        # Network.backward has one path: a plain call, then every layer's
+        # check and update, is the reference step (desk net, dropout on).
+        samples, _ = tiny_corpus(num_classes=4, size=64, seed=5)
+        spec = build_architecture(input_shape=(1, 64, 64), num_classes=4,
+                                  keep_prob=0.5, scale=0.1)
+        fast, slow = (Network.from_spec(spec) for _ in range(2))
+        for net in (fast, slow):
+            net.initialize(11, weight_std=0.15)
+            net.seed_dropout(13)
+        lr = 1e-3
+        for sample in samples[::5]:
+            fast.zero_grads()
+            log_probs = fast.forward(sample.image, train=True)
+            fast.backward(nll_grad(log_probs, sample.label))
+            assert all(layer.step_finite() for layer in fast.layers)
+            for layer in fast.layers:
+                layer.step(lr)
+            assert (nll_loss(log_probs, sample.label)
+                    == sgd_step_reference(slow, sample, lr))
+        for a, b in zip(fast.parameters(), slow.parameters()):
+            assert a.tobytes() == b.tobytes()
 
     def test_each_traced_call_runs_once_per_step(self):
         # perfbench/tracing.py times a step's parts off these calls, each
@@ -307,7 +323,7 @@ class TestTrain:
         net_a, rep_a = self.run_tiny(epochs=2, seed=7)
         net_b, rep_b = self.run_tiny(epochs=2, seed=7)
         assert rep_a == rep_b  # wall-clock excluded from equality
-        for (va, _), (vb, _) in zip(net_a.parameters(), net_b.parameters()):
+        for va, vb in zip(net_a.parameters(), net_b.parameters()):
             npt.assert_array_equal(va, vb)
 
     def test_different_seed_different_trajectory(self):
@@ -319,10 +335,10 @@ class TestTrain:
         samples, _ = tiny_corpus()
         net = Network.from_spec(tiny_spec())
         net.initialize(3)
-        before = [v.copy() for v, _ in net.parameters()]
+        before = [v.copy() for v in net.parameters()]
         train(net, samples, learning_rate=0.0, max_epochs=3, seed=0,
               log_interval=0)
-        for old, (new, _) in zip(before, net.parameters()):
+        for old, new in zip(before, net.parameters()):
             npt.assert_array_equal(old, new)
 
     def test_final_error_pass_allocates_no_taps(self, monkeypatch):
@@ -373,7 +389,7 @@ class TestEndToEndGradient:
 
         rng = np.random.default_rng(6)
         worst = 0.0
-        for value, grad in net.parameters():
+        for value, grad in parameter_grads(net):
             flat_idx = rng.choice(value.size, size=min(10, value.size),
                                   replace=False)
             for fi in flat_idx:
