@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import header_value
+from ._binio import atomic_write, header_value
 from .data import (
     PreprocessedImages,
     generate_synthetic_corpus,
@@ -178,7 +178,10 @@ def resolve_config(args):
 def write_run_config(cfg):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / CONFIG_NAME).write_text(cfg.to_json())
+    # Every later command reads this file before any flag applies, so a
+    # crash mid-write must leave the old one whole.
+    with atomic_write(out / CONFIG_NAME) as f:
+        f.write(cfg.to_json().encode())
 
 
 def _load_pipeline_inputs(cfg, need_index=False):

@@ -22,16 +22,15 @@ float64 results drift from the one-sample pass at N of 7 or more.
 Train passes (train=True) take a batch of exactly one sample and cache
 what backward needs for it. backward(g, input_grad=False) computes only
 what the parameters need and returns None; the first layer of an SGD step
-needs no input gradient. A Conv2d backward adds into the layer's grads,
-except the first one after zero_grads(), which writes them outright (no
-fill, no add). So a caller that wants one sample's conv grads calls
-zero_grads() first, and the grads are defined only after a backward:
-zero_grads() itself writes nothing. A FullyConnected layer has no grads:
-with one sample its weight gradient is the outer product of the upstream
-gradient and the cached input, so each backward keeps those two factors,
-replacing the ones the last backward kept. Each layer's step_finite() and
-step(lr) then check and apply the step: a conv layer's grads, or an FC
-layer's factors.
+needs no input gradient. With one sample, a layer's gradient is that
+sample's alone, so each backward replaces what the last one left and
+nothing adds up across backwards. A Conv2d backward writes the layer's
+grads outright, into buffers its first train backward allocates, so a
+layer that has never run one holds none. A FullyConnected layer has no grads: its weight gradient is the
+outer product of the upstream gradient and the cached input, so each
+backward keeps those two factors. Each layer's step_finite() and step(lr)
+then check and apply the step: a conv layer's grads, or an FC layer's
+factors.
 
 The train path of MaxPool2d and the input gradient of Conv2d run through
 index tables of flat positions: one gather and one argmax per pool
@@ -103,9 +102,6 @@ class Layer:
         """The parameter arrays, in the order checkpoints store them."""
         return []
 
-    def zero_grads(self):
-        """Reset the grads: the next backward writes them, later ones add."""
-
     def forward(self, x, train=False):
         raise NotImplementedError
 
@@ -144,9 +140,11 @@ class Conv2d(_Affine):
     input gradient at a new input shape: the first layer of an SGD step
     never asks, and never builds one.
 
-    The grads follow the zero_grads() rule of the module docstring, and
-    step() scales them in place before subtracting them, so after a step
-    they hold lr * grad.
+    Each train-mode backward writes weight_grads and bias_grads outright,
+    so they hold the last sample's grads alone. The first one allocates
+    them; until then they are None, so a built or loaded network holds
+    none. step() scales them in place before subtracting them, so after a
+    step they hold lr * grad.
     """
 
     def __init__(self, in_channels, out_channels, kernel_h, kernel_w,
@@ -159,18 +157,13 @@ class Conv2d(_Affine):
         self.padding = padding
         super().__init__((out_channels, in_channels, kernel_h, kernel_w),
                          out_channels)
-        # Not zeros_like: np.zeros commits no page until training writes.
-        self.weight_grads = np.zeros(self.weights.shape, dtype=DTYPE)
-        self.bias_grads = np.zeros(self.biases.shape, dtype=DTYPE)
-        self._grads_reset = False
+        self.weight_grads = None
+        self.bias_grads = None
         self._cols = None
         self._in_shape = None
         self._out_shape = None
         self._col2im = None  # padded position of each dcols element
         self._col2im_shape = None  # the input shape _col2im was built for
-
-    def zero_grads(self):
-        self._grads_reset = True
 
     def step_finite(self):
         return all(np.isfinite(grad).all()
@@ -223,15 +216,11 @@ class Conv2d(_Affine):
                 f"forward output {self._out_shape}")
         _, oc, oh, ow = self._out_shape
         g2d = grad_out.reshape(oc, oh * ow)
-        reset, self._grads_reset = self._grads_reset, False
-        if reset:  # the first backward after zero_grads() writes the grads
-            np.sum(g2d, axis=1, out=self.bias_grads)
-            np.matmul(g2d, self._cols.T,
-                      out=self.weight_grads.reshape(oc, -1))
-        else:
-            self.bias_grads += g2d.sum(axis=1)
-            self.weight_grads += (g2d @ self._cols.T).reshape(
-                self.weights.shape)
+        if self.weight_grads is None:  # the first train backward
+            self.weight_grads = np.empty(self.weights.shape, dtype=DTYPE)
+            self.bias_grads = np.empty(self.biases.shape, dtype=DTYPE)
+        np.sum(g2d, axis=1, out=self.bias_grads)
+        np.matmul(g2d, self._cols.T, out=self.weight_grads.reshape(oc, -1))
         if not input_grad:
             return None
         dcols = self.weights.reshape(oc, -1).T @ g2d

@@ -363,8 +363,8 @@ class Network:
         give bit-identical parameters. The 0.01 default suits full-width
         networks; narrow width-scaled networks need a larger std, otherwise
         input signal decays to nothing against the constant-1 biases and
-        training stalls at chance. The conv grads are left as they are; a
-        step defines them (see zero_grads).
+        training stalls at chance. No grad is touched: each train backward
+        writes its own (see backward).
         """
         if not weight_std > 0.0:
             raise ConfigurationError(
@@ -389,17 +389,12 @@ class Network:
                 for value in layer.parameters()]
 
     def zero_grads(self):
-        """Start a new sample's conv grads without filling them.
+        """Does nothing: each train backward writes its grads outright.
 
-        The next backward writes every Conv2d's grads outright, and later
-        backwards add to them. So after zero_grads() the grads of n
-        backwards are their sum, as if they had been filled with zeros;
-        read before the first backward, they hold their old values. A
-        FullyConnected layer has no grads: each backward replaces the
-        factors it keeps (see layers).
+        sgd_step still calls it once, because perfbench/tracing.py times
+        training.zero_grads_ms off this method by name. ROADMAP item 1b
+        decides that metric's fate, and with it this method's.
         """
-        for layer in self.layers:
-            layer.zero_grads()
 
     def _check_input(self, shape, what="input"):
         if tuple(shape) != self.spec.input_shape:
@@ -428,11 +423,10 @@ class Network:
     def backward(self, grad_out, input_grad=True):
         """Gradient of one sample's loss with respect to its input.
 
-        Every Conv2d's grads get this sample's share (see zero_grads), and
-        every FullyConnected keeps the factors of its weight gradient,
-        which its step() applies (see layers). With input_grad=False the
-        first layer computes only what its parameters need, and the call
-        returns None.
+        Every Conv2d's grads become this sample's alone, and every
+        FullyConnected keeps the factors of its weight gradient, which its
+        step() applies (see layers). With input_grad=False the first layer
+        computes only what its parameters need, and the call returns None.
         """
         g = np.asarray(grad_out)[None]
         for i in reversed(range(len(self.layers))):

@@ -69,9 +69,10 @@ def sgd_step(net, sample, learning_rate):
     checked before any parameter moves, so a diverged step leaves the
     parameters as the previous step left them.
 
-    A conv parameter array is passed over once by each part of the step:
-    zero_grads writes no grad, the backward writes the grads outright (and
-    skips the first layer's unused input gradient), the check reads them,
+    net.zero_grads() does nothing; it stays for perfbench's
+    training.zero_grads_ms (see Network.zero_grads). The backward writes
+    each conv layer's grads outright, this sample's alone (and skips the
+    first layer's unused input gradient), the check reads them,
     and the update scales each grad in place before subtracting it, so
     after a step the conv grads hold lr * grad. An FC layer has no grads.
     Its backward keeps the factors of its weight gradient (the upstream

@@ -192,12 +192,6 @@ def _layers(model):
     return getattr(model, "layers", [model])
 
 
-def conv_grads(model):
-    """The grad arrays of every Conv2d in a layer or network, in order."""
-    return [grad for layer in _layers(model) if isinstance(layer, Conv2d)
-            for grad in (layer.weight_grads, layer.bias_grads)]
-
-
 def parameter_grads(model):
     """(value, gradient) pairs of a layer or network, in parameters() order.
 
@@ -222,9 +216,7 @@ def sgd_update_reference(model, learning_rate):
     """value -= lr * grad for every parameter, after a backward.
 
     Each gradient is added into zeros first, as a grad filled with zeros
-    took it, so a -0.0 element enters as +0.0. A conv grad already was
-    (see sgd_step_reference), and adding it into zeros again keeps its
-    bits.
+    took it, so a -0.0 element enters as +0.0.
     """
     for value, grad in parameter_grads(model):
         assert np.isfinite(grad).all()
@@ -234,13 +226,9 @@ def sgd_update_reference(model, learning_rate):
 def sgd_step_reference(net, sample, learning_rate):
     """The SGD step training.sgd_step replaced, as its oracle.
 
-    Every conv grad is filled with zeros here, not through zero_grads(),
-    so a full backward (input gradient included) adds into it; then
-    sgd_update_reference applies every gradient. Returns the sample's loss
-    before the update.
+    A full backward (input gradient included), then sgd_update_reference
+    applies every gradient. Returns the sample's loss before the update.
     """
-    for grad in conv_grads(net):
-        grad.fill(0.0)
     log_probs = net.forward(sample.image, train=True)
     loss = nll_loss(log_probs, sample.label)
     net.backward(nll_grad(log_probs, sample.label))

@@ -109,7 +109,6 @@ def _layer_gradient_sites(rng):
 
         for value in layer.parameters():
             numeric = conftest.numeric_gradient(loss, value, step=FD_STEP)
-            layer.zero_grads()
             layer.forward(x, train=train)
             layer.backward(r)
             sites += value.size
@@ -117,7 +116,6 @@ def _layer_gradient_sites(rng):
                 if v is value:
                     worst = max(worst, conftest.relative_error(g, numeric))
         numeric_x = conftest.numeric_gradient(loss, x, step=FD_STEP)
-        layer.zero_grads()
         layer.forward(x, train=train)
         analytic_x = layer.backward(r)
         worst = max(worst, conftest.relative_error(analytic_x, numeric_x))
@@ -167,7 +165,6 @@ def _end_to_end_gradient_sites(rng, desk_split):
     def loss():
         return nll_loss(net.forward(x, train=True), label)
 
-    net.zero_grads()
     log_probs = net.forward(x, train=True)
     input_grad = net.backward(nll_grad(log_probs, label))
     params = conftest.parameter_grads(net)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import conftest
-from cbirnet import cli, data, metrics, retrieval
+from cbirnet import _binio, cli, data, metrics, retrieval
 from cbirnet.cli import EXIT_CONFIG, EXIT_INPUT, RunConfig, main
 from cbirnet.data import preprocess_image, read_pgm
 from cbirnet.metrics import mean_ap
@@ -119,6 +120,37 @@ class TestTrain:
         assert parsed["scale"] == 0.05
         assert parsed["layer"] == "fc1"  # default materialized
         assert RunConfig(**parsed).to_json() == text
+
+    def test_config_write_failing_part_way_keeps_the_old_file(
+            self, tmp_path, monkeypatch):
+        # A full disk after half the bytes: the old config.json stays
+        # whole, since every later command reads it first, and no
+        # temporary file is left beside it.
+        out = tmp_path / "o"
+        cfg = RunConfig(data_dir=str(tmp_path), output_dir=str(out))
+        cli.write_run_config(cfg)
+        old = (out / "config.json").read_bytes()
+
+        class HalfWrite:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.f.__exit__(*exc)
+
+            def write(self, b):
+                self.f.write(b[:len(b) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(_binio, "open", lambda *a: HalfWrite(open(*a)),
+                            raising=False)
+        with pytest.raises(OSError):
+            cli.write_run_config(dataclasses.replace(cfg, k=cfg.k + 1))
+        assert (out / "config.json").read_bytes() == old
+        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -551,27 +551,36 @@ class TestCorpusRoundTrip:
 
     def test_unpreprocessable_file_skipped_and_split_unchanged(self,
                                                               tmp_path):
+        # The CLI's order: list the tree, split the listing, then ingest
+        # one side. A file that decodes but is too thin to resize keeps
+        # its slot in its class's permutation and drops out of its own
+        # side only; every other file stays on its side, image unchanged.
         samples, names = generate_synthetic_corpus(2, 10, 16, rng_seed=1)
         write_corpus(samples, names, tmp_path / "clean")
         write_corpus(samples, names, tmp_path / "dirty")
-        thin = tmp_path / "dirty" / names[1] / "0003a.pgm"
+        thin_id = f"{names[1]}/0003.pgm"
+        thin = tmp_path / "dirty" / thin_id
         write_pgm(thin, np.zeros((1, 16), dtype=np.uint8))
         assert read_pgm(thin).shape == (1, 16)  # decodes, too thin to resize
-        clean, clean_skipped = ingest_directory(
-            tmp_path / "clean", list_directory(tmp_path / "clean")[0])
-        dirty, skipped = ingest_directory(
-            tmp_path / "dirty", list_directory(tmp_path / "dirty")[0])
-        assert (clean_skipped, skipped) == (0, 1)
-        assert [s.source_id for s in dirty] == [s.source_id for s in clean]
-        for a, b in zip(dirty, clean):
-            assert a.image.dtype == np.uint8 and a.image.shape == (16, 16)
-            npt.assert_array_equal(a.image,
-                                   read_pgm(tmp_path / "clean" / b.source_id))
+
+        def ids(side):
+            return [s.source_id for s in side]
+
+        clean, dirty = (split_dataset(*list_directory(tmp_path / tree),
+                                      rng_seed=4)
+                        for tree in ("clean", "dirty"))
+        skips = []
         for side in ("train", "test"):
-            assert ([s.source_id for s in getattr(
-                        split_dataset(dirty, names, rng_seed=4), side)]
-                    == [s.source_id for s in getattr(
-                        split_dataset(clean, names, rng_seed=4), side)])
+            listed = getattr(dirty, side)
+            assert ids(listed) == ids(getattr(clean, side))
+            got, skipped = ingest_directory(tmp_path / "dirty", listed)
+            assert ids(got) == [i for i in ids(listed) if i != thin_id]
+            skips.append(skipped)
+            for s in got:
+                assert s.image.dtype == np.uint8 and s.image.shape == (16, 16)
+                npt.assert_array_equal(
+                    s.image, read_pgm(tmp_path / "clean" / s.source_id))
+        assert sorted(skips) == [0, 1]
 
     def test_listing_matches_path_sorted_oracle(self, tmp_path):
         samples, names = generate_synthetic_corpus(3, 10, 16, rng_seed=2)

@@ -51,7 +51,6 @@ def check_gradients(layer, x, seed=0):
     rng = np.random.default_rng(seed)
     out = layer.forward(x, train=True)
     r = rng.standard_normal(out.shape)
-    layer.zero_grads()
     dx = layer.backward(r)
 
     def loss():
@@ -100,17 +99,20 @@ class TestConv2d:
         x = RNG.standard_normal((2, 7, 8))
         assert check_gradients(conv, x[None]) < FD_TOL
 
-    def test_gradients_accumulate(self):
+    def test_second_backward_replaces_grads(self):
+        # Each backward's grads are its own: a second pass over the same
+        # sample leaves the bits a single pass left, not their sum.
         conv = Conv2d(1, 1, 2, 2)
         conv.weights[:] = RNG.standard_normal(conv.weights.shape)
         x = RNG.standard_normal((1, 4, 4))[None]
         g = RNG.standard_normal((1, 3, 3))[None]
+        assert conv.weight_grads is None and conv.bias_grads is None
         conv.forward(x, train=True)
         conv.backward(g)
-        once = conv.weight_grads.copy()
+        once = [grad.tobytes() for _, grad in parameter_grads(conv)]
         conv.forward(x, train=True)
         conv.backward(g)
-        npt.assert_allclose(conv.weight_grads, 2.0 * once, rtol=1e-12)
+        assert [grad.tobytes() for _, grad in parameter_grads(conv)] == once
 
     def test_backward_without_forward_rejected(self):
         with pytest.raises(InternalError):
@@ -265,27 +267,25 @@ class TestReLU:
                                [[0.0, 5.0]])
 
 
-class TestZeroGrads:
+class TestGradsOfOneBackward:
     @pytest.mark.parametrize("make, x_shape, g_shape", [
         (lambda: Conv2d(2, 3, 2, 2), (2, 4, 5), (3, 3, 4)),
         (lambda: FullyConnected(12, 3), (3, 2, 2), (3,)),
     ], ids=["Conv2d", "FullyConnected"])
     def test_next_backward_writes_the_grads(self, make, x_shape, g_shape):
-        # zero_grads() writes nothing: the grads are defined again only
-        # by the next backward, which must not read what they held. An FC
-        # layer has no grads: each backward replaces the g it kept, which
-        # the NaN fill below poisons.
+        # Each backward defines the grads anew and must not read what they
+        # held: a conv layer's grads, or the g an FC layer kept, which the
+        # NaN fill below poisons.
         layer = make()
         for value in layer.parameters():
             value[:] = RNG.standard_normal(value.shape)
         x = RNG.standard_normal(x_shape)[None]
         g = RNG.standard_normal(g_shape)[None]
         layer.forward(x, train=True)
-        layer.backward(g)  # a conv adds into its new layer's zero grads
+        layer.backward(g)
         once = [grad.tobytes() for _, grad in parameter_grads(layer)]
         for _, grad in parameter_grads(layer):
             grad.fill(np.nan)
-        layer.zero_grads()
         layer.forward(x, train=True)
         layer.backward(g)
         assert [grad.tobytes() for _, grad in parameter_grads(layer)] == once

@@ -159,20 +159,24 @@ class TestBuildArchitecture:
         assert spec.parameter_shapes() == [v.shape
                                            for v in net.parameters()]
 
-    def test_built_network_holds_no_fc_grads(self):
-        # Building allocates the parameters and the conv grads, and little
-        # else. FC grads would add the FC weights again (2.8 MB here).
+    def test_built_and_loaded_networks_hold_only_parameters(self, tmp_path):
+        # A built or loaded network can never step, so it holds no grads:
+        # its memory peak is the parameters and little else. Conv grads
+        # would add 0.31 MB here, FC grads 2.8 MB.
         spec = build_architecture(**DESK)
-        Network.from_spec(spec)  # the first build imports numpy.random
-        tracemalloc.start()
-        try:
-            net = Network.from_spec(spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        params = sum(value.nbytes for value in net.parameters())
-        grads = sum(grad.nbytes for grad in conftest.conv_grads(net))
-        assert peak < params + grads + 64 * 1024, peak - params - grads
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, Network.from_spec(spec))
+        load_checkpoint(path)  # the first calls import what they need
+        for build in (lambda: Network.from_spec(spec),
+                      lambda: load_checkpoint(path)[0]):
+            tracemalloc.start()
+            try:
+                net = build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            params = sum(value.nbytes for value in net.parameters())
+            assert peak < params + 64 * 1024, peak - params
 
     def test_spec_dict_round_trip(self):
         spec = build_architecture(**DESK)
@@ -867,39 +871,27 @@ class TestBackwardGrads:
     def images(net, n):
         return np.random.default_rng(1).random((n, *net.spec.input_shape))
 
-    def test_backwards_after_zero_grads_add_up(self, twins):
-        # Conv grads add up over the backwards after zero_grads(). An FC
-        # layer has no grads to add into: each backward replaces the
-        # factors it keeps, so its gradients are the last pass's alone.
-        lazy, alone = twins
-        adds = [isinstance(layer, Conv2d)
-                for layer in alone.layers for _ in layer.parameters()]
-        expect = None
-        for x in self.images(alone, 2):  # each pass from a clean slate
-            for grad in conftest.conv_grads(alone):
-                grad.fill(0.0)
-            for layer in alone.layers:
-                if isinstance(layer, FullyConnected):
-                    layer._g = None
-            self.backward_pass(alone, x)
-            grads = [grad.copy()
-                     for _, grad in conftest.parameter_grads(alone)]
-            expect = grads if expect is None else [
-                e + g if add else g for e, g, add in zip(expect, grads, adds)]
-        for grad in conftest.conv_grads(lazy):
-            grad.fill(np.nan)  # zero_grads must leave nothing to read
-        lazy.zero_grads()
-        for x in self.images(lazy, 2):
-            self.backward_pass(lazy, x)
-        for e, (_, grad) in zip(expect, conftest.parameter_grads(lazy)):
+    def test_each_backward_replaces_the_grads(self, twins):
+        # With one sample per step, nothing adds up across backwards: a
+        # conv layer's grads and an FC layer's factors are the last pass's
+        # alone. The twin runs the first pass's forward only, so both draw
+        # the same dropout masks, and its grads come from the second pass.
+        later, alone = twins
+        first, last = self.images(alone, 2)
+        alone.forward(first, train=True)
+        self.backward_pass(alone, last)
+        expect = [grad.copy() for _, grad in conftest.parameter_grads(alone)]
+        self.backward_pass(later, first)
+        for _, grad in conftest.parameter_grads(later):
+            grad.fill(np.nan)  # the next backward must not read them
+        self.backward_pass(later, last)
+        for e, (_, grad) in zip(expect, conftest.parameter_grads(later)):
             npt.assert_array_equal(grad, e)
         assert any(e.any() for e in expect)
 
     def test_no_input_grad_keeps_parameter_grads(self, twins):
         skipped, full = twins
         [x] = self.images(full, 1)
-        skipped.zero_grads()
-        full.zero_grads()
         assert self.backward_pass(skipped, x, input_grad=False) is None
         assert self.backward_pass(full, x).shape == full.spec.input_shape
         for (_, a), (_, b) in zip(conftest.parameter_grads(skipped),
