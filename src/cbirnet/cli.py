@@ -7,9 +7,10 @@ sorted keys, two-space indent, trailing newline. Re-serializing a parsed
 canonical config reproduces it byte for byte. Commands downstream of
 train read {output_dir}/config.json automatically unless --config points
 elsewhere, so one training run anchors the whole pipeline. RunConfig is
-the one home of every setting: each field holds its default and its
-rule, and network.check_fields checks them all, so each command refuses
-a bad value, from a flag or a file, before it reads or writes anything.
+the one home of every setting: each field holds its default, its rule
+and its flag, and network.check_fields checks them all, so each command
+refuses a bad value, from a flag or a file, before it reads or writes
+anything.
 
 A command that reads the corpus lists it and splits the listing first,
 then decodes only the side it uses. train builds and initializes its
@@ -17,8 +18,8 @@ network in between, and index and evaluate check their checkpoint
 before they list, so every configuration error comes before the first
 image is decoded.
 
-Exit codes: 0 success, 2 input data error, 3 configuration error,
-4 numerical abort during training, 5 I/O failure.
+Exit codes: 0 success, 2 input data error or usage error, 3 configuration
+error, 4 numerical abort during training, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -97,11 +98,13 @@ class RunConfig:
     """Every knob of the pipeline, with defaults materialized.
 
     Each field's rule sits beside it (see network.rule); the fields
-    without one take any value of their type.
+    without one take any value of their type. A field's flag is "--"
+    plus its name with dashes unless its metadata names a "flag"; the
+    flag's help is the metadata's "help", then the rule.
     """
 
     data_dir: str | None = None
-    output_dir: str = "run_output"
+    output_dir: str = field(default="run_output", metadata={"flag": "--out"})
     image_size: int = 224
     train_fraction: float = field(
         default=0.7, metadata=rule(lambda v: 0.0 < v < 1.0, "in (0, 1)"))
@@ -110,17 +113,23 @@ class RunConfig:
     keep_prob: float = field(default=0.5, metadata=UNIT_INTERVAL)
     init_seed: int = field(default=0, metadata=AT_LEAST_0)
     init_std: float = field(
-        default=0.01, metadata=rule(lambda v: v > 0.0, "positive"))
+        default=0.01, metadata=rule(lambda v: v > 0.0, "positive") | {
+            "help": "weight init std; raise above 0.01 for narrow "
+                    "scaled-down networks"})
     # Zero is allowed so no-op determinism checks can run through the
     # public path; only negative rates are nonsense.
-    learning_rate: float = field(default=1e-4, metadata=AT_LEAST_0)
-    max_epochs: int = field(default=30, metadata=AT_LEAST_1)
+    learning_rate: float = field(
+        default=1e-4, metadata=AT_LEAST_0 | {"flag": "--lr"})
+    max_epochs: int = field(
+        default=30, metadata=AT_LEAST_1 | {"flag": "--epochs"})
     train_seed: int = field(default=0, metadata=AT_LEAST_0)
     log_interval: int = field(default=0, metadata=AT_LEAST_0)
     layer: str = field(default="fc1", metadata=rule(
         lambda v: v in FEATURE_LAYERS, f"one of {FEATURE_LAYERS}"))
     k: int = field(default=20, metadata=AT_LEAST_1)
-    use_class_filter: bool = True
+    use_class_filter: bool = field(default=True, metadata={
+        "flag": "--filter",
+        "help": "restrict search to the query's predicted class"})
 
     def __post_init__(self):
         check_fields(self, "config")
@@ -155,8 +164,7 @@ def load_run_config(path):
 def resolve_config(args):
     """Config file (explicit, or inherited from the output dir) + flag overrides."""
     overrides = {name: getattr(args, name)
-                 for name in RunConfig.field_names()
-                 if getattr(args, name, None) is not None}
+                 for name in RunConfig.field_names() if hasattr(args, name)}
     config_path = getattr(args, "config", None)
     base = {}
     if config_path is not None:
@@ -420,32 +428,23 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
+# How each RunConfig annotation's first type becomes an argparse flag.
+_FLAG_KINDS = {"int": {"type": int}, "float": {"type": float},
+               "str": {"type": str},
+               "bool": {"action": argparse.BooleanOptionalAction}}
+
+
 def _add_config_flags(p):
+    """--config, then each RunConfig field's flag, set only when given."""
     p.add_argument("--config", type=Path, default=None,
                    help="JSON config file; flags override its fields")
-    p.add_argument("--data-dir", dest="data_dir", default=None)
-    p.add_argument("--out", dest="output_dir", default=None)
-    p.add_argument("--image-size", dest="image_size", type=int, default=None)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float,
-                   default=None)
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=None)
-    p.add_argument("--scale", dest="scale", type=float, default=None)
-    p.add_argument("--keep-prob", dest="keep_prob", type=float, default=None)
-    p.add_argument("--init-seed", dest="init_seed", type=int, default=None)
-    p.add_argument("--init-std", dest="init_std", type=float, default=None,
-                   help="weight init std; raise above 0.01 for narrow "
-                        "scaled-down networks")
-    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    p.add_argument("--epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--train-seed", dest="train_seed", type=int, default=None)
-    p.add_argument("--log-interval", dest="log_interval", type=int,
-                   default=None)
-    p.add_argument("--layer", dest="layer", choices=FEATURE_LAYERS,
-                   default=None)
-    p.add_argument("--k", dest="k", type=int, default=None)
-    p.add_argument("--filter", dest="use_class_filter",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="restrict search to the query's predicted class")
+    for f in fields(RunConfig):
+        text = f.metadata.get("rule", (None, None))[1]
+        helps = [f.metadata.get("help"), text and f"must be {text}"]
+        p.add_argument(f.metadata.get("flag", "--" + f.name.replace("_", "-")),
+                       dest=f.name, default=argparse.SUPPRESS,
+                       help="; ".join(filter(None, helps)),
+                       **_FLAG_KINDS[f.type.split(" | ")[0]])
 
 
 def build_parser():

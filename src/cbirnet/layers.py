@@ -149,7 +149,6 @@ class Conv2d(_Affine):
 
     def __init__(self, in_channels, out_channels, kernel_h, kernel_w,
                  stride=1, padding=0):
-        self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_h = kernel_h
         self.kernel_w = kernel_w

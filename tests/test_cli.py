@@ -457,7 +457,7 @@ def test_image_size_unlike_the_checkpoint_is_config_error(
 
 
 # (flag, its value, field, the same value in config.json, message)
-BAD_TRAINING_SETTINGS = [
+BAD_SETTINGS = [
     ("--lr", "-1", "learning_rate", -1.0,
      "learning_rate must be >= 0, got -1.0"),
     ("--epochs", "0", "max_epochs", 0, "max_epochs must be >= 1, got 0"),
@@ -473,6 +473,9 @@ BAD_TRAINING_SETTINGS = [
     pytest.param(("--lr", "nan", "learning_rate", math.nan,
                   "learning_rate must be >= 0, got nan"),
                  id="learning_rate_nan"),
+    # The rule, not argparse, refuses a layer, from a flag or a file.
+    ("--layer", "fc9", "layer", "fc9",
+     "layer must be one of ('fc1', 'fc2', 'fc3'), got 'fc9'"),
 ]
 # The RunConfig fields that take any value of their type; every other
 # field carries a rule.
@@ -492,17 +495,19 @@ class TestEveryCommandChecksEverySetting:
         shutil.copytree(pipeline[1], copy)
 
         def unread(*args, **kwargs):
-            raise AssertionError("the checkpoint was read")
+            raise AssertionError("the checkpoint or the corpus was read")
 
         monkeypatch.setattr(cli, "load_checkpoint", unread)
+        monkeypatch.setattr(cli, "list_directory", unread)
         return copy
 
     @staticmethod
     def files(directory):
         return {p.name: p.read_bytes() for p in directory.iterdir()}
 
-    @pytest.mark.parametrize("command, extra", NOT_TRAIN)
-    @pytest.mark.parametrize("setting", BAD_TRAINING_SETTINGS,
+    @pytest.mark.parametrize("command, extra",
+                             [*NOT_TRAIN, ("train", [])])
+    @pytest.mark.parametrize("setting", BAD_SETTINGS,
                              ids=lambda s: s[2])
     def test_bad_flag_refused_and_nothing_written(
             self, run_copy, capsys, command, extra, setting):
@@ -516,7 +521,7 @@ class TestEveryCommandChecksEverySetting:
         assert self.files(run_copy) == before
 
     @pytest.mark.parametrize("command, extra", NOT_TRAIN)
-    @pytest.mark.parametrize("setting", BAD_TRAINING_SETTINGS,
+    @pytest.mark.parametrize("setting", BAD_SETTINGS,
                              ids=lambda s: s[2])
     def test_bad_value_in_config_json_refused(
             self, run_copy, capsys, command, extra, setting):
@@ -532,7 +537,7 @@ class TestEveryCommandChecksEverySetting:
         assert "Traceback" not in stderr
         assert self.files(run_copy) == before
 
-    @pytest.mark.parametrize("setting", BAD_TRAINING_SETTINGS,
+    @pytest.mark.parametrize("setting", BAD_SETTINGS,
                              ids=lambda s: s[2])
     def test_train_refuses_before_the_corpus(
             self, pipeline, tmp_path, capsys, monkeypatch, setting):
@@ -554,6 +559,93 @@ class TestEveryCommandChecksEverySetting:
                  if "rule" in f.metadata}
         assert ruled == RunConfig.field_names() - FREE_FIELDS
         assert FREE_FIELDS <= RunConfig.field_names()
+
+
+# Each RunConfig field's flags, spelled as the README and perfbench use
+# them.
+FLAGS = {"data_dir": ["--data-dir"], "output_dir": ["--out"],
+         "image_size": ["--image-size"],
+         "train_fraction": ["--train-fraction"],
+         "split_seed": ["--split-seed"], "scale": ["--scale"],
+         "keep_prob": ["--keep-prob"], "init_seed": ["--init-seed"],
+         "init_std": ["--init-std"], "learning_rate": ["--lr"],
+         "max_epochs": ["--epochs"], "train_seed": ["--train-seed"],
+         "log_interval": ["--log-interval"], "layer": ["--layer"],
+         "k": ["--k"], "use_class_filter": ["--filter", "--no-filter"]}
+# A flag with a value other than its field's default; --out is given in
+# every case.
+FLAG_VALUES = [
+    ("data_dir", ["--data-dir", "corpus"], "corpus"),
+    ("image_size", ["--image-size", "64"], 64),
+    ("train_fraction", ["--train-fraction", "0.5"], 0.5),
+    ("split_seed", ["--split-seed", "3"], 3),
+    ("scale", ["--scale", "0.1"], 0.1),
+    ("keep_prob", ["--keep-prob", "0.8"], 0.8),
+    ("init_seed", ["--init-seed", "11"], 11),
+    ("init_std", ["--init-std", "0.15"], 0.15),
+    ("learning_rate", ["--lr", "1e-3"], 1e-3),
+    ("max_epochs", ["--epochs", "2"], 2),
+    ("train_seed", ["--train-seed", "13"], 13),
+    ("log_interval", ["--log-interval", "5"], 5),
+    ("layer", ["--layer", "fc2"], "fc2"),
+    ("k", ["--k", "7"], 7),
+    ("use_class_filter", ["--no-filter"], False),
+    ("use_class_filter", ["--filter"], True),
+]
+COMMAND_EXTRAS = {"train": [], "index": [], "evaluate": [],
+                  "query": ["--image", "--json-lines"]}
+
+
+class TestFlagsFromFields:
+    """Each pipeline command offers one flag per RunConfig field, and a
+    flag sets its own field and no other."""
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_EXTRAS))
+    def test_one_flag_per_field_plus_config_and_extras(self, command):
+        parser = cli.build_parser()._subparsers._group_actions[0].choices[
+            command]
+        actions = [a for a in parser._actions if a.dest != "help"]
+        fielded = [a for a in actions if a.dest in RunConfig.field_names()]
+        assert len(fielded) == len(FLAGS)
+        assert {a.dest: a.option_strings for a in fielded} == FLAGS
+        assert ({s for a in actions if a not in fielded
+                 for s in a.option_strings}
+                == {"--config", *COMMAND_EXTRAS[command]})
+
+    def test_every_field_has_a_flag_case(self):
+        assert ({f for f, _, _ in FLAG_VALUES} | {"output_dir"}
+                == RunConfig.field_names())
+
+    @pytest.mark.parametrize(
+        "field, argv, value", FLAG_VALUES,
+        ids=[" ".join(argv) for _, argv, _ in FLAG_VALUES])
+    def test_flag_reaches_its_field_alone(self, tmp_path, field, argv,
+                                          value):
+        out = str(tmp_path / "o")
+        expected = dataclasses.replace(RunConfig(output_dir=out),
+                                       **{field: value})
+        for command, extra in [("train", []), *NOT_TRAIN]:
+            args = cli.build_parser().parse_args(
+                [command, "--out", out, *argv, *extra])
+            cfg = cli.resolve_config(args)
+            assert cfg == expected
+            assert type(getattr(cfg, field)) is type(value)
+
+    def test_help_states_every_rule(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for f in dataclasses.fields(RunConfig):
+            if "rule" in f.metadata:
+                assert f"must be {f.metadata['rule'][1]}" in text
+
+    @pytest.mark.parametrize("argv", [["--k", "abc"], ["--lr", "x"],
+                                      ["--bogus", "1"]])
+    def test_unparsable_flag_is_a_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--out", str(tmp_path / "o"), *argv])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestRefusedConfigNamesItself:
