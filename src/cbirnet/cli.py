@@ -19,7 +19,7 @@ before they list, so every configuration error comes before the first
 image is decoded.
 
 Exit codes: 0 success, 2 input data error or usage error, 3 configuration
-error, 4 numerical abort during training, 5 I/O failure.
+error, 4 numerical abort during training, 5 I/O or memory failure.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
+import secrets
+import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -269,8 +272,24 @@ def cmd_prepare(args):
             "only synthetic corpus generation is supported; pass --synthetic")
     samples, class_names = generate_synthetic_corpus(
         args.classes, args.per_class, args.size, rng_seed=args.seed)
-    manifest = write_corpus(samples, class_names, out,
-                            extra={"seed": args.seed})
+    extra = {"seed": args.seed}
+    if not (out / "manifest.json").is_file():
+        manifest = write_corpus(samples, class_names, out, extra=extra)
+    else:
+        # An earlier corpus is replaced whole, so none of its files stay
+        # behind. The new one is written beside it and swapped in once
+        # complete, so a failed run leaves the old corpus as it was.
+        target = out.resolve()
+        staged = target.with_name(f"{target.name}.{secrets.token_hex(6)}.tmp")
+        try:
+            manifest = write_corpus(samples, class_names, staged, extra=extra)
+        except BaseException:
+            shutil.rmtree(staged, ignore_errors=True)
+            raise
+        old = staged.with_suffix(".old")
+        os.rename(target, old)
+        os.rename(staged, target)
+        shutil.rmtree(old)
     print(f"wrote {manifest['num_files']} images in {len(class_names)} "
           f"classes to {out}")
     print(f"manifest sha256 {manifest['sha256']}")
@@ -505,6 +524,10 @@ def main(argv=None):
         return EXIT_INPUT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return EXIT_IO
 
 

@@ -20,17 +20,17 @@ further, but the BLAS then blocks and orders its sums differently, and the
 float64 results drift from the one-sample pass at N of 7 or more.
 
 Train passes (train=True) take a batch of exactly one sample and cache
-what backward needs for it. backward(g, input_grad=False) computes only
-what the parameters need and returns None; the first layer of an SGD step
-needs no input gradient. With one sample, a layer's gradient is that
-sample's alone, so each backward replaces what the last one left and
-nothing adds up across backwards. A Conv2d backward writes the layer's
-grads outright, into buffers its first train backward allocates, so a
-layer that has never run one holds none. A FullyConnected layer has no grads: its weight gradient is the
-outer product of the upstream gradient and the cached input, so each
-backward keeps those two factors. Each layer's step_finite() and step(lr)
-then check and apply the step: a conv layer's grads, or an FC layer's
-factors.
+what backward needs for it. Only Conv2d and FullyConnected have
+parameters and take part in an SGD step; their backward can skip the
+input gradient, which the first layer of a step does not need, and
+return None. The other layers only pass the gradient on. With one
+sample, a layer's gradient is that sample's alone, so each backward
+replaces what the last one left and nothing adds up across backwards. A
+Conv2d backward writes its grads outright, into buffers its first train
+backward allocates, so a layer that has never run one holds none. A
+FullyConnected layer has no grads: each backward keeps the two factors
+of its weight gradient, the upstream gradient and the cached input.
+step_finite() and step(lr) check and apply the step from those.
 
 The train path of MaxPool2d and the input gradient of Conv2d run through
 index tables of flat positions: one gather and one argmax per pool
@@ -96,7 +96,7 @@ def _window_positions(shape, kernel_h, kernel_w, stride):
 
 
 class Layer:
-    """Base class: parameterless layers inherit the no-op step handling."""
+    """Base class: a layer without parameters only passes gradients on."""
 
     def parameters(self):
         """The parameter arrays, in the order checkpoints store them."""
@@ -105,15 +105,8 @@ class Layer:
     def forward(self, x, train=False):
         raise NotImplementedError
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out):
         raise NotImplementedError
-
-    def step_finite(self):
-        """True when every gradient element step() would apply is finite."""
-        return True
-
-    def step(self, learning_rate):
-        """The SGD update value -= lr * grad, after the step's backward."""
 
 
 class _Affine(Layer):
@@ -125,6 +118,14 @@ class _Affine(Layer):
 
     def parameters(self):
         return [self.weights, self.biases]
+
+    def step_finite(self):
+        """True when every gradient element step() would apply is finite."""
+        raise NotImplementedError
+
+    def step(self, learning_rate):
+        """The SGD update value -= lr * grad, after the step's backward."""
+        raise NotImplementedError
 
 
 class Conv2d(_Affine):
@@ -288,15 +289,13 @@ class MaxPool2d(Layer):
         self._winners = self._table.take(pick)
         return flat.take(pick).reshape(self._out_shape)
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out):
         if self._winners is None:
             raise InternalError("backward called before a train-mode forward")
         if grad_out.shape != self._out_shape:
             raise InternalError(
                 f"upstream gradient shape {grad_out.shape} does not match "
                 f"pooled output {self._out_shape}")
-        if not input_grad:
-            return None
         dx = np.bincount(self._winners, weights=grad_out.ravel(),
                          minlength=math.prod(self._in_shape))
         return dx.reshape(self._in_shape)
@@ -314,11 +313,9 @@ class ReLU(Layer):
             self._mask = x > 0
         return np.maximum(x, 0.0)
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out):
         if self._mask is None:
             raise InternalError("backward called before a train-mode forward")
-        if not input_grad:
-            return None
         return grad_out * self._mask
 
 
@@ -416,11 +413,9 @@ class Dropout(Layer):
         self._mask = self.rng.random(x.shape) < self.keep_prob
         return x * self._mask
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out):
         if self._mask is None:
             raise InternalError("backward called before a train-mode forward")
-        if not input_grad:
-            return None
         return grad_out * self._mask
 
 
@@ -440,9 +435,7 @@ class LogSoftmax(Layer):
             self._probs = np.exp(out)
         return out
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out):
         if self._probs is None:
             raise InternalError("backward called before a train-mode forward")
-        if not input_grad:
-            return None
         return grad_out - self._probs * grad_out.sum(axis=1, keepdims=True)

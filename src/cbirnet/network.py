@@ -37,9 +37,9 @@ classify desk images ~1.5x as fast as one. Each helper holds one more
 chunk of images and patches (~2.4 MB at 64 px) in its own malloc arena,
 so the count is capped at the two lanes measured. A network whose chunk
 is one image (224 px) keeps one lane: its GEMMs are BLAS-threaded
-already, and two lanes there were slower than one in a small probe (no
-benchmark workload has that shape yet). A call of one chunk or less
-(every query) runs inline and starts no thread.
+already, and on a 2-core VM two lanes took 56-71 ms per 224 px image
+against 52-54 on one, slower in 15 of 16 alternating reps. A call of
+one chunk or less (every query) runs inline and starts no thread.
 """
 
 from __future__ import annotations
@@ -317,6 +317,9 @@ class Network:
         self.layers = layers
         self._shapes = shapes  # spec.shape_trace()
         self.feature_taps = feature_taps  # list of (name, layer_index)
+        # (spec, layer) of each layer with parameters, in layer order.
+        self.stepped = [(ls, layer) for ls, layer in zip(spec.layers, layers)
+                        if layer.parameters()]
         patch_elems = max(
             (shape[0] * ls.kernel_h * ls.kernel_w * math.prod(out[1:])
              for ls, shape, out in zip(spec.layers, shapes, shapes[1:])
@@ -370,11 +373,10 @@ class Network:
             raise ConfigurationError(
                 f"weight_std must be positive, got {weight_std}")
         rng = np.random.default_rng(seed)
-        for ls, layer in zip(self.spec.layers, self.layers):
-            if isinstance(layer, (Conv2d, FullyConnected)):
-                layer.weights[:] = rng.normal(
-                    0.0, weight_std, size=layer.weights.shape)
-                layer.biases.fill(ls.bias_init)
+        for ls, layer in self.stepped:
+            layer.weights[:] = rng.normal(
+                0.0, weight_std, size=layer.weights.shape)
+            layer.biases.fill(ls.bias_init)
 
     def seed_dropout(self, seed):
         """Point every dropout layer at one fresh generator (shared stream)."""
@@ -385,7 +387,7 @@ class Network:
 
     def parameters(self):
         """Every layer's parameter arrays, in layer order."""
-        return [value for layer in self.layers
+        return [value for _, layer in self.stepped
                 for value in layer.parameters()]
 
     def zero_grads(self):
@@ -429,9 +431,14 @@ class Network:
         computes only what its parameters need, and the call returns None.
         """
         g = np.asarray(grad_out)[None]
-        for i in reversed(range(len(self.layers))):
-            g = self.layers[i].backward(g, input_grad=input_grad or i > 0)
-        return None if g is None else g[0]
+        first, *above = self.layers
+        for layer in reversed(above):
+            g = layer.backward(g)
+        if input_grad:
+            return first.backward(g)[0]
+        if first.parameters():
+            first.backward(g, input_grad=False)
+        return None
 
     def classify(self, images, features=True):
         """Eval-mode pass over a batch: (log_probs, predicted, features).
@@ -520,12 +527,11 @@ class Network:
         = layer.weights.copy()): fingerprint() hashes afresh while any
         parameter is not an array that freeze() handed out.
         """
-        for layer in self.layers:
-            if isinstance(layer, (Conv2d, FullyConnected)):
-                for name in ("weights", "biases"):
-                    base = getattr(layer, name)
-                    base.flags.writeable = False
-                    setattr(layer, name, base.view())
+        for _, layer in self.stepped:
+            for name in ("weights", "biases"):
+                base = getattr(layer, name)
+                base.flags.writeable = False
+                setattr(layer, name, base.view())
         self._frozen = self.parameters()
         self._fingerprint = None
         return self

@@ -65,9 +65,9 @@ def sgd_step(net, sample, learning_rate):
     """One forward/backward/update cycle on a single sample.
 
     Returns the sample's loss before the update. Aborts with
-    TrainingDiverged on any non-finite loss or gradient; every layer is
-    checked before any parameter moves, so a diverged step leaves the
-    parameters as the previous step left them.
+    TrainingDiverged on any non-finite loss or gradient; every layer with
+    parameters (net.stepped) is checked before any parameter moves, so a
+    diverged step leaves the parameters as the previous step left them.
 
     net.zero_grads() does nothing; it stays for perfbench's
     training.zero_grads_ms (see Network.zero_grads). The backward writes
@@ -95,11 +95,11 @@ def sgd_step(net, sample, learning_rate):
         raise TrainingDiverged(
             f"non-finite loss {loss} on sample {sample.source_id}")
     net.backward(nll_grad(log_probs, sample.label), input_grad=False)
-    if not all(layer.step_finite() for layer in net.layers):
+    if not all(layer.step_finite() for _, layer in net.stepped):
         raise TrainingDiverged(
             f"non-finite gradient on sample {sample.source_id}")
     if learning_rate != 0.0:
-        for layer in net.layers:
+        for _, layer in net.stepped:
             layer.step(learning_rate)
     return loss
 

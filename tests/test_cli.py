@@ -1,20 +1,23 @@
 """End-to-end pipeline through the command-line entry point."""
 
+import argparse
 import csv
 import dataclasses
 import errno
 import json
 import math
 import os
+import re
 import shutil
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import conftest
-from cbirnet import _binio, cli, data, metrics, retrieval
+from cbirnet import _binio, cli, data, layers, metrics, retrieval
 from cbirnet.cli import EXIT_CONFIG, EXIT_INPUT, RunConfig, main
 from cbirnet.data import preprocess_image, read_pgm
 from cbirnet.metrics import mean_ap
@@ -86,6 +89,77 @@ class TestPrepare:
                          "--per-class", "10", "--size", "16",
                          "--out", str(out), "--force")
         assert code == 0
+        # Without a manifest the directory is no earlier corpus: --force
+        # writes into it and deletes nothing.
+        assert (out / "keep.txt").read_text() == "x"
+
+    @staticmethod
+    def prepare(capsys, out, classes, per_class, *extra):
+        code, _, stderr = run(capsys, "prepare", "--synthetic",
+                              "--classes", str(classes),
+                              "--per-class", str(per_class), "--size", "16",
+                              "--out", str(out), *extra)
+        return code, stderr
+
+    def test_force_replaces_an_earlier_corpus(self, tmp_path, capsys):
+        out = tmp_path / "c4"
+        assert self.prepare(capsys, out, 4, 12)[0] == 0
+        assert self.prepare(capsys, out, 2, 10, "--force")[0] == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed, class_names = data.list_directory(out)
+        assert {name: sum(s.label == i for s in listed)
+                for i, name in enumerate(class_names)} == {
+                    "c00_grating": 10, "c01_polygon": 10} == (
+                        manifest["class_counts"])
+        assert len(listed) == manifest["num_files"]
+        assert [p.name for p in tmp_path.iterdir()] == ["c4"]
+
+    def test_failed_force_leaves_the_old_corpus(self, tmp_path, capsys,
+                                                monkeypatch):
+        out = tmp_path / "c4"
+        assert self.prepare(capsys, out, 4, 12)[0] == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        write_corpus = cli.write_corpus
+
+        def fail_after_writing(samples, class_names, root, extra=None):
+            write_corpus(samples, class_names, root, extra=extra)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "write_corpus", fail_after_writing)
+        code, stderr = self.prepare(capsys, out, 2, 10, "--force")
+        assert code == cli.EXIT_IO
+        assert "No space left on device" in stderr
+        assert {p: p.read_bytes() for p in out.rglob("*")
+                if p.is_file()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c4"]
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    def test_one_line_and_exit_5(self, command, tmp_path, capsys,
+                                 monkeypatch):
+        # The allocation is refused by a patch, never made: a host that
+        # overcommits memory could kill the test run instead.
+        corpus = tmp_path / "corpus"
+        assert main(["prepare", "--synthetic", "--classes", "2",
+                     "--per-class", "10", "--size", "16",
+                     "--out", str(corpus)]) == 0
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 775. GiB")
+
+        if command == "prepare":
+            monkeypatch.setattr(cli, "generate_synthetic_corpus", refuse)
+            argv = ["prepare", "--synthetic", "--out", str(tmp_path / "big")]
+        else:
+            monkeypatch.setattr(layers._Affine, "__init__", refuse)
+            argv = ["train", "--data-dir", str(corpus),
+                    "--out", str(tmp_path / "run"), *DESK]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == cli.EXIT_IO == 5
+        assert stderr == "error: out of memory: Unable to allocate 775. GiB\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
 
 
 class TestTrain:
@@ -638,6 +712,28 @@ class TestFlagsFromFields:
         for f in dataclasses.fields(RunConfig):
             if "rule" in f.metadata:
                 assert f"must be {f.metadata['rule'][1]}" in text
+
+    def test_readme_table_matches_the_fields(self):
+        # The README's settings table is written by hand: its rows are the
+        # fields in order, each with the flags _add_config_flags makes and
+        # its rule's text.
+        lines = (Path(__file__).resolve().parents[1]
+                 / "README.md").read_text().splitlines()
+        start = lines.index("| field | flag | must be |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            rows.append([c.strip() for c in line.strip("|").split("|")])
+        parser = argparse.ArgumentParser()
+        cli._add_config_flags(parser)
+        flags = {a.dest: a.option_strings for a in parser._actions}
+        assert ([row[0].strip("`") for row in rows]
+                == [f.name for f in dataclasses.fields(RunConfig)])
+        for f, (_, flag, must_be) in zip(dataclasses.fields(RunConfig), rows):
+            assert re.findall(r"`([^`]*)`", flag) == flags[f.name]
+            if "rule" in f.metadata:
+                assert must_be.replace("`", "") == f.metadata["rule"][1]
 
     @pytest.mark.parametrize("argv", [["--k", "abc"], ["--lr", "x"],
                                       ["--bogus", "1"]])

@@ -26,12 +26,15 @@ from cbirnet.data import PreprocessedImages, Sample
 from cbirnet.layers import Conv2d, Dropout, FullyConnected
 from cbirnet.network import (
     CHECKPOINT_MAGIC,
+    ConvSpec,
     DropoutSpec,
     FCSpec,
     LogSoftmaxSpec,
     MAX_LANES,
+    MaxPoolSpec,
     Network,
     NetworkSpec,
+    ReLUSpec,
     build_architecture,
     load_checkpoint,
     save_checkpoint,
@@ -850,7 +853,19 @@ def fc_first_network():
     return net
 
 
-FIRST_LAYERS = {"conv": desk_network, "fc": fc_first_network}
+def pool_first_network():
+    """A first layer without parameters: a pool under a conv, two FCs."""
+    net = Network.from_spec(NetworkSpec(
+        input_shape=(1, 9, 9),
+        layers=(MaxPoolSpec(window=3, stride=2), ConvSpec(2, 3, 3, padding=1),
+                ReLUSpec(), FCSpec(5), ReLUSpec(), DropoutSpec(keep_prob=0.5),
+                FCSpec(2), LogSoftmaxSpec(num_classes=2))))
+    net.initialize(0, weight_std=0.5)
+    return net
+
+
+FIRST_LAYERS = {"conv": desk_network, "fc": fc_first_network,
+                "pool": pool_first_network}
 
 
 class TestBackwardGrads:
@@ -897,3 +912,25 @@ class TestBackwardGrads:
         for (_, a), (_, b) in zip(conftest.parameter_grads(skipped),
                                   conftest.parameter_grads(full)):
             npt.assert_array_equal(a, b)
+
+    def test_first_layer_without_parameters_is_skipped(self):
+        # A first layer without parameters has nothing to compute when no
+        # input gradient is asked for, so its backward is not called.
+        skipped, full = (pool_first_network() for _ in range(2))
+        for net in (skipped, full):
+            net.seed_dropout(0)
+        calls = []
+        pool_backward = skipped.layers[0].backward
+        skipped.layers[0].backward = lambda g: calls.append(pool_backward(g))
+        [x] = self.images(full, 1)
+        assert self.backward_pass(skipped, x, input_grad=False) is None
+        assert calls == []
+        assert self.backward_pass(full, x).shape == full.spec.input_shape
+        for (_, a), (_, b) in zip(skipped.stepped, full.stepped):
+            if isinstance(a, Conv2d):
+                kept = ("weight_grads", "bias_grads")
+            else:
+                kept = ("_g", "_x")
+            for name in kept:
+                assert (getattr(a, name).tobytes()
+                        == getattr(b, name).tobytes())

@@ -228,8 +228,9 @@ class TestSgdStep:
             npt.assert_array_equal(a, b)
 
     def test_plain_backward_feeds_the_step(self):
-        # Network.backward has one path: a plain call, then every layer's
-        # check and update, is the reference step (desk net, dropout on).
+        # Network.backward has one path: a plain call, then the check and
+        # update of every layer with parameters, is the reference step
+        # (desk net, dropout on).
         samples, _ = tiny_corpus(num_classes=4, size=64, seed=5)
         spec = build_architecture(input_shape=(1, 64, 64), num_classes=4,
                                   keep_prob=0.5, scale=0.1)
@@ -241,8 +242,8 @@ class TestSgdStep:
         for sample in samples[::5]:
             log_probs = fast.forward(sample.image, train=True)
             fast.backward(nll_grad(log_probs, sample.label))
-            assert all(layer.step_finite() for layer in fast.layers)
-            for layer in fast.layers:
+            assert all(layer.step_finite() for _, layer in fast.stepped)
+            for _, layer in fast.stepped:
                 layer.step(lr)
             assert (nll_loss(log_probs, sample.label)
                     == sgd_step_reference(slow, sample, lr))
