@@ -11,8 +11,8 @@ its fields when it was made. All arithmetic is 64-bit.
 Eval passes (train=False) run a whole batch through each kernel at once
 and touch no layer state, so they are safe to run concurrently on a frozen
 network. Batching never changes a bit of any sample's result. The exact
-elementwise work (padding, window views, bias, ReLU, dropout scale, window
-maxima, log-softmax along axis 1) is batched freely. The matrix products
+elementwise work (gathers, bias, ReLU, dropout scale, window maxima,
+log-softmax along axis 1) is batched freely. The matrix products
 go through a stacked np.matmul, which issues one BLAS call per sample on
 the same operands as the unbatched product. One GEMM over the whole batch
 (w2d @ [cols_1 ... cols_N], or X @ W.T for the FCs) would cut dispatch
@@ -32,12 +32,16 @@ FullyConnected layer has no grads: each backward keeps the two factors
 of its weight gradient, the upstream gradient and the cached input.
 step_finite() and step(lr) check and apply the step from those.
 
-The train path of MaxPool2d and the input gradient of Conv2d run through
-index tables of flat positions: one gather and one argmax per pool
-forward, one bincount per pool backward and per col2im. Each table is a
-cache keyed on the input shape: built the first time a train pass needs
-it at that shape, rebuilt when the shape changes, and never a second
-shape check. Eval passes neither build nor read one. A bincount starts
+Conv2d and the train path of MaxPool2d run through tables of flat input
+positions (_patch_table): a convolution's im2col is one gather and its
+input gradient one bincount; a pool's train forward is one gather and one
+argmax, its backward one bincount. There is one read-only table per
+window geometry, cached at module level and shared by every layer and
+thread; the first pass at a geometry builds it, and no layer keeps one,
+so an eval pass writes no layer state. A padded convolution gathers from
+its input with one +0.0 slot appended, at which every position in the
+padding points, and its bincount drops that slot's bin: no padded copy of
+the input is made and no padded gradient is cropped. A bincount starts
 each bin at +0.0 and adds its weights in array order, so every sum takes
 its terms in the order of the slice-by-slice adds it replaced, bit for
 bit.
@@ -45,6 +49,7 @@ bit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -84,15 +89,32 @@ def _window_shape(input_shape, kernel_h, kernel_w, stride, padding=0):
                  for n, k in ((h, kernel_h), (w, kernel_w))))
 
 
-def _window_positions(shape, kernel_h, kernel_w, stride):
-    """Flat index into a (c, h, w) array of every element of every window.
+@functools.lru_cache(maxsize=64)  # bounded: a 224 px conv1 table is 8.8 MB
+def _patch_table(shape, kernel_h, kernel_w, stride, padding=0, windows=False):
+    """Flat input position of every element of every window, read-only.
 
-    Shaped (c, out_h, out_w, kernel_h, kernel_w): the window view of the
-    array's positions, laid out as the window view of its values is.
+    One table per geometry, shared by every layer and thread that asks for
+    it. shape is a (c, h, w) sample, and the entries index its flattened
+    c*h*w values. Every position in the padding points at one slot past
+    them, index c*h*w, which a gather fills with +0.0 and a bincount
+    drops; with padding 0 no entry is c*h*w. The table is
+    (c*kh*kw, out_h, out_w), in the (c, kh, kw, oh, ow) order of im2col's
+    patch rows; with windows=True it is (c, out_h, out_w, kh*kw), one
+    row-major window to a row, as a pool takes its maxima.
     """
-    grid = np.arange(math.prod(shape), dtype=np.intp).reshape(shape)
-    return sliding_window_view(grid, (kernel_h, kernel_w),
-                               axis=(1, 2))[:, ::stride, ::stride]
+    c, h, w = shape
+    p = padding
+    grid = np.full((c, h + 2 * p, w + 2 * p), c * h * w, dtype=np.intp)
+    grid[:, p:p + h, p:p + w] = np.arange(c * h * w).reshape(shape)
+    win = sliding_window_view(grid, (kernel_h, kernel_w),
+                              axis=(1, 2))[:, ::stride, ::stride]
+    oh, ow = win.shape[1:3]
+    base = (win if windows else win.transpose(0, 3, 4, 1, 2)).copy()
+    # A view of a read-only base: numpy refuses to make it writable again.
+    base.flags.writeable = False
+    if windows:
+        return base.reshape(c, oh, ow, -1)
+    return base.reshape(-1, oh, ow)
 
 
 class Layer:
@@ -131,15 +153,15 @@ class _Affine(Layer):
 class Conv2d(_Affine):
     """2-D cross-correlation over (channels, height, width) samples.
 
-    forward reads the output size off its strided window view, which
-    follows the floor rule of _window_shape. The kernel is applied
-    unflipped (cross-correlation, the usual CNN convention). The input
-    gradient scatters dcols into the padded input with one bincount over
-    a table of the padded position of each dcols element, in dcols' own
-    (c, kh, kw, oh, ow) order, so each position sums its terms in (kh, kw)
-    order. The table is built by the first backward that asks for an
-    input gradient at a new input shape: the first layer of an SGD step
-    never asks, and never builds one.
+    forward gathers each sample's (c*kh*kw, oh*ow) patches with one
+    gather through the geometry's shared table, and reads the output size
+    off that table, which follows the floor rule of _window_shape. The
+    kernel is applied unflipped (cross-correlation, the usual CNN
+    convention). The input gradient scatters dcols into the input with
+    one bincount over the same table, in dcols' own (c, kh, kw, oh, ow)
+    order, so each position sums its terms in (kh, kw) order; the zero
+    slot's bin, which gathers the padding's terms, is dropped. The first
+    layer of an SGD step asks for no input gradient and runs no bincount.
 
     Each train-mode backward writes weight_grads and bias_grads outright,
     so they hold the last sample's grads alone. The first one allocates
@@ -162,8 +184,6 @@ class Conv2d(_Affine):
         self._cols = None
         self._in_shape = None
         self._out_shape = None
-        self._col2im = None  # padded position of each dcols element
-        self._col2im_shape = None  # the input shape _col2im was built for
 
     def step_finite(self):
         return all(np.isfinite(grad).all()
@@ -175,30 +195,27 @@ class Conv2d(_Affine):
             np.multiply(grad, learning_rate, out=grad)
             np.subtract(value, grad, out=value)
 
-    def _im2col(self, x):
-        """(cols, out_h, out_w): patches of shape (N, c*kh*kw, out_h*out_w)."""
-        p, s = self.padding, self.stride
-        n, c, h, w = x.shape
-        if p > 0:
-            padded = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=DTYPE)
-            padded[:, :, p:p + h, p:p + w] = x
-            x = padded
-        win = sliding_window_view(x, (self.kernel_h, self.kernel_w),
-                                  axis=(2, 3))[:, :, ::s, ::s]
-        oh, ow = win.shape[2:4]
-        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(
-            n, c * self.kernel_h * self.kernel_w, oh * ow)
-        return np.ascontiguousarray(cols), oh, ow
-
     def forward(self, x, train=False):
         if train:
             _check_train_batch(x)
-        cols, oh, ow = self._im2col(x)
+        n, c, h, w = x.shape
+        table = _patch_table(x.shape[1:], self.kernel_h, self.kernel_w,
+                             self.stride, self.padding)
+        flat = x.reshape(n, c * h * w)
+        if self.padding:
+            slotted = np.zeros((n, c * h * w + 1), dtype=DTYPE)
+            slotted[:, :-1] = flat
+            flat = slotted
+        # np.take copies a read-only index array on every call, which for
+        # one sample costs more than the gather; fancy indexing does not.
+        cols = flat[0][table][None] if n == 1 else flat.take(table, axis=1)
+        _, oh, ow = table.shape
+        cols = cols.reshape(n, len(table), oh * ow)
         w2d = self.weights.reshape(self.out_channels, -1)
         # One GEMM per sample, as in the one-sample pass (module docstring).
         out = np.matmul(w2d, cols)
         out += self.biases[:, None]
-        out = out.reshape(len(x), self.out_channels, oh, ow)
+        out = out.reshape(n, self.out_channels, oh, ow)
         if train:
             self._cols = cols[0]
             self._in_shape = x.shape[1:]
@@ -208,8 +225,6 @@ class Conv2d(_Affine):
     def backward(self, grad_out, input_grad=True):
         if self._cols is None:
             raise InternalError("backward called before a train-mode forward")
-        c, h, w = self._in_shape
-        kh, kw, s, p = self.kernel_h, self.kernel_w, self.stride, self.padding
         if grad_out.shape != self._out_shape:
             raise InternalError(
                 f"upstream gradient shape {grad_out.shape} does not match "
@@ -224,38 +239,30 @@ class Conv2d(_Affine):
         if not input_grad:
             return None
         dcols = self.weights.reshape(oc, -1).T @ g2d
-        hp, wp = h + 2 * p, w + 2 * p
-        if self._col2im_shape != self._in_shape:
-            self._col2im = _window_positions((c, hp, wp), kh, kw, s).transpose(
-                0, 3, 4, 1, 2).ravel()
-            self._col2im_shape = self._in_shape
-        dxp = np.bincount(self._col2im, weights=dcols.ravel(),
-                          minlength=c * hp * wp).reshape(1, c, hp, wp)
-        if p > 0:
-            return dxp[:, :, p:-p, p:-p].copy()
-        return dxp
+        table = _patch_table(self._in_shape, self.kernel_h, self.kernel_w,
+                             self.stride, self.padding)
+        size = math.prod(self._in_shape)
+        dx = np.bincount(table.ravel(), weights=dcols.ravel(), minlength=size)
+        return dx[:size].reshape(1, *self._in_shape)
 
 
 class MaxPool2d(Layer):
     """Window-maximum downsampling; windows may overlap when stride < window.
 
     The train-mode forward gathers every window into one row of a
-    (c*oh*ow, k*k) array through a table of flat input positions, takes
-    each row's argmax (ties break toward the row-major first position) and
+    (c*oh*ow, k*k) array through the geometry's shared table, takes each
+    row's argmax (ties break toward the row-major first position) and
     records the winners' positions; backward sums each upstream element
     into its winner with one bincount, accumulating where windows overlap.
-    The table is built on the first train-mode forward of each input shape
-    and reused. The eval forward needs no winners and builds no table: it
-    takes the running maximum of the window's k*k strided slices, which
-    picks the same value bit for bit.
+    The eval forward needs no winners and reads no table: it takes the
+    running maximum of the window's k*k strided slices, which picks the
+    same value bit for bit.
     """
 
     def __init__(self, window, stride):
         self.window = window
         self.stride = stride
-        self._table = None  # flat input position of each window element
-        self._row_starts = None  # flat table index of each row's start
-        self._in_shape = None  # the input shape _table was built for
+        self._in_shape = None
         self._out_shape = None
         self._winners = None
 
@@ -275,18 +282,14 @@ class MaxPool2d(Layer):
                                    out=out)
             return out
         _check_train_batch(x)
-        if self._in_shape != x.shape:
-            c, oh, ow = _window_shape(x.shape[1:], k, k, s)
-            # Rows in (c, oh, ow) order, each window's k*k row-major.
-            self._table = _window_positions(x.shape[1:], k, k, s).reshape(
-                -1, k * k)
-            self._row_starts = np.arange(0, self._table.size, k * k)
-            self._in_shape = x.shape
-            self._out_shape = (1, c, oh, ow)
-        flat = x.take(self._table)  # (c*oh*ow, k*k) window values
+        table = _patch_table(x.shape[1:], k, k, s, windows=True)
+        c, oh, ow, kk = table.shape
+        flat = x.reshape(-1)[table].reshape(-1, kk)  # a window to a row
         pick = flat.argmax(axis=1)
-        pick += self._row_starts
-        self._winners = self._table.take(pick)
+        pick += np.arange(0, flat.size, kk)
+        self._winners = table.take(pick)
+        self._in_shape = x.shape
+        self._out_shape = (1, c, oh, ow)
         return flat.take(pick).reshape(self._out_shape)
 
     def backward(self, grad_out):

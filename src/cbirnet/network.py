@@ -30,16 +30,17 @@ by ~6 MB).
 
 The chunks are independent (an eval pass writes no layer state, and each
 chunk writes only its own output rows), so classify runs them on lanes,
-one per usable core up to MAX_LANES: the calling thread and a helper
-thread for each further lane, each taking every lanes-th chunk. numpy
-releases the GIL in the GEMMs and ufuncs, so on two cores two lanes
-classify desk images ~1.5x as fast as one. Each helper holds one more
-chunk of images and patches (~2.4 MB at 64 px) in its own malloc arena,
-so the count is capped at the two lanes measured. A network whose chunk
-is one image (224 px) keeps one lane: its GEMMs are BLAS-threaded
-already, and on a 2-core VM two lanes took 56-71 ms per 224 px image
-against 52-54 on one, slower in 15 of 16 alternating reps. A call of
-one chunk or less (every query) runs inline and starts no thread.
+one per usable core up to MAX_LANES (the affinity mask, capped by a
+cgroup v2 CPU quota): the calling thread and a helper thread for each
+further lane, each taking every lanes-th chunk. numpy releases the GIL
+in the GEMMs and ufuncs, so on two cores two lanes classify desk images
+~1.5x as fast as one. Each helper holds one more chunk of images and
+patches (~2.4 MB at 64 px) in its own malloc arena, so the count is
+capped at the two lanes measured. A network whose chunk is one image
+(224 px) keeps one lane: its GEMMs are BLAS-threaded already, and on a
+2-core VM two lanes took 56-71 ms per 224 px image against 52-54 on one,
+slower in 15 of 16 alternating reps. A call of one chunk or less (every
+query) runs inline and starts no thread.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ CHECKPOINT_VERSION = 1
 WEIGHT_STD = 0.01
 CHUNK_BYTES = 2 * 1024 * 1024  # im2col budget of one classify chunk
 MAX_LANES = 2  # classify threads; each holds a chunk, and more are unmeasured
+CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"  # cgroup v2 CPU quota: "quota period"
 
 
 # The types JSON decodes a value of each annotated field type to.
@@ -317,6 +319,9 @@ class Network:
         self.layers = layers
         self._shapes = shapes  # spec.shape_trace()
         self.feature_taps = feature_taps  # list of (name, layer_index)
+        # (layer_index, width) of each tap's (N, width) classify output.
+        self._tap_widths = [(idx, math.prod(shapes[idx + 1]))
+                            for _, idx in feature_taps]
         # (spec, layer) of each layer with parameters, in layer order.
         self.stepped = [(ls, layer) for ls, layer in zip(spec.layers, layers)
                         if layer.parameters()]
@@ -458,10 +463,18 @@ class Network:
         """
         n = len(images)
         log_probs = np.empty((n, *self._shapes[-1]), dtype=DTYPE)
-        taps = {idx: np.empty((n, int(np.prod(self._shapes[idx + 1]))),
-                              dtype=DTYPE)
-                for _, idx in self.feature_taps} if features else {}
-        starts = range(0, n, self.chunk_size)
+        taps = {idx: np.empty((n, width), dtype=DTYPE)
+                for idx, width in self._tap_widths} if features else {}
+        if 0 < n <= self.chunk_size:  # one chunk, so every query: inline
+            self._classify_chunk(images, 0, log_probs, taps)
+        else:
+            self._classify_lanes(images, log_probs, taps)
+        return log_probs, log_probs.argmax(axis=1), {
+            name: taps[idx] for name, idx in self.feature_taps if features}
+
+    def _classify_lanes(self, images, log_probs, taps):
+        """classify's chunks on up to self.lanes threads, with its errors."""
+        starts = range(0, len(log_probs), self.chunk_size)
         lanes = max(1, min(self.lanes, len(starts)))
         # A chunk known to fail; no lane runs a chunk above it. It is only
         # ever set to a failing chunk, so the lowest failing one still runs.
@@ -494,8 +507,6 @@ class Network:
         _, error = min(outcomes, key=operator.itemgetter(0))
         if error is not None:
             raise error
-        return log_probs, log_probs.argmax(axis=1), {
-            name: taps[idx] for name, idx in self.feature_taps if features}
 
     def _classify_chunk(self, images, start, log_probs, taps):
         """Run images[start:start + chunk_size] into their output rows."""
@@ -556,12 +567,33 @@ class Network:
         return digest
 
 
-def _usable_cores():
-    """Cores this process may run on (all of them where that is unknown)."""
+def _read_cpu_max():
+    """The text of the cgroup v2 CPU quota file, or None if unreadable."""
     try:
-        return len(os.sched_getaffinity(0))
+        with open(CPU_MAX_PATH) as f:
+            return f.read()
+    except OSError:
+        return None
+
+
+def _usable_cores():
+    """Cores this process may run on (all of them where that is unknown).
+
+    The affinity mask, capped by a cgroup v2 CPU quota when cpu.max reads
+    "quota period": a container held to 1.5 CPUs gets 2. A quota of
+    "max", or a file that is missing or unreadable, caps nothing.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    try:
+        quota, period = map(int, (_read_cpu_max() or "").split())
+    except ValueError:  # "max period", or no quota to read
+        return cores
+    if quota > 0 and period > 0:
+        return min(cores, math.ceil(quota / period))
+    return cores
 
 
 def _tensor_head(shape):

@@ -113,6 +113,46 @@ def col2im_reference(dcols, in_shape, kernel_h, kernel_w, stride, padding):
     return dxp[:, p:p + h, p:p + w]
 
 
+def im2col_reference(x, kernel_h, kernel_w, stride, padding):
+    """The pad, window-view and copy im2col that Conv2d replaced.
+
+    x is (N, c, h, w): a zero-padded copy, its strided window view, then a
+    transposed copy to (N, c*kh*kw, oh*ow) patches in (c, kh, kw, oh, ow)
+    order. Kept as the byte oracle of Conv2d's table gather.
+    """
+    p, s = padding, stride
+    n, c, h, w = x.shape
+    if p > 0:
+        padded = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=DTYPE)
+        padded[:, :, p:p + h, p:p + w] = x
+        x = padded
+    win = sliding_window_view(x, (kernel_h, kernel_w),
+                              axis=(2, 3))[:, :, ::s, ::s]
+    oh, ow = win.shape[2:4]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(
+        n, c * kernel_h * kernel_w, oh * ow)
+    return np.ascontiguousarray(cols)
+
+
+def col2im_padded_reference(dcols, in_shape, kernel_h, kernel_w, stride,
+                            padding):
+    """The padded-input bincount and crop that Conv2d.backward replaced.
+
+    One bincount of dcols (c*kh*kw, oh*ow) over the flat position of each
+    element in the padded (c, h + 2p, w + 2p) input, then a cropped copy.
+    Kept as the byte oracle of the zero-slot bincount.
+    """
+    c, h, w = in_shape
+    p = padding
+    hp, wp = h + 2 * p, w + 2 * p
+    grid = np.arange(c * hp * wp).reshape(c, hp, wp)
+    table = sliding_window_view(grid, (kernel_h, kernel_w),
+                                axis=(1, 2))[:, ::stride, ::stride]
+    dxp = np.bincount(table.transpose(0, 3, 4, 1, 2).ravel(),
+                      weights=dcols.ravel(), minlength=c * hp * wp)
+    return dxp.reshape(c, hp, wp)[:, p:p + h, p:p + w].copy()
+
+
 def numeric_gradient(f, x, step=1e-3):
     """Central-difference gradient of scalar f at x, elementwise."""
     grad = np.zeros_like(x, dtype=DTYPE)

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cbirnet import layers
 from cbirnet.errors import ConfigurationError, InternalError
 from cbirnet.layers import (
     Conv2d,
@@ -17,8 +18,10 @@ from cbirnet.layers import (
 from cbirnet.network import DropoutSpec
 
 from conftest import (
+    col2im_padded_reference,
     col2im_reference,
     conv2d_reference,
+    im2col_reference,
     maxpool2d_reference,
     maxpool_backward_reference,
     maxpool_train_reference,
@@ -141,6 +144,74 @@ class TestConv2d:
             expect = col2im_reference(dcols, (c, h, w), kh, kw, stride,
                                       padding)
             assert conv.backward(g)[0].tobytes() == expect.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), c=st.integers(1, 3), oc=st.integers(1, 3),
+           kh=st.integers(1, 4), kw=st.integers(1, 4),
+           stride=st.integers(1, 6), padding=st.integers(0, 3),
+           n=st.sampled_from([1, 3, 9]))
+    def test_table_gather_and_bincount_match_window_view_oracles(
+            self, data, c, oc, kh, kw, stride, padding, n):
+        # stride > kernel skips input positions; padding > 0 sends the
+        # border through the zero slot. The palette holds +-0.0, so a
+        # padding zero of the wrong sign would show in the patches' bytes.
+        conv = Conv2d(c, oc, kh, kw, stride=stride, padding=padding)
+        conv.weights[:] = palette_array(data, conv.weights.shape)
+        conv.biases[:] = palette_array(data, conv.biases.shape)
+        h = data.draw(st.integers(max(1, kh - 2 * padding), 9))
+        w = data.draw(st.integers(max(1, kw - 2 * padding), 9))
+        x = palette_array(data, (n, c, h, w))
+        cols = im2col_reference(x, kh, kw, stride, padding)
+        w2d = conv.weights.reshape(oc, -1)
+        expect = np.matmul(w2d, cols)
+        expect += conv.biases[:, None]
+        out = conv.forward(x)
+        assert out.tobytes() == expect.tobytes()
+        assert conv.forward(x[:1], train=True).tobytes() == \
+            expect[:1].tobytes()
+        assert conv._cols.tobytes() == cols[0].tobytes()
+        g = palette_array(data, (1, *out.shape[1:]))
+        g2d = g.reshape(oc, -1)
+        dx = conv.backward(g)
+        weight_grads = np.empty(conv.weights.shape)
+        np.matmul(g2d, cols[0].T, out=weight_grads.reshape(oc, -1))
+        assert conv.weight_grads.tobytes() == weight_grads.tobytes()
+        assert conv.bias_grads.tobytes() == g2d.sum(axis=1).tobytes()
+        expect_dx = col2im_padded_reference(w2d.T @ g2d, (c, h, w), kh, kw,
+                                            stride, padding)
+        assert dx.shape == x[:1].shape
+        assert dx.tobytes() == expect_dx.tobytes()
+
+    def test_patch_table_is_shared_and_read_only(self, monkeypatch):
+        # Two layers of one geometry gather through one table object,
+        # which no caller can write.
+        tables = []
+
+        def recording(*args, **kwargs):
+            tables.append(patch_table(*args, **kwargs))
+            return tables[-1]
+
+        patch_table = layers._patch_table
+        monkeypatch.setattr(layers, "_patch_table", recording)
+        x = RNG.standard_normal((1, 2, 7, 8))
+        for out_channels in (3, 5):
+            conv = Conv2d(2, out_channels, 3, 3, stride=2, padding=1)
+            out = conv.forward(x, train=True)
+            conv.backward(np.ones(out.shape))
+        assert len(tables) == 4
+        assert all(table is tables[0] for table in tables)
+        assert not tables[0].flags.writeable
+        with pytest.raises(ValueError):
+            tables[0][0, 0, 0] = 0
+        with pytest.raises(ValueError):
+            tables[0].flags.writeable = True
+        pool_table = patch_table((2, 7, 8), 3, 3, 2, windows=True)
+        assert not pool_table.flags.writeable
+        assert pool_table.shape == (2, 3, 3, 3 * 3)
+        assert tables[0].shape == (2 * 3 * 3, 4, 4)
+        # Padding positions point at the zero slot past the c*h*w values.
+        assert tables[0][0, 0, 0] == 2 * 7 * 8
+        assert tables[0][4, 0, 0] == 0  # channel 0, kernel centre
 
     def test_eval_forward_stores_nothing(self):
         conv = Conv2d(1, 1, 2, 2)

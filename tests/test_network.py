@@ -494,6 +494,32 @@ class TestClassify:
             assert self.oracle_network().lanes == min(cores, MAX_LANES)
             assert Network.from_spec(full_spec).lanes == 1
 
+    @pytest.mark.parametrize("cpu_max, quota_cores", [
+        ("150000 100000\n", 2),  # 1.5 CPUs round up
+        ("100000 100000\n", 1),
+        ("50000 100000\n", 1),
+        ("800000 100000\n", None),  # a quota above the mask caps nothing
+        ("max 100000\n", None),
+        ("", None),
+        ("garbage\n", None),
+        (None, None),  # missing or unreadable
+    ])
+    def test_usable_cores_honour_a_cgroup_cpu_quota(self, monkeypatch,
+                                                    cpu_max, quota_cores):
+        affinity = len(os.sched_getaffinity(0))
+        monkeypatch.setattr(network, "_read_cpu_max", lambda: cpu_max)
+        assert network._usable_cores() == min(affinity,
+                                              quota_cores or affinity)
+
+    def test_cpu_max_reader_tolerates_a_missing_file(self, monkeypatch,
+                                                     tmp_path):
+        monkeypatch.setattr(network, "CPU_MAX_PATH", str(tmp_path / "none"))
+        assert network._read_cpu_max() is None
+        (tmp_path / "cpu.max").write_text("200000 100000\n")
+        monkeypatch.setattr(network, "CPU_MAX_PATH",
+                            str(tmp_path / "cpu.max"))
+        assert network._read_cpu_max() == "200000 100000\n"
+
 
 class TestFingerprint:
     def test_sensitive_to_any_weight(self):
